@@ -2,8 +2,8 @@
 hardware read/write energy model, and firing-rate statistics.
 
 Energy constants follow the 45 nm measurements commonly adopted in the
-SNN literature: 4.6 pJ per 32-bit multiply-accumulate, 0.9 pJ per 32-bit
-accumulate, 0.03 pJ per 8-bit accumulate.
+SNN literature: 4.6 pJ per 32-bit multiply-accumulate and 0.9 pJ per
+32-bit accumulate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import DataError, ShapeError
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
-E_AC_8BIT_PJ = 0.03
 
 MAX_TERNARY_ENTROPY = math.log(3.0)
 

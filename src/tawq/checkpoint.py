@@ -140,6 +140,12 @@ def checkpoint_from_network(net: Network, cfg: RunConfig,
                       tensors=tensors)
 
 
+def _stored(ckpt: Checkpoint, key: str):
+    if key not in ckpt.tensors:
+        raise StateError(f"checkpoint missing tensor {key}")
+    return ckpt.tensors[key]
+
+
 def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
     """Rebuild the network: restore parameters and buffers, re-materialize
     quantized weights, and verify them against the stored packed stacks."""
@@ -147,20 +153,15 @@ def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
     net = build_network(cfg)
     for i, layer in enumerate(net.layers):
         for pname in layer.params:
-            key = f"{i}.{pname}"
-            if key not in ckpt.tensors:
-                raise StateError(f"checkpoint missing tensor {key}")
-            layer.params[pname] = np.asarray(ckpt.tensors[key])
+            layer.params[pname] = np.asarray(_stored(ckpt, f"{i}.{pname}"))
         if isinstance(layer, BatchNorm):
-            layer.running_mean = np.asarray(ckpt.tensors[f"{i}.running_mean"])
-            layer.running_var = np.asarray(ckpt.tensors[f"{i}.running_var"])
+            layer.running_mean = np.asarray(_stored(ckpt, f"{i}.running_mean"))
+            layer.running_var = np.asarray(_stored(ckpt, f"{i}.running_var"))
         if layer.kind in ("qlinear", "qconv"):
             layer.materialize()
             for t, w in enumerate(layer.state.w_q):
                 key = f"{i}.w_q.{t}"
-                stored = ckpt.tensors.get(key)
-                if stored is None:
-                    raise StateError(f"checkpoint missing tensor {key}")
+                stored = _stored(ckpt, key)
                 if isinstance(stored, PackedTernaryTensor):
                     stored = unpack_ternary(stored)
                 if not np.array_equal(np.asarray(stored, dtype=np.float64), w):

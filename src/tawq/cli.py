@@ -1,7 +1,8 @@
 """Command-line surface: train, report, infer, fold, gen-data.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric error.
-TAWQ_THREADS caps internal parallelism (applied to the BLAS thread pools).
+The BLAS thread pool reads OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) when
+numpy loads, so set it in the environment that starts `tawq`.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ from .errors import ConfigError, DataError, NumericError, TawqError
 from .runconfig import load_runconfig
 from .runtime import fold_network, folded_forward
 from .trainer import train
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TAWQ_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def cmd_train(args) -> int:
@@ -238,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,6 +21,8 @@ from .errors import ConfigError, ShapeError, StateError
 from .quantizer import (
     QuantConfig,
     QuantizerState,
+    _sigmoid,
+    _sigmoid_deriv,
     compute_scaling_all,
     normalize_backward,
     normalize_stimulus,
@@ -61,10 +63,6 @@ def lif_step(u_prev: np.ndarray, input_current: np.ndarray,
     return spikes, u_next
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 class Layer:
     """Base layer: float64 params in `params`, matching grads in `grads`."""
 
@@ -93,94 +91,6 @@ def _kaiming_uniform(shape: tuple[int, ...], fan_in: int,
                      rng: np.random.Generator) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-class Linear(Layer):
-    """Plain float linear layer, y[t] = x[t] @ W.T + b."""
-
-    kind = "linear"
-
-    def __init__(self, in_features: int, out_features: int, *,
-                 bias: bool = True, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.params["weight"] = _kaiming_uniform((out_features, in_features),
-                                                 in_features, rng)
-        if bias:
-            self.params["bias"] = np.zeros(out_features)
-
-    def forward(self, x, training=False, relaxed=False):
-        self.cache = {"x": x}
-        y = np.einsum("tbi,oi->tbo", x, self.params["weight"])
-        if "bias" in self.params:
-            y = y + self.params["bias"]
-        self.cache["y"] = y
-        return y
-
-    def backward(self, gout):
-        x = self.cache["x"]
-        self.grads["weight"] = np.einsum("tbo,tbi->oi", gout, x)
-        if "bias" in self.params:
-            self.grads["bias"] = gout.sum(axis=(0, 1))
-        return np.einsum("tbo,oi->tbi", gout, self.params["weight"])
-
-
-class QuantLinear(Layer):
-    """Linear layer whose weights come from the temporal quantizer.
-
-    Trainable parameter is the stimulus tensor; each forward emits a
-    (T, out, in) integer weight stack plus a per-timestep per-channel
-    scale.  The scale is a detached statistic of the emitted weights and
-    carries no gradient of its own.
-    """
-
-    kind = "qlinear"
-
-    def __init__(self, in_features: int, out_features: int, quant: QuantConfig, *,
-                 rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.quant = quant
-        self.params["stimulus"] = _kaiming_uniform((out_features, in_features),
-                                                   in_features, rng)
-        self.state: QuantizerState | None = None
-        self.alpha: np.ndarray | None = None
-
-    def materialize(self) -> None:
-        """Regenerate quantized weights and scales from the stimulus."""
-        i_norm = normalize_stimulus(self.params["stimulus"], self.quant.epsilon)
-        self.state = tawq_forward(i_norm, self.quant)
-        self.alpha = compute_scaling_all(self.state)
-
-    def forward(self, x, training=False, relaxed=False):
-        if x.shape[0] != self.quant.timesteps:
-            raise ShapeError(f"expected {self.quant.timesteps} timesteps, "
-                             f"got input with {x.shape[0]}")
-        self.materialize()
-        y = np.einsum("tbi,toi->tbo", x, self.state.w_q) * self.alpha[:, None, :]
-        self.cache = {"x": x, "y": y}
-        return y
-
-    def backward(self, gout):
-        if self.state is None:
-            raise StateError("backward called before forward")
-        x = self.cache["x"]
-        ga = gout * self.alpha[:, None, :]
-        g_wq = np.einsum("tbo,tbi->toi", ga, x)
-        gx = np.einsum("tbo,toi->tbi", ga, self.state.w_q)
-        g_inorm = tawq_backward(g_wq, self.state)
-        self.grads["stimulus"] = normalize_backward(
-            g_inorm, self.state.i_norm, self.params["stimulus"], self.quant.epsilon)
-        return gx
-
-    def trace(self):
-        t = super().trace()
-        t.update(state=self.state, alpha=self.alpha, w_q=self.state.w_q)
-        return t
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
@@ -219,7 +129,95 @@ def _col2im(gcols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
     return gx
 
 
-class Conv2d(Layer):
+# One contraction per layer family, shared by its float and quantized
+# member.  A weight is either shared over time, (O, I) or (O, C, k, k), or
+# per timestep with a leading T axis; a shared weight's gradient is summed
+# over time.  Activations stay C-contiguous (T, B, ...).
+
+class _LinearContraction:
+    def _contract(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(T, B, I) times (O, I) or (T, O, I) -> (T, B, O)."""
+        if x.shape[-1] != w.shape[-1]:
+            raise ShapeError(f"input width {x.shape[-1]} != weight width {w.shape[-1]}")
+        return x @ np.swapaxes(w, -1, -2)
+
+    def _contract_grads(self, gout: np.ndarray, x: np.ndarray,
+                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        gw = np.swapaxes(gout, -1, -2) @ x
+        return (gw.sum(axis=0) if w.ndim == 2 else gw), gout @ w
+
+
+def _flat_kernel(w: np.ndarray) -> np.ndarray:
+    """(O, C, k, k) or (T, O, C, k, k) -> (1 or T, 1, O, C*k*k)."""
+    return w.reshape(-1, 1, w.shape[-4], int(np.prod(w.shape[-3:])))
+
+
+class _ConvContraction:
+    def _patches(self, x: np.ndarray, k: int) -> tuple[np.ndarray, tuple[int, int]]:
+        """(T, B, C, H, W) -> (T, B, C*k*k, H'*W'), time folded into the im2col batch.
+
+        The backward pass rebuilds the patches rather than caching them:
+        they are k*k times the size of the input.
+        """
+        T, B = x.shape[:2]
+        cols, out_hw = _im2col(x.reshape(T * B, *x.shape[2:]), k, k,
+                               self.stride, self.padding)
+        return cols.reshape(T, B, *cols.shape[1:]), out_hw
+
+    def _contract(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(T, B, C, H, W) convolved with (O, C, k, k) or (T, O, C, k, k)
+        -> (T, B, O, H', W')."""
+        if x.shape[2] != w.shape[-3]:
+            raise ShapeError(f"input channels {x.shape[2]} != weight channels {w.shape[-3]}")
+        cols, out_hw = self._patches(x, w.shape[-1])
+        return (_flat_kernel(w) @ cols).reshape(*x.shape[:2], -1, *out_hw)
+
+    def _contract_grads(self, gout: np.ndarray, x: np.ndarray,
+                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        T, B, O = gout.shape[:3]
+        k = w.shape[-1]
+        g = gout.reshape(T, B, O, -1)
+        gw = (g @ np.swapaxes(self._patches(x, k)[0], -1, -2)).sum(axis=1)
+        if w.ndim == 4:
+            gw = gw.sum(axis=0)
+        gcols = np.swapaxes(_flat_kernel(w), -1, -2) @ g
+        gx = _col2im(gcols.reshape(T * B, *gcols.shape[2:]), (T * B, *x.shape[2:]),
+                     k, k, self.stride, self.padding, gout.shape[3:])
+        return gw.reshape(w.shape), gx.reshape(x.shape)
+
+
+class Linear(_LinearContraction, Layer):
+    """Plain float linear layer, y[t] = x[t] @ W.T + b."""
+
+    kind = "linear"
+
+    def __init__(self, in_features: int, out_features: int, *,
+                 bias: bool = True, rng: np.random.Generator | None = None) -> None:
+        super().__init__()
+        rng = rng or np.random.default_rng(0)
+        self.in_features = in_features
+        self.out_features = out_features
+        self.params["weight"] = _kaiming_uniform((out_features, in_features),
+                                                 in_features, rng)
+        if bias:
+            self.params["bias"] = np.zeros(out_features)
+
+    def forward(self, x, training=False, relaxed=False):
+        y = self._contract(x, self.params["weight"])
+        if "bias" in self.params:
+            y += self.params["bias"]
+        self.cache = {"x": x, "y": y}
+        return y
+
+    def backward(self, gout):
+        self.grads["weight"], gx = self._contract_grads(gout, self.cache["x"],
+                                                        self.params["weight"])
+        if "bias" in self.params:
+            self.grads["bias"] = gout.sum(axis=(0, 1))
+        return gx
+
+
+class Conv2d(_ConvContraction, Layer):
     kind = "conv"
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
@@ -233,31 +231,15 @@ class Conv2d(Layer):
         self.params["weight"] = _kaiming_uniform(
             (out_channels, in_channels, kernel_size, kernel_size), fan_in, rng)
 
-    def _matmul(self, x, w_flat):
-        T, B = x.shape[:2]
-        cols, out_hw = _im2col(x.reshape(T * B, *x.shape[2:]),
-                               self.kernel_size, self.kernel_size,
-                               self.stride, self.padding)
-        y = np.matmul(w_flat, cols).reshape(T, B, self.out_channels, *out_hw)
-        return y, cols, out_hw
-
     def forward(self, x, training=False, relaxed=False):
-        w_flat = self.params["weight"].reshape(self.out_channels, -1)
-        y, cols, out_hw = self._matmul(x, w_flat)
-        self.cache = {"x": x, "y": y, "cols": cols, "out_hw": out_hw}
+        y = self._contract(x, self.params["weight"])
+        self.cache = {"x": x, "y": y}
         return y
 
     def backward(self, gout):
-        x, cols, out_hw = self.cache["x"], self.cache["cols"], self.cache["out_hw"]
-        T, B = x.shape[:2]
-        g_flat = gout.reshape(T * B, self.out_channels, -1)
-        gw = np.einsum("nol,nkl->ok", g_flat, cols)
-        self.grads["weight"] = gw.reshape(self.params["weight"].shape)
-        w_flat = self.params["weight"].reshape(self.out_channels, -1)
-        gcols = np.einsum("ok,nol->nkl", w_flat, g_flat)
-        gx = _col2im(gcols, (T * B, *x.shape[2:]), self.kernel_size,
-                     self.kernel_size, self.stride, self.padding, out_hw)
-        return gx.reshape(x.shape)
+        self.grads["weight"], gx = self._contract_grads(gout, self.cache["x"],
+                                                        self.params["weight"])
+        return gx
 
     def trace(self):
         t = super().trace()
@@ -265,62 +247,50 @@ class Conv2d(Layer):
         return t
 
 
-class QuantConv2d(Layer):
-    kind = "qconv"
+class _QuantizedLayer(Layer):
+    """A weighted layer whose weight carries a time axis.
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 quant: QuantConfig, *, stride: int = 1, padding: int = 0,
-                 rng: np.random.Generator | None = None) -> None:
+    The trainable parameter is the stimulus tensor; each forward pass
+    quantizes it into a (T, *weight shape) integer stack plus a
+    per-timestep per-channel scale alpha.  The scale is a detached
+    statistic of the emitted weights and carries no gradient of its own.
+    It is applied after the contraction, so binary input sums exactly.
+    """
+
+    def __init__(self, shape: tuple[int, ...], fan_in: int, quant: QuantConfig,
+                 rng: np.random.Generator | None) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel_size, self.stride, self.padding = kernel_size, stride, padding
         self.quant = quant
-        fan_in = in_channels * kernel_size * kernel_size
         self.params["stimulus"] = _kaiming_uniform(
-            (out_channels, in_channels, kernel_size, kernel_size), fan_in, rng)
+            shape, fan_in, rng or np.random.default_rng(0))
         self.state: QuantizerState | None = None
         self.alpha: np.ndarray | None = None
 
     def materialize(self) -> None:
+        """Regenerate quantized weights and scales from the stimulus."""
         i_norm = normalize_stimulus(self.params["stimulus"], self.quant.epsilon)
         self.state = tawq_forward(i_norm, self.quant)
         self.alpha = compute_scaling_all(self.state)
+
+    def _scale(self, ndim: int) -> np.ndarray:
+        """alpha (T, C_o) shaped to broadcast against a (T, B, C_o, ...) array."""
+        return self.alpha.reshape(self.alpha.shape[0], 1, -1, *(1,) * (ndim - 3))
 
     def forward(self, x, training=False, relaxed=False):
         if x.shape[0] != self.quant.timesteps:
             raise ShapeError(f"expected {self.quant.timesteps} timesteps, "
                              f"got input with {x.shape[0]}")
         self.materialize()
-        T, B = x.shape[:2]
-        cols_t, ys = [], []
-        for t in range(T):
-            cols, out_hw = _im2col(x[t], self.kernel_size, self.kernel_size,
-                                   self.stride, self.padding)
-            w_flat = self.state.w_q[t].reshape(self.out_channels, -1)
-            y = np.matmul(w_flat, cols).reshape(B, self.out_channels, *out_hw)
-            ys.append(y * self.alpha[t][None, :, None, None])
-            cols_t.append(cols)
-        y = np.stack(ys)
-        self.cache = {"x": x, "y": y, "cols": cols_t, "out_hw": out_hw}
+        y = self._contract(x, self.state.w_q)
+        y *= self._scale(y.ndim)
+        self.cache = {"x": x, "y": y}
         return y
 
     def backward(self, gout):
         if self.state is None:
             raise StateError("backward called before forward")
-        x, cols_t, out_hw = self.cache["x"], self.cache["cols"], self.cache["out_hw"]
-        T, B = x.shape[:2]
-        g_wq = np.zeros_like(self.state.w_q)
-        gx = np.empty_like(x)
-        for t in range(T):
-            ga = (gout[t] * self.alpha[t][None, :, None, None]).reshape(
-                B, self.out_channels, -1)
-            gw = np.einsum("bol,bkl->ok", ga, cols_t[t])
-            g_wq[t] = gw.reshape(self.state.w_q.shape[1:])
-            w_flat = self.state.w_q[t].reshape(self.out_channels, -1)
-            gcols = np.einsum("ok,bol->bkl", w_flat, ga)
-            gx[t] = _col2im(gcols, x[t].shape, self.kernel_size, self.kernel_size,
-                            self.stride, self.padding, out_hw)
+        g_wq, gx = self._contract_grads(gout * self._scale(gout.ndim),
+                                        self.cache["x"], self.state.w_q)
         g_inorm = tawq_backward(g_wq, self.state)
         self.grads["stimulus"] = normalize_backward(
             g_inorm, self.state.i_norm, self.params["stimulus"], self.quant.epsilon)
@@ -330,6 +300,42 @@ class QuantConv2d(Layer):
         t = super().trace()
         t.update(state=self.state, alpha=self.alpha, w_q=self.state.w_q)
         return t
+
+
+class QuantLinear(_LinearContraction, _QuantizedLayer):
+    """Linear layer whose weights come from the temporal quantizer."""
+
+    kind = "qlinear"
+
+    def __init__(self, in_features: int, out_features: int, quant: QuantConfig, *,
+                 rng: np.random.Generator | None = None) -> None:
+        super().__init__((out_features, in_features), in_features, quant, rng)
+        self.in_features = in_features
+        self.out_features = out_features
+
+    # bench/tracer.py times the methods found in each class's own namespace
+    materialize = _QuantizedLayer.materialize
+    forward = _QuantizedLayer.forward
+    backward = _QuantizedLayer.backward
+
+
+class QuantConv2d(_ConvContraction, _QuantizedLayer):
+    """2-D convolution whose kernels come from the temporal quantizer."""
+
+    kind = "qconv"
+
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
+                 quant: QuantConfig, *, stride: int = 1, padding: int = 0,
+                 rng: np.random.Generator | None = None) -> None:
+        super().__init__((out_channels, in_channels, kernel_size, kernel_size),
+                         in_channels * kernel_size * kernel_size, quant, rng)
+        self.in_channels, self.out_channels = in_channels, out_channels
+        self.kernel_size, self.stride, self.padding = kernel_size, stride, padding
+
+    # bench/tracer.py times the methods found in each class's own namespace
+    materialize = _QuantizedLayer.materialize
+    forward = _QuantizedLayer.forward
+    backward = _QuantizedLayer.backward
 
 
 class BatchNorm(Layer):
@@ -437,11 +443,6 @@ class LIF(Layer):
         t = super().trace()
         t.update(membrane=self.cache.get("u"))
         return t
-
-
-def _sigmoid_deriv(x: np.ndarray) -> np.ndarray:
-    s = _sigmoid(x)
-    return s * (1.0 - s)
 
 
 class AvgPool2d(Layer):

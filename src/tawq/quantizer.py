@@ -144,8 +144,12 @@ def surrogate_grad(c_s: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     return g * k if cfg.sg_chain_factor else g
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def _sigmoid_deriv(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
+    s = _sigmoid(x)
     return s * (1.0 - s)
 
 
@@ -192,22 +196,18 @@ def tawq_backward(upstream: np.ndarray, state: QuantizerState) -> np.ndarray:
         raise ShapeError(
             f"upstream shape {upstream.shape} != retained w_q shape {state.w_q.shape}")
     if not cfg.temporal:
-        sg = surrogate_grad(state.i_norm, cfg)
-        return upstream.sum(axis=0) * sg
+        return upstream.sum(axis=0) * surrogate_grad(state.i_norm, cfg)
 
     lam, n = cfg.lam, cfg.n_level
+    sg = surrogate_grad(state.c_s[1:], cfg)  # sg[t - 1] is taken at c_s[t]
     grad_i = np.zeros_like(state.i_norm)
     carry = np.zeros_like(state.i_norm)  # dL/dc_s[t+1] reaching step t from the future
     for t in range(cfg.timesteps, 0, -1):
-        c_t = state.c_s[t]
-        w_t = state.w_q[t - 1]
-        sg_t = surrogate_grad(c_t, cfg)
-        g_c = upstream[t - 1] * sg_t + carry
+        g_c = upstream[t - 1] * sg[t - 1] + carry
         grad_i += g_c * (1.0 - lam)
         if t > 1:
             c_prev = state.c_s[t - 1]
             w_prev = state.w_q[t - 2]
-            sg_prev = surrogate_grad(c_prev, cfg)
             carry = g_c * (lam * (1.0 - np.abs(w_prev) / n)
-                           - lam * c_prev * np.sign(w_prev) / n * sg_prev)
+                           - lam * c_prev * np.sign(w_prev) / n * sg[t - 2])
     return grad_i

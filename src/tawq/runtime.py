@@ -203,7 +203,7 @@ def folded_forward(plan: list, x: np.ndarray,
             spikes = np.empty((T,) + u.shape)
             trace = np.empty_like(spikes)
             for t in range(T):
-                x_q = ac_only_matmul(item.packed[t], h[t].astype(np.int64))
+                x_q = ac_only_matmul(item.packed[t], h[t])
                 u = decay * u + f.rho[t] * x_q + f.delta
                 trace[t] = u
                 fired = (u >= cfg.v_threshold).astype(np.float64)

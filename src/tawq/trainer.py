@@ -37,6 +37,8 @@ class TrainConfig:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
+        if self.optimizer == "sgd" and self.weight_decay != 0:
+            raise ConfigError("weight_decay is applied by adamw only; sgd would ignore it")
         if self.lr_schedule not in SCHEDULES:
             raise ConfigError(f"lr_schedule must be one of {SCHEDULES}")
 

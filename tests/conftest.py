@@ -26,6 +26,24 @@ def three_layer_document(seed: int = 0, epochs: int = 50) -> dict:
     return doc
 
 
+def conv_document(seed: int = 0) -> dict:
+    """Small spiking conv net on (T, B, 2, 6, 6) inputs:
+    conv -> bn -> lif -> pool -> qconv -> bn -> lif -> flatten -> linear."""
+    doc = default_xor_document(seed=seed)
+    doc["network"] = [
+        {"kind": "conv", "in": 2, "out": 6, "kernel": 3, "padding": 1},
+        {"kind": "bn", "channels": 6},
+        {"kind": "lif"},
+        {"kind": "pool", "kernel": 2},
+        {"kind": "qconv", "in": 6, "out": 4, "kernel": 3, "padding": 1},
+        {"kind": "bn", "channels": 4},
+        {"kind": "lif"},
+        {"kind": "flatten"},
+        {"kind": "linear", "in": 36, "out": 2},
+    ]
+    return doc
+
+
 def run_document(doc: dict):
     """Build dataset + network from a parsed document and train; returns
     (network, dataset, metrics)."""

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import run_document
+from conftest import conv_document, run_document
+from tawq.analysis import count_sops, entropy_report
 from tawq.checkpoint import (
     Checkpoint,
     checkpoint_from_network,
@@ -20,8 +21,8 @@ from tawq.checkpoint import (
     save_checkpoint,
 )
 from tawq.cli import main
-from tawq.errors import DataError
-from tawq.runconfig import default_xor_document, parse_runconfig
+from tawq.errors import DataError, StateError
+from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +85,48 @@ class TestCheckpointRoundTrip:
         with pytest.raises(DataError, match="checksum"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("buffer", ["running_mean", "running_var"])
+    def test_missing_bn_buffer_rejected(self, trained, buffer):
+        net, _, _, cfg = trained
+        ckpt = checkpoint_from_network(net, cfg)
+        del ckpt.tensors[f"1.{buffer}"]
+        with pytest.raises(StateError, match=f"1.{buffer}"):
+            network_from_checkpoint(ckpt)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(DataError):
             load_checkpoint(str(path))
+
+
+class TestConvNetwork:
+    def test_traces_sops_and_round_trip(self, tmp_path):
+        cfg = parse_runconfig(conv_document())
+        net = build_network(cfg)
+        x = (np.random.default_rng(3).random((4, 5, 2, 6, 6)) < 0.5).astype(float)
+        net.forward(x, training=True)  # moves the BN running statistics
+        logits = net.forward(x, training=False)
+
+        traces = net.traces()
+        assert [t["kind"] for t in traces] == [
+            "conv", "bn", "lif", "pool", "qconv", "bn", "lif", "flatten", "linear"]
+        assert traces[0]["weight_shape"] == (6, 2, 3, 3)
+        assert traces[4]["w_q"].shape == (4, 4, 6, 3, 3)
+        assert traces[4]["alpha"].shape == (4, 4)
+        assert traces[4]["input"].shape == (4, 5, 6, 3, 3)
+        assert traces[4]["output"].shape == (4, 5, 4, 3, 3)
+        rows = count_sops(traces)
+        assert [r.name for r in rows] == ["0.conv", "4.qconv", "8.linear"]
+        assert [r.quantized for r in rows] == [False, True, False]
+        assert rows[0].tops_per_t == 18 * 6 * 6 * 6
+        assert rows[1].tops_per_t == 54 * 4 * 3 * 3
+        assert [r.name for r in entropy_report(traces).rows] == ["4.qconv"]
+
+        path = str(tmp_path / "conv.ckpt")
+        save_checkpoint(path, checkpoint_from_network(net, cfg))
+        net2, _ = network_from_checkpoint(load_checkpoint(path))
+        assert np.array_equal(net2.forward(x, training=False), logits)
 
 
 def _write_config(tmp_path, doc, name="run.yaml"):
@@ -199,6 +237,13 @@ class TestCliReportInferFold:
         open(empty, "w").close()
         assert main(["infer", cli_artifacts["ckpt"], empty]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["--folded", "--unfolded"])
+    def test_infer_wrong_width_exits_3(self, cli_artifacts, capsys, mode):
+        bad = str(cli_artifacts["tmp"] / "wide.npz")
+        np.savez(bad, inputs=np.zeros((4, 5, 3)))
+        assert main(["infer", cli_artifacts["ckpt"], bad, mode]) == 3
+        assert "input width 3 != weight width 2" in capsys.readouterr().err
 
     def test_fold_emits_parameters(self, cli_artifacts, capsys):
         out = str(cli_artifacts["tmp"] / "folded.npz")

@@ -10,7 +10,8 @@ forward where the hard spike is replaced by its surrogate sigmoid.
 import numpy as np
 import pytest
 
-from tawq.errors import NumericError, ShapeError
+from conftest import conv_document
+from tawq.errors import ConfigError, NumericError, ShapeError
 from tawq.layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear
 from tawq.quantizer import (
     QuantConfig,
@@ -20,6 +21,7 @@ from tawq.quantizer import (
     tawq_backward,
     tawq_forward,
 )
+from tawq.runconfig import build_network, parse_runconfig
 from tawq.trainer import (
     GradientBundle,
     Optimizer,
@@ -147,6 +149,10 @@ def _relaxed_net(seed: int = 0):
     ])
 
 
+def _relaxed_conv_net():
+    return build_network(parse_runconfig(conv_document()))
+
+
 def _relaxed_loss(net, x, y):
     logits = net.forward(x, training=True, relaxed=True)
     loss, grad = softmax_cross_entropy(logits, y)
@@ -162,10 +168,14 @@ class TestFiniteDifferences:
     """
 
     def test_smooth_paths_match(self):
+        for make_net, x_shape in ((_relaxed_net, (4, 6, 3)),
+                                  (_relaxed_conv_net, (4, 6, 2, 6, 6))):
+            self._check_smooth_paths(make_net(), x_shape)
+
+    def _check_smooth_paths(self, net, x_shape):
         rng = np.random.default_rng(17)
-        net = _relaxed_net()
-        x = (rng.random((4, 6, 3)) < 0.5).astype(float)
-        y = rng.integers(0, 2, size=6)
+        x = (rng.random(x_shape) < 0.5).astype(float)
+        y = rng.integers(0, 2, size=x_shape[1])
 
         _, gl = _relaxed_loss(net, x, y)
         net.backward(gl)
@@ -188,7 +198,7 @@ class TestFiniteDifferences:
                 fd = (lp - lm) / (2 * h)
                 analytic = bundle.tensors[name].ravel()[k]
                 denom = max(abs(fd), abs(analytic), 1e-3)
-                assert abs(analytic - fd) / denom <= 1e-5, (name, k)
+                assert abs(analytic - fd) / denom <= 1e-5, (x_shape, name, k)
                 checked += 1
         assert checked >= 30
 
@@ -201,6 +211,11 @@ class TestOptimizer:
         cfg = TrainConfig(lr=0.1, optimizer="sgd", clip_norm=1e9)
         Optimizer(net, cfg).step(GradientBundle({"0.weight": g}))
         assert np.array_equal(net.layers[0].params["weight"], w0 - 0.1 * g)
+
+    def test_sgd_rejects_weight_decay(self):
+        # plain SGD applies no weight decay, so a nonzero value would be ignored
+        with pytest.raises(ConfigError, match="weight_decay"):
+            TrainConfig(optimizer="sgd", weight_decay=0.1)
 
     def test_clip_halves_at_double_norm(self):
         g = np.array([3.0, 4.0])  # norm 5

@@ -9,6 +9,7 @@ from tawq.layers import (
     LIF,
     AvgPool2d,
     BatchNorm,
+    Conv2d,
     Flatten,
     LifConfig,
     Linear,
@@ -17,7 +18,7 @@ from tawq.layers import (
     QuantLinear,
     lif_step,
 )
-from tawq.quantizer import QuantConfig
+from tawq.quantizer import QuantConfig, normalize_backward, tawq_backward
 
 
 class TestLifStep:
@@ -130,6 +131,33 @@ class TestQuantizedLayers:
                         ref[b, o, i0, j0] = int(
                             (w[o] * xi[b, :, i0:i0 + 3, j0:j0 + 3]).sum())
         assert np.allclose(got, ref)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+    def test_qconv_equals_per_timestep_conv(self, stride, padding):
+        # timestep t of a quantized convolution is a plain convolution with
+        # weight alpha[t] * w_q[t]: forward, input gradient, and (through
+        # the recurrence) stimulus gradient
+        T = 4
+        quant = QuantConfig(timesteps=T)
+        rng = np.random.default_rng(21)
+        layer = QuantConv2d(3, 5, 3, quant, stride=stride, padding=padding, rng=rng)
+        x = (rng.random((T, 2, 3, 7, 7)) < 0.5).astype(float)
+        y = layer.forward(x)
+        gout = rng.standard_normal(y.shape)
+        gx = layer.backward(gout)
+        st = layer.state
+        g_wq = np.empty_like(st.w_q)
+        for t in range(T):
+            scale = layer.alpha[t][:, None, None, None]
+            conv = Conv2d(3, 5, 3, stride=stride, padding=padding)
+            conv.params["weight"] = scale * st.w_q[t]
+            assert np.allclose(y[t], conv.forward(x[t:t + 1])[0], rtol=1e-12, atol=1e-12)
+            assert np.allclose(gx[t], conv.backward(gout[t:t + 1])[0],
+                               rtol=1e-12, atol=1e-12)
+            g_wq[t] = conv.grads["weight"] * scale
+        want = normalize_backward(tawq_backward(g_wq, st), st.i_norm,
+                                  layer.params["stimulus"], quant.epsilon)
+        assert np.allclose(layer.grads["stimulus"], want, rtol=1e-10, atol=1e-12)
 
     def test_timestep_mismatch_rejected(self):
         layer = QuantLinear(2, 2, QuantConfig(timesteps=4))

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import run_document, three_layer_document
 from tawq.errors import ConfigError, DataError, ShapeError
-from tawq.layers import LIF, LifConfig
+from tawq.layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear
+from tawq.quantizer import QuantConfig
 from tawq.runtime import (
     FoldedBlock,
     PackedTernaryTensor,
@@ -162,6 +163,17 @@ class TestFoldedForward:
         fresh = build_network(cfg)
         with pytest.raises(DataError):
             fold_network(fresh)
+
+    def test_nonbinary_input_rejected(self):
+        # a folded block accumulates spikes only; graded input must be refused,
+        # not truncated to zero
+        quant = QuantConfig(timesteps=4)
+        net = Network([QuantLinear(6, 8, quant, rng=np.random.default_rng(1)),
+                       BatchNorm(8), LIF(), Linear(8, 2, rng=np.random.default_rng(2))])
+        x = np.where(np.random.default_rng(3).random((4, 5, 6)) < 0.5, 0.3, 0.9)
+        net.forward(x, training=True)
+        with pytest.raises(DataError, match="binary"):
+            folded_forward(fold_network(net), x)
 
     def test_zero_input_closed_form(self):
         """With zero input the folded membrane is driven by delta alone:
