@@ -179,8 +179,11 @@ def cmd_gen_data(args) -> int:
     cfg = load_runconfig(args.config)
     ds = build_dataset(cfg.dataset)
     if args.raster:
-        n = ds.train_x.shape[1]
-        side = int(np.sqrt(ds.train_x.shape[-1]))
+        n, features = ds.train_x.shape[1:]
+        side = int(np.sqrt(features))
+        if side * side != features:
+            raise DataError(f"--raster needs a square feature count, "
+                            f"got {features} features")
         pixels = (ds.train_x.mean(axis=0).reshape(n, side, side) * 255)
         save_raster_grid(args.out, pixels.astype(np.uint8), ds.train_y)
     else:

@@ -13,11 +13,12 @@ validate analytic gradients against finite differences.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, DataError, ShapeError, StateError
 from .quantizer import (
     QuantConfig,
     QuantizerState,
@@ -481,6 +482,16 @@ class Flatten(Layer):
         return gout.reshape(self.cache["shape"])
 
 
+@contextmanager
+def layer_errors(i: int, kind: str):
+    """Prefix a data or configuration error raised inside layer `i` with
+    the layer's index and kind."""
+    try:
+        yield
+    except (DataError, ConfigError) as exc:
+        raise type(exc)(f"layer {i} ({kind}): {exc}") from exc
+
+
 class Network:
     """Feed-forward stack evaluated over T timesteps.
 
@@ -495,10 +506,8 @@ class Network:
                 relaxed: bool = False) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
         for i, layer in enumerate(self.layers):
-            try:
+            with layer_errors(i, layer.kind):
                 h = layer.forward(h, training=training, relaxed=relaxed)
-            except (ShapeError, ConfigError) as exc:
-                raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from exc
         self._timesteps = h.shape[0]
         return h.mean(axis=0)
 

@@ -2,23 +2,33 @@
 
 Ternary weights are packed 2 bits each (4 per byte, little-endian lanes,
 row-major element order) with the code map 00->0, 01->+1, 10->-1; 11 is
-invalid.  Inference then needs only integer accumulation; the per-channel
-scale and the batch-norm affine are folded into the LIF charging path.
+invalid.  A packed tensor is decoded once, on first use, into a read-only
+{-1, 0, +1} float64 matrix cached on the tensor.  The accumulate of binary
+spikes is then one float BLAS product with that matrix, exact while the
+fan-in stays below 2^53.  The per-channel scale and the batch-norm affine
+are folded into the LIF charging path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .layers import LIF, BatchNorm, LifConfig, Network, QuantLinear
+from .layers import LIF, BatchNorm, LifConfig, Network, QuantLinear, layer_errors
 
 CODE_ZERO, CODE_POS, CODE_NEG, CODE_INVALID = 0b00, 0b01, 0b10, 0b11
 
+# Byte -> the values of its 4 lanes, lane 0 in the low bits; the invalid
+# code 0b11 decodes to the sentinel 2.
+_INVALID_VALUE = 2
+_BYTE_VALUES = np.array([0, 1, -1, _INVALID_VALUE], dtype=np.int8)[
+    np.arange(256)[:, None] >> np.arange(0, 8, 2) & 0b11]
 
-@dataclass
+
+@dataclass(frozen=True)
 class PackedTernaryTensor:
     codes: bytes
     shape: tuple[int, ...]
@@ -27,16 +37,24 @@ class PackedTernaryTensor:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The decoded weights as a read-only float64 array, decoded on
+        first use and kept on this tensor."""
+        w = unpack_ternary(self).astype(np.float64)
+        w.flags.writeable = False
+        return w
+
 
 def pack_ternary(w_q: np.ndarray) -> PackedTernaryTensor:
     """Lossless 2-bit encoding of a {-1, 0, +1} tensor."""
     w = np.asarray(w_q)
     flat = w.ravel()
-    if flat.size and not np.isin(flat, (-1, 0, 1)).all():
-        bad = flat[~np.isin(flat, (-1, 0, 1))][0]
-        raise DataError(f"out-of-range ternary entry {bad!r}")
-    codes2 = np.where(flat > 0, CODE_POS, np.where(flat < 0, CODE_NEG, CODE_ZERO))
-    codes2 = codes2.astype(np.uint8)
+    pos, neg = flat == 1, flat == -1
+    valid = pos | neg | (flat == 0)
+    if not valid.all():
+        raise DataError(f"out-of-range ternary entry {flat[~valid][0]!r}")
+    codes2 = pos.view(np.uint8) | neg.view(np.uint8) << 1
     pad = (-flat.size) % 4
     if pad:
         codes2 = np.concatenate([codes2, np.zeros(pad, dtype=np.uint8)])
@@ -47,16 +65,13 @@ def pack_ternary(w_q: np.ndarray) -> PackedTernaryTensor:
 
 def unpack_ternary(packed: PackedTernaryTensor) -> np.ndarray:
     raw = np.frombuffer(packed.codes, dtype=np.uint8)
-    lanes = np.empty((raw.size, 4), dtype=np.uint8)
-    for lane in range(4):
-        lanes[:, lane] = (raw >> (2 * lane)) & 0b11
-    codes2 = lanes.ravel()[:packed.size]
-    if np.any(codes2 == CODE_INVALID):
+    values = np.take(_BYTE_VALUES, raw, axis=0).ravel()[:packed.size]
+    if values.size != packed.size:
+        raise DataError(f"packed payload holds {values.size} codes, "
+                        f"shape {packed.shape} needs {packed.size}")
+    if np.any(values == _INVALID_VALUE):
         raise DataError("invalid 0b11 code in packed ternary payload")
-    values = np.zeros(packed.size, dtype=np.int64)
-    values[codes2 == CODE_POS] = 1
-    values[codes2 == CODE_NEG] = -1
-    return values.reshape(packed.shape)
+    return values.astype(np.int64).reshape(packed.shape)
 
 
 @dataclass
@@ -98,20 +113,19 @@ def ac_only_matmul(packed: PackedTernaryTensor, spikes: np.ndarray) -> np.ndarra
     """Accumulate-only product: out[b, c] = (#matches at +1) - (#matches at -1).
 
     ``packed`` holds a (C_o, C_i) weight matrix; ``spikes`` is a binary
-    (B, C_i) array.  The result is exact integer arithmetic.
+    (B, C_i) array.  The matrix is decoded once per packed tensor; the
+    accumulate is one float64 BLAS product of {0, 1} spikes with
+    {-1, 0, +1} weights, whose sums are exact integers while C_i < 2^53.
     """
-    w = unpack_ternary(packed)
-    if w.ndim != 2:
+    if len(packed.shape) != 2:
         raise ShapeError(f"expected a packed matrix, got shape {packed.shape}")
     s = np.asarray(spikes)
-    if not np.isin(s, (0, 1)).all():
+    if not ((s == 0) | (s == 1)).all():
         raise DataError("spikes must be binary")
-    s = s.astype(np.int64)
+    w = packed.matrix
     if s.shape[-1] != w.shape[1]:
         raise ShapeError(f"spike width {s.shape[-1]} != weight width {w.shape[1]}")
-    pos = s @ (w == 1).astype(np.int64).T
-    neg = s @ (w == -1).astype(np.int64).T
-    return pos - neg
+    return (s @ w.T).astype(np.int64)
 
 
 @dataclass
@@ -157,15 +171,17 @@ def fold_network(net: Network) -> list:
 
     Quantized layers must have been run forward at least once (their
     weight stacks are a function of the trained stimulus).  Blocks of
-    (QuantLinear, BatchNorm, LIF) collapse into `FoldedBlock`; all other
-    layers are passed through unchanged.
+    ternary (QuantLinear, BatchNorm, LIF) collapse into `FoldedBlock`; all
+    other layers, multi-bit QuantLinear included, are passed through
+    unchanged and run as float layers.
     """
     plan = []
     layers = net.layers
     i = 0
     while i < len(layers):
         layer = layers[i]
-        if (isinstance(layer, QuantLinear) and i + 2 < len(layers)
+        if (isinstance(layer, QuantLinear) and layer.quant.n_level == 1
+                and i + 2 < len(layers)
                 and isinstance(layers[i + 1], BatchNorm)
                 and isinstance(layers[i + 2], LIF)):
             if layer.state is None:
@@ -189,10 +205,12 @@ def folded_forward(plan: list, x: np.ndarray,
     """Run the folded plan; returns mean-over-time logits.
 
     With `record_membranes` the per-block membrane traces are returned as
-    well, for equivalence checks against the unfolded path.
+    well, for equivalence checks against the unfolded path.  Errors name
+    the layer they came from, as `Network.forward`'s do.
     """
     h = np.asarray(x, dtype=np.float64)
     membranes = []
+    i = 0  # index of the item's first layer in the unfolded network
     for item in plan:
         if isinstance(item, FoldedBlock):
             f = item.folded
@@ -202,17 +220,24 @@ def folded_forward(plan: list, x: np.ndarray,
             u = np.zeros((h.shape[1], f.rho.shape[1]))
             spikes = np.empty((T,) + u.shape)
             trace = np.empty_like(spikes)
-            for t in range(T):
-                x_q = ac_only_matmul(item.packed[t], h[t])
-                u = decay * u + f.rho[t] * x_q + f.delta
-                trace[t] = u
-                fired = (u >= cfg.v_threshold).astype(np.float64)
-                spikes[t] = fired
-                u = np.where(fired > 0, cfg.v_reset, u)
+            with layer_errors(i, "qlinear"):
+                if T != len(item.packed):
+                    raise ShapeError(f"expected {len(item.packed)} timesteps, "
+                                     f"got input with {T}")
+                for t in range(T):
+                    x_q = ac_only_matmul(item.packed[t], h[t])
+                    u = decay * u + f.rho[t] * x_q + f.delta
+                    trace[t] = u
+                    fired = (u >= cfg.v_threshold).astype(np.float64)
+                    spikes[t] = fired
+                    u = np.where(fired > 0, cfg.v_reset, u)
             membranes.append(trace)
             h = spikes
+            i += 3  # the block replaced a qlinear, a bn and a lif layer
         else:
-            h = item.forward(h, training=False)
+            with layer_errors(i, item.kind):
+                h = item.forward(h, training=False)
+            i += 1
     logits = h.mean(axis=0)
     if record_membranes:
         return logits, membranes

@@ -245,6 +245,19 @@ class TestCliReportInferFold:
         assert main(["infer", cli_artifacts["ckpt"], bad, mode]) == 3
         assert "input width 3 != weight width 2" in capsys.readouterr().err
 
+    def test_infer_folded_error_names_layer(self, cli_artifacts, capsys):
+        bad = str(cli_artifacts["tmp"] / "wide.npz")
+        np.savez(bad, inputs=np.zeros((4, 5, 3)))
+        assert main(["infer", cli_artifacts["ckpt"], bad]) == 3
+        assert "layer 0 (linear)" in capsys.readouterr().err
+
+    def test_gen_data_raster_needs_square_features(self, cli_artifacts, capsys):
+        out = str(cli_artifacts["tmp"] / "grid.bin")
+        assert main(["gen-data", cli_artifacts["config"], "--raster",
+                     "--out", out]) == 3
+        assert "2 features" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_fold_emits_parameters(self, cli_artifacts, capsys):
         out = str(cli_artifacts["tmp"] / "folded.npz")
         # the tiny net's quantized layer is the head (no bn+lif after it),
@@ -275,6 +288,29 @@ class TestFoldCommandWithBlock:
         with np.load(folded) as npz:
             assert "block0.rho" in npz.files and "block0.delta" in npz.files
             assert npz["block0.rho"].shape == (4, 16)
+
+
+class TestMultibitCheckpoint:
+    def test_folded_and_unfolded_predictions_agree(self, tmp_path, capsys):
+        from conftest import three_layer_document
+        from tawq.data import build_dataset
+        from tawq.runtime import FoldedBlock, fold_network
+        doc = three_layer_document(epochs=2)
+        doc["quant"] = {"timesteps": 4, "n_level": 2, "lam": 0.1}
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 0
+        net, cfg = network_from_checkpoint(load_checkpoint(out["checkpoint"]))
+        # the multi-bit weights leave the ternary range, so the block stays float
+        assert np.abs(net.layers[3].state.w_q).max() > 1
+        assert not any(isinstance(item, FoldedBlock) for item in fold_network(net))
+        inputs = str(tmp_path / "inputs.npz")
+        np.savez(inputs, inputs=build_dataset(cfg.dataset).test_x)
+        capsys.readouterr()
+        args = ["infer", out["checkpoint"], inputs]
+        assert main(args) == 0
+        folded = capsys.readouterr().out
+        assert main(args + ["--unfolded"]) == 0
+        assert folded == capsys.readouterr().out
 
 
 # frozen from the first verified seed-0 run of the tiny config above

@@ -190,3 +190,98 @@ class TestFoldedForward:
         for t in range(4):
             want = delta * (1.0 - d ** (t + 1)) / (1.0 - d)
             assert np.allclose(membranes[0][t, 0], want, atol=1e-12)
+
+
+class TestDecodeOnceKernel:
+    """A packed tensor is decoded on first use and the decoded matrix is
+    kept on that tensor, so a corrupted replacement is still decoded."""
+
+    @staticmethod
+    def _plan(net, x):
+        net.forward(x, training=False)
+        plan = fold_network(net)
+        k = next(j for j, item in enumerate(plan) if isinstance(item, FoldedBlock))
+        return plan, k
+
+    def test_each_tensor_decoded_once(self, trained, monkeypatch):
+        import tawq.runtime
+        net, ds = trained
+        calls = []
+
+        def counting(packed):
+            calls.append(packed)
+            return unpack_ternary(packed)
+
+        monkeypatch.setattr(tawq.runtime, "unpack_ternary", counting)
+        plan, k = self._plan(net, ds.test_x[:, :50])
+        assert not calls  # folding packs but does not decode
+        first = folded_forward(plan, ds.test_x[:, :50])
+        second = folded_forward(plan, ds.test_x[:, 50:100])
+        assert len(calls) == len(plan[k].packed) == 4
+        assert {id(p) for p in calls} == {id(p) for p in plan[k].packed}
+        assert first.shape == second.shape == (50, 2)
+
+    def test_decoded_matrix_is_read_only(self):
+        packed = pack_ternary(np.array([[1, 0, -1]]))
+        assert packed.matrix.dtype == np.float64
+        with pytest.raises(ValueError):
+            packed.matrix[0, 0] = 0.0
+        assert np.array_equal(unpack_ternary(packed), [[1, 0, -1]])
+
+    def test_sign_flipped_payload_changes_membranes(self, trained):
+        net, ds = trained
+        x = ds.test_x[:, :100]
+        plan, k = self._plan(net, x)
+        _, before = folded_forward(plan, x, record_membranes=True)
+        plan[k].packed[0] = pack_ternary(-unpack_ternary(plan[k].packed[0]))
+        _, after = folded_forward(plan, x, record_membranes=True)
+        assert not np.array_equal(before[0][0], after[0][0])
+
+    def test_invalid_code_payload_raises(self, trained):
+        net, ds = trained
+        x = ds.test_x[:, :20]
+        plan, k = self._plan(net, x)
+        folded_forward(plan, x)  # decode and cache the valid payloads
+        good = plan[k].packed[0]
+        codes = bytearray(good.codes)
+        codes[0] |= 0b11
+        plan[k].packed[0] = PackedTernaryTensor(codes=bytes(codes), shape=good.shape)
+        with pytest.raises(DataError, match="0b11"):
+            folded_forward(plan, x)
+
+    @pytest.mark.parametrize("fan_in", [784, 512])
+    def test_equals_int64_oracle_at_benchmark_fan_in(self, fan_in):
+        rng = np.random.default_rng(fan_in)
+        w = rng.integers(-1, 2, size=(512, fan_in))
+        s = (rng.random((128, fan_in)) < 0.2).astype(np.float64)
+        s[0] = 1.0  # one all-ones row: sums reach the row sums of w
+        w[0] = 1    # and one all-+1 weight row: a sum equals the fan-in
+        got = ac_only_matmul(pack_ternary(w), s)
+        want = s.astype(np.int64) @ w.astype(np.int64).T
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got[0, 0] == fan_in
+
+    def test_short_payload_rejected(self):
+        with pytest.raises(DataError, match="needs 8"):
+            unpack_ternary(PackedTernaryTensor(codes=bytes(1), shape=(2, 4)))
+
+    def test_wrong_timestep_count_names_layer(self, trained):
+        net, ds = trained
+        plan, _ = self._plan(net, ds.test_x[:, :10])
+        with pytest.raises(ShapeError, match=r"layer 3 \(qlinear\): expected 4 timesteps"):
+            folded_forward(plan, ds.test_x[:3, :10])
+
+    def test_pack_matches_reference_encoding(self):
+        rng = np.random.default_rng(45)
+        w = rng.integers(-1, 2, size=(37, 11)).astype(float)
+        flat = w.ravel()
+        codes = np.where(flat > 0, 0b01, np.where(flat < 0, 0b10, 0b00))
+        codes = np.concatenate([codes, np.zeros(-flat.size % 4, dtype=codes.dtype)])
+        lanes = codes.reshape(-1, 4)
+        want = (lanes[:, 0] | lanes[:, 1] << 2 | lanes[:, 2] << 4 | lanes[:, 3] << 6)
+        assert pack_ternary(w).codes == want.astype(np.uint8).tobytes()
+
+    def test_out_of_range_error_names_first_bad_entry(self):
+        with pytest.raises(DataError, match="0.5"):
+            pack_ternary(np.array([1, 0, 0.5, 2]))
