@@ -82,14 +82,13 @@ def _read_tensor(blob: bytes, off: int):
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     header = json.dumps({"runconfig": ckpt.runconfig, "metrics": ckpt.metrics},
                         sort_keys=True).encode()
-    body = MAGIC + struct.pack("<H", VERSION)
-    body += struct.pack("<I", len(header)) + header
-    body += struct.pack("<I", len(ckpt.tensors))
-    for name, value in ckpt.tensors.items():
-        body += _tensor_bytes(name, value)
-    body += struct.pack("<I", zlib.crc32(body))
+    parts = [MAGIC, struct.pack("<H", VERSION), struct.pack("<I", len(header)), header,
+             struct.pack("<I", len(ckpt.tensors))]
+    parts += [_tensor_bytes(name, value) for name, value in ckpt.tensors.items()]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
         fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path: str) -> Checkpoint:

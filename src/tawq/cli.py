@@ -32,7 +32,7 @@ from .checkpoint import (
 from .data import build_dataset, save_raster_grid
 from .errors import ConfigError, DataError, NumericError, TawqError
 from .runconfig import load_runconfig
-from .runtime import fold_network, folded_forward
+from .runtime import FoldedBlock, fold_network, folded_forward
 from .trainer import train
 
 
@@ -141,12 +141,30 @@ def _load_inputs(path: str) -> np.ndarray:
         raise DataError(f"{path}: cannot read 'inputs' array: {exc}") from exc
 
 
+def _fold_summary(plan: list) -> str:
+    """Name the folded blocks and the float layers of a fold plan by their
+    indices in the unfolded network."""
+    folded, floats = [], []
+    i = 0
+    for item in plan:
+        if isinstance(item, FoldedBlock):  # replaced a qlinear, a bn and a lif layer
+            folded.append(f"{i}-{i + 2} (qlinear, bn, lif)")
+            i += 3
+        else:
+            floats.append(f"{i} ({item.kind})")
+            i += 1
+    return (f"folded blocks: {', '.join(folded) or 'none'}; "
+            f"float layers: {', '.join(floats) or 'none'}")
+
+
 def cmd_infer(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     net, cfg = network_from_checkpoint(ckpt)
     x = _load_inputs(args.input)
     if args.folded:
-        logits = folded_forward(fold_network(net), x)
+        plan = fold_network(net)
+        logits = folded_forward(plan, x)
+        print(_fold_summary(plan), file=sys.stderr)
     else:
         logits = net.forward(x, training=False)
     preds = logits.argmax(axis=1)

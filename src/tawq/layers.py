@@ -9,6 +9,14 @@ of the charging equation.
 A "relaxed" evaluation mode replaces the hard spike with its surrogate
 sigmoid so the whole forward becomes differentiable; it exists solely to
 validate analytic gradients against finite differences.
+
+The elementwise kernels of BatchNorm, LIF and AvgPool2d run in place on
+buffers they allocate themselves, one numpy operation per step of the
+formula and no temporary per operator.  They never write into their
+inputs or into an array another layer holds in its cache.  Each performs
+the same floating-point operations, in the same order, as the plain
+formula that tests/test_layers.py pins, so its results are equal to it
+under np.array_equal (only the sign of a zero or of a NaN may differ).
 """
 
 from __future__ import annotations
@@ -369,28 +377,39 @@ class BatchNorm(Layer):
         axes, cs = self._axes(x), self._cshape(x)
         if training:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean.reshape(cs)
+            # np.var's own steps on the centred data: square, sum, divide
+            y = np.multiply(xhat, xhat)
+            var = y.sum(axis=axes) / (x.size // x.shape[2])
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             mean, var = self.running_mean, self.running_var
+            xhat = x - mean.reshape(cs)
+            y = np.empty_like(xhat)
         std = np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(cs)) / std.reshape(cs)
-        y = self.params["gamma"].reshape(cs) * xhat + self.params["beta"].reshape(cs)
+        xhat /= std.reshape(cs)
+        np.multiply(xhat, self.params["gamma"].reshape(cs), out=y)
+        y += self.params["beta"].reshape(cs)
         self.cache = {"x": x, "y": y, "xhat": xhat, "std": std, "training": training}
         return y
 
     def backward(self, gout):
         xhat, std = self.cache["xhat"], self.cache["std"]
         axes, cs = self._axes(gout), self._cshape(gout)
-        self.grads["gamma"] = (gout * xhat).sum(axis=axes)
+        scratch = np.multiply(gout, xhat)
+        self.grads["gamma"] = scratch.sum(axis=axes)
         self.grads["beta"] = gout.sum(axis=axes)
-        g_scaled = gout * self.params["gamma"].reshape(cs)
+        gx = np.multiply(gout, self.params["gamma"].reshape(cs))  # g_scaled
         if self.cache["training"]:
-            gx = (g_scaled - g_scaled.mean(axis=axes).reshape(cs)
-                  - xhat * (g_scaled * xhat).mean(axis=axes).reshape(cs))
-            return gx / std.reshape(cs)
-        return g_scaled / std.reshape(cs)
+            # g_scaled - mean(g_scaled) - xhat * mean(g_scaled * xhat)
+            np.multiply(gx, xhat, out=scratch)
+            m_gx = scratch.mean(axis=axes).reshape(cs)
+            gx -= gx.mean(axis=axes).reshape(cs)
+            np.multiply(xhat, m_gx, out=scratch)
+            gx -= scratch
+        gx /= std.reshape(cs)
+        return gx
 
 
 class LIF(Layer):
@@ -411,16 +430,27 @@ class LIF(Layer):
         cfg = self.cfg
         T = x.shape[0]
         decay = 1.0 - 1.0 / cfg.tau
-        u = np.zeros(x.shape[1:])
-        us, ss = np.empty_like(x), np.empty_like(x)
+        us, ss = x / cfg.tau, np.empty(x.shape)  # us[t] becomes the membrane U[t]
+        u = np.zeros(x.shape[1:])  # the membrane after the previous step's reset
+        fired, scratch = np.empty(x.shape[1:], dtype=bool), np.empty(x.shape[1:])
         for t in range(T):
-            u = decay * u + x[t] / cfg.tau
+            ut, st = us[t, ...], ss[t, ...]
+            u *= decay
+            ut += u
             if relaxed:
-                s = _sigmoid(cfg.sg_scale_neuron * (u - cfg.v_threshold))
+                st[...] = _sigmoid(cfg.sg_scale_neuron * (ut - cfg.v_threshold))
             else:
-                s = (u >= cfg.v_threshold).astype(np.float64)
-            us[t], ss[t] = u, s
-            u = cfg.v_reset * s + u * (1.0 - s)
+                np.greater_equal(ut, cfg.v_threshold, out=fired)
+                st[...] = fired
+            # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first
+            # term is v_reset itself (s >= 0), which saves a pass and a buffer
+            np.subtract(1.0, st, out=u)
+            u *= ut
+            if cfg.v_reset:
+                np.multiply(st, cfg.v_reset, out=scratch)
+                u += scratch
+            else:
+                u += cfg.v_reset
         self.cache = {"x": x, "y": ss, "u": us, "relaxed": relaxed}
         return ss
 
@@ -430,14 +460,25 @@ class LIF(Layer):
         T = gout.shape[0]
         decay = 1.0 - 1.0 / cfg.tau
         k = cfg.sg_scale_neuron
-        gx = np.empty_like(gout)
+        gx = np.empty(gout.shape)
+        ds, scratch = np.empty(gout.shape[1:]), np.empty(gout.shape[1:])
         gu_carry = np.zeros(gout.shape[1:])
         for t in range(T - 1, -1, -1):
-            u, s = us[t], ss[t]
-            ds = k * _sigmoid_deriv(k * (u - cfg.v_threshold))
-            gu = gout[t] * ds + gu_carry * ((1.0 - s) + (cfg.v_reset - u) * ds)
-            gx[t] = gu / cfg.tau
-            gu_carry = gu * decay
+            u, s, gu = us[t, ...], ss[t, ...], gx[t, ...]
+            # ds = k * sigmoid'(k * (u - v_threshold))
+            np.subtract(u, cfg.v_threshold, out=ds)
+            _sigmoid_deriv(ds, k, scratch)
+            ds *= k
+            # gu = gout[t] * ds + gu_carry * ((1 - s) + (v_reset - u) * ds)
+            np.subtract(cfg.v_reset, u, out=scratch)
+            scratch *= ds
+            np.subtract(1.0, s, out=gu)
+            scratch += gu
+            scratch *= gu_carry
+            np.multiply(gout[t, ...], ds, out=gu)
+            gu += scratch
+            np.multiply(gu, decay, out=gu_carry)
+            gu /= cfg.tau  # gx[t]
         return gx
 
     def trace(self):
@@ -458,14 +499,33 @@ class AvgPool2d(Layer):
         T, B, C, H, W = x.shape
         if H % k or W % k:
             raise ShapeError(f"spatial dims {(H, W)} not divisible by pool size {k}")
-        y = x.reshape(T, B, C, H // k, k, W // k, k).mean(axis=(4, 6))
+        v = x.reshape(T, B, C, H // k, k, W // k, k)
+        if W == k or k >= 8 or not x.flags.c_contiguous:
+            # numpy's mean sums these windows as one run, pairwise, or in
+            # stride order; keep its order
+            y = v.mean(axis=(4, 6))
+        else:
+            # numpy's mean order: each window row summed, then the rows
+            out_shape = (T, B, C, H // k, W // k)
+            y, row = np.empty(out_shape), np.empty(out_shape)
+            for i in range(k):
+                acc = row if i else y
+                np.copyto(acc, v[..., i, :, 0])
+                for j in range(1, k):
+                    acc += v[..., i, :, j]
+                if i:
+                    y += row
+            y /= k * k
         self.cache = {"x": x, "y": y}
         return y
 
     def backward(self, gout):
         k = self.kernel_size
-        g = np.repeat(np.repeat(gout, k, axis=3), k, axis=4)
-        return g / (k * k)
+        T, B, C, h, w = gout.shape
+        # widen each row k times, then copy it to the k rows of its windows
+        g = np.empty((T, B, C, h, k, w * k))
+        g[...] = np.repeat(gout / (k * k), k, axis=4)[:, :, :, :, None, :]
+        return g.reshape(T, B, C, h * k, w * k)
 
 
 class Flatten(Layer):

@@ -6,6 +6,14 @@ timestep.  While the emitted weight is nonzero the carried state is
 decayed (fully, for the ternary case), so weights alternate between
 firing and accumulating.  All math is float64 so the vectorized path is
 bit-identical to a scalar reference loop.
+
+The recurrence, its surrogate gradient and its reverse pass run in place
+on a few scratch buffers of their own, one numpy operation per step of
+the formula and no temporary per operator.  They never write into their
+inputs or into a retained `QuantizerState`, and each performs the same
+floating-point operations, in the same order, as the plain vectorized
+formula that tests/test_quantizer.py pins, so its results are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -86,21 +94,39 @@ def quantize_ternary(c_s: np.ndarray, c_th: float) -> np.ndarray:
     if c_th <= 0.0:
         raise ConfigError(f"c_th must be positive, got {c_th}")
     c_s = np.asarray(c_s, dtype=np.float64)
-    return np.where(c_s > c_th, 1.0, np.where(c_s < -c_th, -1.0, 0.0))
+    out = np.empty(c_s.shape)
+    _ternary_into(out, c_s, c_th, np.empty(c_s.shape, dtype=bool))
+    return out
 
 
 def quantize_multibit(c_s: np.ndarray, n: int) -> np.ndarray:
     """Clamp to [-n, +n] then round half away from zero."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    c = np.clip(np.asarray(c_s, dtype=np.float64), -n, n)
-    return np.sign(c) * np.floor(np.abs(c) + 0.5)
+    c_s = np.asarray(c_s, dtype=np.float64)
+    out = np.empty(c_s.shape)
+    _multibit_into(out, c_s, n, np.empty(c_s.shape))
+    return out
 
 
-def _emit(c_s: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    if cfg.n_level == 1:
-        return quantize_ternary(c_s, cfg.c_th)
-    return quantize_multibit(c_s, cfg.n_level)
+def _ternary_into(out: np.ndarray, c_s: np.ndarray, c_th: float,
+                  mask: np.ndarray) -> None:
+    # (c_s > c_th) - (c_s < -c_th); a masked copy is several times slower
+    np.greater(c_s, c_th, out=mask)
+    np.copyto(out, mask)
+    np.less(c_s, -c_th, out=mask)
+    np.subtract(out, mask, out=out)
+
+
+def _multibit_into(out: np.ndarray, c_s: np.ndarray, n: int,
+                   scratch: np.ndarray) -> None:
+    # sign(c) * floor(|c| + 0.5) with c = clip(c_s, -n, n)
+    np.clip(c_s, -n, n, out=out)
+    np.abs(out, out=scratch)
+    scratch += 0.5
+    np.floor(scratch, out=scratch)
+    np.sign(out, out=out)
+    out *= scratch
 
 
 def tawq_forward(i_norm: np.ndarray, cfg: QuantConfig) -> QuantizerState:
@@ -108,23 +134,37 @@ def tawq_forward(i_norm: np.ndarray, cfg: QuantConfig) -> QuantizerState:
 
     With ``cfg.temporal`` off the recurrence degenerates to memoryless
     re-quantization of ``i_norm`` at every step (the WQ ablation baseline).
+    Each step is written straight into ``c_s[t + 1]`` and ``w_q[t]``.
     """
     i_norm = np.asarray(i_norm, dtype=np.float64)
     if not np.all(np.isfinite(i_norm)):
         raise NumericError("non-finite normalized stimulus")
     T, n = cfg.timesteps, cfg.n_level
-    c_s = np.zeros((T + 1,) + i_norm.shape)
-    w_q = np.zeros((T,) + i_norm.shape)
-    w_prev = np.zeros_like(i_norm)
+    c_s = np.empty((T + 1,) + i_norm.shape)
+    c_s[0] = 0.0
+    w_q = np.empty((T,) + i_norm.shape)
+    drive = (1.0 - cfg.lam) * i_norm
+    gate = np.zeros_like(i_norm)  # 1 - |w_prev| / n; also the multi-bit emitter's scratch
+    mask = np.empty(i_norm.shape, dtype=bool)
     for t in range(T):
+        c, w = c_s[t + 1, ...], w_q[t, ...]
         if cfg.temporal:
-            c = cfg.lam * c_s[t] * (1.0 - np.abs(w_prev) / n) + (1.0 - cfg.lam) * i_norm
+            # lam * c_s[t] * (1 - |w_prev| / n) + (1 - lam) * i_norm
+            np.multiply(c_s[t, ...], cfg.lam, out=c)
+            if t:
+                np.abs(w_q[t - 1, ...], out=gate)
+                gate /= n
+            np.subtract(1.0, gate, out=gate)
+            c *= gate
+            c += drive
         else:
-            c = i_norm
-        if not np.all(np.isfinite(c)):
+            np.copyto(c, i_norm)
+        if not np.isfinite(c, out=mask).all():
             raise NumericError(f"non-finite quantizer state at timestep {t + 1}")
-        c_s[t + 1] = c
-        w_q[t] = w_prev = _emit(c, cfg)
+        if n == 1:
+            _ternary_into(w, c, cfg.c_th, mask)
+        else:
+            _multibit_into(w, c, n, gate)
     return QuantizerState(i_norm=i_norm, c_s=c_s, w_q=w_q, cfg=cfg)
 
 
@@ -138,19 +178,39 @@ def surrogate_grad(c_s: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """
     c_s = np.asarray(c_s, dtype=np.float64)
     if cfg.n_level > 1:
-        return np.where((c_s > -cfg.n_level) & (c_s < cfg.n_level), 1.0, 0.0)
+        inside = np.greater(c_s, -cfg.n_level)
+        inside &= c_s < cfg.n_level
+        return inside.astype(np.float64)
     k = cfg.sg_scale
-    g = 0.5 * (_sigmoid_deriv(k * (c_s + cfg.c_th)) + _sigmoid_deriv(k * (c_s - cfg.c_th)))
-    return g * k if cfg.sg_chain_factor else g
+    # 0.5 * (sd(k * (c_s + c_th)) + sd(k * (c_s - c_th))), three buffers
+    g, lower, scratch = (np.empty(c_s.shape) for _ in range(3))
+    np.add(c_s, cfg.c_th, out=g)
+    _sigmoid_deriv(g, k, scratch)
+    np.subtract(c_s, cfg.c_th, out=lower)
+    g += _sigmoid_deriv(lower, k, scratch)
+    g *= 0.5
+    if cfg.sg_chain_factor:
+        g *= k
+    return g
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _sigmoid_deriv(x: np.ndarray) -> np.ndarray:
-    s = _sigmoid(x)
-    return s * (1.0 - s)
+def _sigmoid_deriv(z: np.ndarray, k: float, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite ``z`` with s * (1 - s), s = `_sigmoid`(k * z), and return it.
+
+    ``scratch`` is a buffer of z's shape; both are float64 arrays the
+    caller owns.  Scaling by -k negates k * z exactly.
+    """
+    z *= -k
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    np.subtract(1.0, z, out=scratch)
+    z *= scratch
+    return z
 
 
 def compute_scaling(w_q_t: np.ndarray, n: int) -> np.ndarray:
@@ -196,18 +256,33 @@ def tawq_backward(upstream: np.ndarray, state: QuantizerState) -> np.ndarray:
         raise ShapeError(
             f"upstream shape {upstream.shape} != retained w_q shape {state.w_q.shape}")
     if not cfg.temporal:
-        return upstream.sum(axis=0) * surrogate_grad(state.i_norm, cfg)
+        grad_i = upstream.sum(axis=0)
+        grad_i *= surrogate_grad(state.i_norm, cfg)
+        return grad_i
 
     lam, n = cfg.lam, cfg.n_level
     sg = surrogate_grad(state.c_s[1:], cfg)  # sg[t - 1] is taken at c_s[t]
     grad_i = np.zeros_like(state.i_norm)
     carry = np.zeros_like(state.i_norm)  # dL/dc_s[t+1] reaching step t from the future
+    g_c, scratch = np.empty_like(carry), np.empty_like(carry)
     for t in range(cfg.timesteps, 0, -1):
-        g_c = upstream[t - 1] * sg[t - 1] + carry
-        grad_i += g_c * (1.0 - lam)
+        np.multiply(upstream[t - 1, ...], sg[t - 1, ...], out=g_c)
+        g_c += carry
+        np.multiply(g_c, 1.0 - lam, out=scratch)
+        grad_i += scratch
         if t > 1:
-            c_prev = state.c_s[t - 1]
-            w_prev = state.w_q[t - 2]
-            carry = g_c * (lam * (1.0 - np.abs(w_prev) / n)
-                           - lam * c_prev * np.sign(w_prev) / n * sg[t - 2])
+            c_prev = state.c_s[t - 1, ...]
+            w_prev = state.w_q[t - 2, ...]
+            # carry = g_c * (lam * (1 - |w|/n) - lam * c_prev * sign(w) / n * sg)
+            np.sign(w_prev, out=scratch)
+            np.multiply(c_prev, lam, out=carry)
+            carry *= scratch
+            carry /= n
+            carry *= sg[t - 2, ...]
+            np.abs(w_prev, out=scratch)
+            scratch /= n
+            np.subtract(1.0, scratch, out=scratch)
+            scratch *= lam
+            scratch -= carry
+            np.multiply(g_c, scratch, out=carry)
     return grad_i

@@ -224,6 +224,19 @@ class TestCliReportInferFold:
         unfolded = capsys.readouterr().out
         assert folded == unfolded
 
+    def test_infer_reports_fold_plan(self, cli_artifacts, capsys):
+        # the XOR reference net's qlinear is the head, with no bn+lif after
+        # it: nothing folds, and infer says so on stderr only
+        args = ["infer", cli_artifacts["ckpt"], cli_artifacts["inputs"]]
+        assert main(args + ["--unfolded"]) == 0
+        unfolded = capsys.readouterr()
+        assert unfolded.err == ""
+        assert main(args) == 0
+        folded = capsys.readouterr()
+        assert folded.out == unfolded.out
+        assert folded.err == ("folded blocks: none; float layers: 0 (linear), "
+                              "1 (bn), 2 (lif), 3 (qlinear)\n")
+
     def test_infer_repeated_byte_identical(self, cli_artifacts):
         out1 = str(cli_artifacts["tmp"] / "p1.txt")
         out2 = str(cli_artifacts["tmp"] / "p2.txt")
@@ -288,6 +301,21 @@ class TestFoldCommandWithBlock:
         with np.load(folded) as npz:
             assert "block0.rho" in npz.files and "block0.delta" in npz.files
             assert npz["block0.rho"].shape == (4, 16)
+
+
+    def test_infer_reports_folded_block(self, tmp_path, capsys):
+        from conftest import three_layer_document
+        from tawq.data import build_dataset
+        doc = three_layer_document(epochs=2)
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 0
+        inputs = str(tmp_path / "inputs.npz")
+        np.savez(inputs, inputs=build_dataset(parse_runconfig(doc).dataset).test_x)
+        capsys.readouterr()
+        assert main(["infer", out["checkpoint"], inputs]) == 0
+        assert capsys.readouterr().err == (
+            "folded blocks: 3-5 (qlinear, bn, lif); "
+            "float layers: 0 (linear), 1 (bn), 2 (lif), 6 (linear)\n")
 
 
 class TestMultibitCheckpoint:

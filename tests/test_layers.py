@@ -250,3 +250,124 @@ GOLDEN_LOGITS = np.array([
     [0.75, -0.8],
     [1.0, -1.1333333333333333],
 ])
+
+
+# Exactness of the in-place kernels: each layer must reproduce, under
+# np.array_equal, the plain formula it replaced, and must leave its
+# inputs untouched.
+
+def ref_batchnorm(x, gout, gamma, beta, running_mean, running_var, training,
+                  eps=1e-5, momentum=0.1):
+    axes = tuple(i for i in range(x.ndim) if i != 2)
+    cs = (1, 1, x.shape[2]) + (1,) * (x.ndim - 3)
+    if training:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        running_mean = (1 - momentum) * running_mean + momentum * mean
+        running_var = (1 - momentum) * running_var + momentum * var
+    else:
+        mean, var = running_mean, running_var
+    std = np.sqrt(var + eps)
+    xhat = (x - mean.reshape(cs)) / std.reshape(cs)
+    y = gamma.reshape(cs) * xhat + beta.reshape(cs)
+    g_scaled = gout * gamma.reshape(cs)
+    if training:
+        gx = (g_scaled - g_scaled.mean(axis=axes).reshape(cs)
+              - xhat * (g_scaled * xhat).mean(axis=axes).reshape(cs)) / std.reshape(cs)
+    else:
+        gx = g_scaled / std.reshape(cs)
+    return {"y": y, "xhat": xhat, "std": std, "running_mean": running_mean,
+            "running_var": running_var, "gamma": (gout * xhat).sum(axis=axes),
+            "beta": gout.sum(axis=axes), "gx": gx}
+
+
+def ref_lif(x, gout, cfg, relaxed):
+    decay, k = 1.0 - 1.0 / cfg.tau, cfg.sg_scale_neuron
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    u = np.zeros(x.shape[1:])
+    us, ss = np.empty_like(x), np.empty_like(x)
+    for t in range(x.shape[0]):
+        u = decay * u + x[t] / cfg.tau
+        if relaxed:
+            s = sig(k * (u - cfg.v_threshold))
+        else:
+            s = (u >= cfg.v_threshold).astype(np.float64)
+        us[t], ss[t] = u, s
+        u = cfg.v_reset * s + u * (1.0 - s)
+    gx = np.empty_like(gout)
+    gu_carry = np.zeros(gout.shape[1:])
+    for t in range(x.shape[0] - 1, -1, -1):
+        u, s = us[t], ss[t]
+        ds = k * (sig(k * (u - cfg.v_threshold)) * (1.0 - sig(k * (u - cfg.v_threshold))))
+        gu = gout[t] * ds + gu_carry * ((1.0 - s) + (cfg.v_reset - u) * ds)
+        gx[t] = gu / cfg.tau
+        gu_carry = gu * decay
+    return ss, us, gx
+
+
+def ref_avg_pool(x, gout, k):
+    T, B, C, H, W = x.shape
+    y = x.reshape(T, B, C, H // k, k, W // k, k).mean(axis=(4, 6))
+    gx = np.repeat(np.repeat(gout, k, axis=3), k, axis=4) / (k * k)
+    return y, gx
+
+
+class TestInPlaceKernelsExact:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 9, 6), (3, 4, 5, 6, 6)])
+    def test_batchnorm(self, shape, training):
+        rng = np.random.default_rng(31)
+        C = shape[2]
+        x = rng.standard_normal(shape) * 3 + 1
+        gout = rng.standard_normal(shape)
+        bn = BatchNorm(C)
+        bn.params["gamma"] = rng.uniform(0.5, 2.0, C)
+        bn.params["beta"] = rng.uniform(-1.0, 1.0, C)
+        bn.running_mean = rng.uniform(-1.0, 1.0, C)
+        bn.running_var = rng.uniform(0.5, 2.0, C)
+        want = ref_batchnorm(x, gout, bn.params["gamma"], bn.params["beta"],
+                             bn.running_mean, bn.running_var, training)
+        x0, g0 = x.copy(), gout.copy()
+        got = {"y": bn.forward(x, training=training)}
+        got["gx"] = bn.backward(gout)
+        got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
+                   running_mean=bn.running_mean, running_var=bn.running_var,
+                   gamma=bn.grads["gamma"], beta=bn.grads["beta"])
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+        assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("cfg", [LifConfig(),
+                                     LifConfig(tau=3.0, v_threshold=0.7, v_reset=-0.2,
+                                               sg_scale_neuron=2.5)])
+    def test_lif(self, cfg, relaxed):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((5, 6, 4, 3, 3)) * 2 + 0.5
+        gout = rng.standard_normal(x.shape)
+        lif = LIF(cfg)
+        want_s, want_u, want_gx = ref_lif(x, gout, cfg, relaxed)
+        x0, g0 = x.copy(), gout.copy()
+        assert np.array_equal(lif.forward(x, relaxed=relaxed), want_s)
+        assert np.array_equal(lif.cache["u"], want_u)
+        assert np.array_equal(lif.backward(gout), want_gx)
+        assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+
+    @pytest.mark.parametrize("k,hw", [(2, (8, 6)), (3, (9, 12)),
+                                      (2, (4, 2)), (3, (3, 3)), (8, (16, 16))])
+    def test_avg_pool(self, k, hw):
+        # the last three shapes take numpy's own reduction (W == k, k >= 8)
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((3, 4, 5) + hw)
+        gout = rng.standard_normal((3, 4, 5, hw[0] // k, hw[1] // k))
+        want_y, want_gx = ref_avg_pool(x, gout, k)
+        pool = AvgPool2d(k)
+        x0, g0 = x.copy(), gout.copy()
+        assert np.array_equal(pool.forward(x), want_y)
+        assert np.array_equal(pool.backward(gout), want_gx)
+        assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+
+    def test_avg_pool_strided_view(self):
+        # a transposed view is reduced in numpy's stride order
+        x = np.random.default_rng(34).standard_normal((2, 3, 4, 6, 6)).transpose(0, 1, 2, 4, 3)
+        want_y, _ = ref_avg_pool(x, np.zeros((2, 3, 4, 3, 3)), 2)
+        assert np.array_equal(AvgPool2d(2).forward(x), want_y)

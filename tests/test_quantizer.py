@@ -19,6 +19,7 @@ from tawq.quantizer import (
     quantize_multibit,
     quantize_ternary,
     surrogate_grad,
+    tawq_backward,
     tawq_forward,
 )
 
@@ -277,3 +278,101 @@ class TestInvariants:
                 nz = mean_abs > 0
                 assert np.allclose(alpha[t][nz] * mean_abs[nz], 1.0, atol=1e-12)
                 assert np.all(alpha[t][~nz] == 0.0)
+
+
+# Exactness of the in-place kernels: the recurrence, its surrogate and its
+# reverse pass must reproduce, under np.array_equal, the plain vectorized
+# formulas below, and must leave their inputs untouched.
+
+def ref_sigmoid_deriv(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s * (1.0 - s)
+
+
+def ref_surrogate(c_s, cfg):
+    if cfg.n_level > 1:
+        return np.where((c_s > -cfg.n_level) & (c_s < cfg.n_level), 1.0, 0.0)
+    k = cfg.sg_scale
+    g = 0.5 * (ref_sigmoid_deriv(k * (c_s + cfg.c_th)) + ref_sigmoid_deriv(k * (c_s - cfg.c_th)))
+    return g * k if cfg.sg_chain_factor else g
+
+
+def ref_forward(i_norm, cfg):
+    T, n = cfg.timesteps, cfg.n_level
+    c_s, w_q = np.zeros((T + 1,) + i_norm.shape), np.zeros((T,) + i_norm.shape)
+    w_prev = np.zeros_like(i_norm)
+    for t in range(T):
+        if cfg.temporal:
+            c = cfg.lam * c_s[t] * (1.0 - np.abs(w_prev) / n) + (1.0 - cfg.lam) * i_norm
+        else:
+            c = i_norm
+        c_s[t + 1] = c
+        if n == 1:
+            w_prev = np.where(c > cfg.c_th, 1.0, np.where(c < -cfg.c_th, -1.0, 0.0))
+        else:
+            c = np.clip(c, -n, n)
+            w_prev = np.sign(c) * np.floor(np.abs(c) + 0.5)
+        w_q[t] = w_prev
+    return c_s, w_q
+
+
+def ref_backward(upstream, i_norm, c_s, w_q, cfg):
+    if not cfg.temporal:
+        return upstream.sum(axis=0) * ref_surrogate(i_norm, cfg)
+    lam, n = cfg.lam, cfg.n_level
+    grad_i, carry = np.zeros_like(i_norm), np.zeros_like(i_norm)
+    for t in range(cfg.timesteps, 0, -1):
+        g_c = upstream[t - 1] * ref_surrogate(c_s[t], cfg) + carry
+        grad_i += g_c * (1.0 - lam)
+        if t > 1:
+            w_prev = w_q[t - 2]
+            carry = g_c * (lam * (1.0 - np.abs(w_prev) / n)
+                           - lam * c_s[t - 1] * np.sign(w_prev) / n
+                           * ref_surrogate(c_s[t - 1], cfg))
+    return grad_i
+
+
+EXACT_CONFIGS = {
+    "ternary": QuantConfig(),
+    "ternary_lam_0.3": QuantConfig(lam=0.3, c_th=0.3, sg_scale=3.0, timesteps=6),
+    "n_level_2": QuantConfig(n_level=2, lam=0.1),
+    "n_level_3": QuantConfig(n_level=3, lam=0.3, timesteps=6),
+    "memoryless": QuantConfig(temporal=False),
+    "memoryless_n2": QuantConfig(temporal=False, n_level=2),
+    "chain_factor": QuantConfig(sg_chain_factor=True, sg_scale=3.0, lam=0.7),
+    "one_step": QuantConfig(timesteps=1),
+}
+
+
+class TestInPlaceKernelsExact:
+    @pytest.mark.parametrize("shape", [(24, 16), ()])
+    @pytest.mark.parametrize("name", sorted(EXACT_CONFIGS))
+    def test_forward_backward_surrogate(self, name, shape):
+        cfg = EXACT_CONFIGS[name]
+        rng = np.random.default_rng(41)
+        scale = 2.0 * cfg.n_level
+        i = normalize_stimulus(rng.standard_normal((24, 16)), 1e-5) * scale
+        if shape == ():
+            i = np.array(i[0, 0])
+        upstream = rng.standard_normal((cfg.timesteps,) + i.shape)
+        i0, up0 = i.copy(), upstream.copy()
+        st = tawq_forward(i, cfg)
+        want_c, want_w = ref_forward(i0, cfg)
+        assert np.array_equal(st.c_s, want_c) and np.array_equal(st.w_q, want_w)
+        c0, w0 = st.c_s.copy(), st.w_q.copy()
+        assert np.array_equal(surrogate_grad(st.c_s, cfg), ref_surrogate(want_c, cfg))
+        got = tawq_backward(upstream, st)
+        assert np.array_equal(got, ref_backward(up0, i0, want_c, want_w, cfg))
+        for arr, orig in ((i, i0), (upstream, up0), (st.c_s, c0), (st.w_q, w0)):
+            assert np.array_equal(arr, orig)
+
+    def test_quantize_helpers_match_reference(self):
+        c = np.random.default_rng(42).uniform(-4, 4, size=200)
+        c[:4] = (0.25, -0.25, 2.5, -2.5)
+        c0 = c.copy()
+        assert np.array_equal(quantize_ternary(c, 0.25),
+                              np.where(c > 0.25, 1.0, np.where(c < -0.25, -1.0, 0.0)))
+        clipped = np.clip(c, -3, 3)
+        assert np.array_equal(quantize_multibit(c, 3),
+                              np.sign(clipped) * np.floor(np.abs(clipped) + 0.5))
+        assert np.array_equal(c, c0)
