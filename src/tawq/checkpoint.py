@@ -127,8 +127,7 @@ def checkpoint_from_network(net: Network, cfg: RunConfig,
             tensors[f"{i}.running_mean"] = layer.running_mean
             tensors[f"{i}.running_var"] = layer.running_var
         if layer.kind in ("qlinear", "qconv"):
-            if layer.state is None:
-                layer.materialize()
+            layer.materialize()  # a no-op while the held weights are current
             tensors[f"{i}.alpha"] = layer.alpha
             for t, w in enumerate(layer.state.w_q):
                 if layer.quant.n_level == 1:

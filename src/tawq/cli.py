@@ -181,7 +181,7 @@ def cmd_fold(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     net, _ = network_from_checkpoint(ckpt)
     plan = fold_network(net)
-    blocks = [b for b in plan if hasattr(b, "folded")]
+    blocks = [b for b in plan if isinstance(b, FoldedBlock)]
     if not blocks:
         raise DataError("checkpoint has no foldable quantized blocks")
     arrays = {}
@@ -189,6 +189,7 @@ def cmd_fold(args) -> int:
         arrays[f"block{j}.rho"] = b.folded.rho
         arrays[f"block{j}.delta"] = b.folded.delta
     np.savez(args.out, **arrays)
+    print(_fold_summary(plan), file=sys.stderr)
     print(f"folded {len(blocks)} block(s) -> {args.out}")
     return 0
 

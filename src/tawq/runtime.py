@@ -3,10 +3,10 @@
 Ternary weights are packed 2 bits each (4 per byte, little-endian lanes,
 row-major element order) with the code map 00->0, 01->+1, 10->-1; 11 is
 invalid.  A packed tensor is decoded once, on first use, into a read-only
-{-1, 0, +1} float64 matrix cached on the tensor.  The accumulate of binary
-spikes is then one float BLAS product with that matrix, exact while the
-fan-in stays below 2^53.  The per-channel scale and the batch-norm affine
-are folded into the LIF charging path.
+{-1, 0, +1} float32 matrix cached on the tensor.  The accumulate of binary
+spikes is then one float32 BLAS product with that matrix, exact while the
+fan-in stays below 2^24; a larger fan-in is refused.  The per-channel
+scale and the batch-norm affine are folded into the LIF charging path.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from .errors import ConfigError, DataError, ShapeError
 from .layers import LIF, BatchNorm, LifConfig, Network, QuantLinear, layer_errors
 
 CODE_ZERO, CODE_POS, CODE_NEG, CODE_INVALID = 0b00, 0b01, 0b10, 0b11
+
+# Every partial sum of a float32 accumulate is an integer of magnitude at
+# most the fan-in, so it is exact below this fan-in.
+MAX_FAN_IN = 1 << 24
 
 # Byte -> the values of its 4 lanes, lane 0 in the low bits; the invalid
 # code 0b11 decodes to the sentinel 2.
@@ -39,9 +43,9 @@ class PackedTernaryTensor:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The decoded weights as a read-only float64 array, decoded on
+        """The decoded weights as a read-only float32 array, decoded on
         first use and kept on this tensor."""
-        w = unpack_ternary(self).astype(np.float64)
+        w = unpack_ternary(self).astype(np.float32)
         w.flags.writeable = False
         return w
 
@@ -114,18 +118,22 @@ def ac_only_matmul(packed: PackedTernaryTensor, spikes: np.ndarray) -> np.ndarra
 
     ``packed`` holds a (C_o, C_i) weight matrix; ``spikes`` is a binary
     (B, C_i) array.  The matrix is decoded once per packed tensor; the
-    accumulate is one float64 BLAS product of {0, 1} spikes with
-    {-1, 0, +1} weights, whose sums are exact integers while C_i < 2^53.
+    accumulate is one float32 BLAS product of {0, 1} spikes with
+    {-1, 0, +1} weights, whose sums are exact integers while
+    C_i < `MAX_FAN_IN` (2^24).  A larger fan-in is refused.
     """
     if len(packed.shape) != 2:
         raise ShapeError(f"expected a packed matrix, got shape {packed.shape}")
+    if packed.shape[1] >= MAX_FAN_IN:
+        raise ShapeError(f"fan-in {packed.shape[1]} is not below 2^24, where "
+                         "float32 accumulation stops being exact")
     s = np.asarray(spikes)
     if not ((s == 0) | (s == 1)).all():
         raise DataError("spikes must be binary")
     w = packed.matrix
     if s.shape[-1] != w.shape[1]:
         raise ShapeError(f"spike width {s.shape[-1]} != weight width {w.shape[1]}")
-    return (s @ w.T).astype(np.int64)
+    return (s.astype(np.float32) @ w.T).astype(np.int64)
 
 
 @dataclass
@@ -169,8 +177,9 @@ class FoldedBlock:
 def fold_network(net: Network) -> list:
     """Prepare a trained network for accumulate-only inference.
 
-    Quantized layers must have been run forward at least once (their
-    weight stacks are a function of the trained stimulus).  Blocks of
+    Quantized layers must have been run forward at least once; weights
+    held from before a later stimulus update are re-materialized, so the
+    plan packs the current stimulus's weights.  Blocks of
     ternary (QuantLinear, BatchNorm, LIF) collapse into `FoldedBlock`; all
     other layers, multi-bit QuantLinear included, are passed through
     unchanged and run as float layers.
@@ -187,6 +196,7 @@ def fold_network(net: Network) -> list:
             if layer.state is None:
                 raise DataError(f"layer {i}: quantized weights not materialized; "
                                 "run a forward pass first")
+            layer.materialize()  # the held weights may predate a stimulus update
             bn, lif = layers[i + 1], layers[i + 2]
             folded = fold_parameters(layer.alpha, bn.params["gamma"],
                                      bn.params["beta"], bn.running_mean,

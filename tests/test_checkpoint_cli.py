@@ -93,6 +93,20 @@ class TestCheckpointRoundTrip:
         with pytest.raises(StateError, match=f"1.{buffer}"):
             network_from_checkpoint(ckpt)
 
+    def test_snapshot_follows_stimulus_update(self):
+        # a stimulus replaced after the last forward pass, as an optimizer
+        # step does, must not leave the older weights in the checkpoint
+        from conftest import three_layer_document
+        from tawq.data import build_dataset
+        cfg = parse_runconfig(three_layer_document())
+        x = build_dataset(cfg.dataset).test_x[:, :16]
+        net = build_network(cfg)
+        net.forward(x, training=True)
+        q = net.layers[3]
+        q.params["stimulus"] = q.params["stimulus"] - 0.1 * np.sign(q.params["stimulus"])
+        restored, _ = network_from_checkpoint(checkpoint_from_network(net, cfg))
+        assert np.array_equal(restored.forward(x), net.forward(x))
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -302,6 +316,18 @@ class TestFoldCommandWithBlock:
             assert "block0.rho" in npz.files and "block0.delta" in npz.files
             assert npz["block0.rho"].shape == (4, 16)
 
+    def test_fold_reports_fold_plan(self, tmp_path, capsys):
+        from conftest import three_layer_document
+        path, out = _write_config(tmp_path, three_layer_document(epochs=2))
+        assert main(["train", path]) == 0
+        capsys.readouterr()
+        folded = str(tmp_path / "folded.npz")
+        assert main(["fold", out["checkpoint"], "--out", folded]) == 0
+        printed = capsys.readouterr()
+        assert printed.out == f"folded 1 block(s) -> {folded}\n"
+        assert printed.err == (
+            "folded blocks: 3-5 (qlinear, bn, lif); "
+            "float layers: 0 (linear), 1 (bn), 2 (lif), 6 (linear)\n")
 
     def test_infer_reports_folded_block(self, tmp_path, capsys):
         from conftest import three_layer_document

@@ -4,7 +4,7 @@ composition, and a pinned golden regression for a seed-fixed toy net."""
 import numpy as np
 import pytest
 
-from tawq.errors import ConfigError, ShapeError
+from tawq.errors import ConfigError, NumericError, ShapeError
 from tawq.layers import (
     LIF,
     AvgPool2d,
@@ -163,6 +163,67 @@ class TestQuantizedLayers:
         layer = QuantLinear(2, 2, QuantConfig(timesteps=4))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((3, 1, 2)))
+
+
+class TestMaterializeCache:
+    """A quantized layer reruns the recurrence only when its stimulus (by
+    value) or its config differs from the one its weights were made from."""
+
+    @staticmethod
+    def _count_recurrences(monkeypatch) -> list:
+        import tawq.layers
+        calls, real = [], tawq.layers.tawq_forward
+
+        def counting(i_norm, cfg):
+            calls.append(cfg)
+            return real(i_norm, cfg)
+
+        monkeypatch.setattr(tawq.layers, "tawq_forward", counting)
+        return calls
+
+    @pytest.mark.parametrize("edit,runs", [
+        ("none", 0),
+        ("equal_copy", 0),
+        ("in_place", 1),
+        ("replaced", 1),
+        ("quant", 1),
+    ])
+    def test_reuse_only_while_unchanged(self, monkeypatch, edit, runs):
+        layer = QuantLinear(6, 4, QuantConfig(), rng=np.random.default_rng(3))
+        x = (np.random.default_rng(4).random((4, 2, 6)) < 0.5).astype(float)
+        layer.forward(x)
+        calls = self._count_recurrences(monkeypatch)
+        stimulus = layer.params["stimulus"]
+        if edit == "equal_copy":
+            layer.params["stimulus"] = stimulus.copy()
+        elif edit == "in_place":
+            stimulus.ravel()[0] += 0.5  # a write through a view, as the gradient checks do
+        elif edit == "replaced":
+            layer.params["stimulus"] = stimulus - 0.1 * np.sign(stimulus)
+        elif edit == "quant":
+            layer.quant = QuantConfig(lam=0.3)
+        y = layer.forward(x)
+        assert len(calls) == runs
+        fresh = QuantLinear(6, 4, layer.quant)
+        fresh.params["stimulus"] = layer.params["stimulus"].copy()
+        assert np.array_equal(y, fresh.forward(x))
+        assert np.array_equal(layer.state.c_s, fresh.state.c_s)
+
+    @pytest.mark.parametrize("bad", ["nan", "overflow"])
+    def test_failed_stimulus_raises_again(self, bad):
+        layer = QuantLinear(6, 4, QuantConfig(), rng=np.random.default_rng(3))
+        x = np.ones((4, 2, 6))
+        layer.forward(x)
+        stimulus = layer.params["stimulus"].copy()
+        if bad == "nan":
+            stimulus[0, 0] = np.nan
+        else:  # finite, but its mean overflows, so the normalized stimulus is not
+            stimulus[:] = 1.7e308
+            stimulus[0, 0] = -1.7e308
+        layer.params["stimulus"] = stimulus
+        for _ in range(2):
+            with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+                layer.forward(x)
 
 
 class TestBatchNorm:

@@ -12,6 +12,7 @@ import pytest
 
 from tawq.errors import ConfigError, NumericError, ShapeError
 from tawq.quantizer import (
+    BLOCK,
     QuantConfig,
     compute_scaling,
     compute_scaling_all,
@@ -345,13 +346,15 @@ EXACT_CONFIGS = {
 
 
 class TestInPlaceKernelsExact:
-    @pytest.mark.parametrize("shape", [(24, 16), ()])
+    # one block, a 0-d stimulus, and stimuli spanning several blocks with a
+    # ragged last one
+    @pytest.mark.parametrize("shape", [(24, 16), (), (3 * BLOCK + 5,), (300, 170)])
     @pytest.mark.parametrize("name", sorted(EXACT_CONFIGS))
     def test_forward_backward_surrogate(self, name, shape):
         cfg = EXACT_CONFIGS[name]
         rng = np.random.default_rng(41)
         scale = 2.0 * cfg.n_level
-        i = normalize_stimulus(rng.standard_normal((24, 16)), 1e-5) * scale
+        i = normalize_stimulus(rng.standard_normal(shape or (24, 16)), 1e-5) * scale
         if shape == ():
             i = np.array(i[0, 0])
         upstream = rng.standard_normal((cfg.timesteps,) + i.shape)

@@ -102,6 +102,11 @@ class TestAcOnlyMatmul:
         with pytest.raises(ShapeError):
             ac_only_matmul(packed, np.ones((1, 3)))
 
+    def test_fan_in_beyond_float32_exactness_rejected(self):
+        # refused from the shape alone, before the (empty) payload is decoded
+        with pytest.raises(ShapeError, match="2\\^24"):
+            ac_only_matmul(PackedTernaryTensor(b"", (1, 1 << 24)), np.zeros((1, 1)))
+
 
 class TestFoldParameters:
     def test_direct_substitution(self):
@@ -175,6 +180,20 @@ class TestFoldedForward:
         with pytest.raises(DataError, match="binary"):
             folded_forward(fold_network(net), x)
 
+    def test_fold_follows_stimulus_update(self):
+        # a stimulus replaced after the last forward pass, as an optimizer
+        # step does, must be what the plan packs and folds
+        rng = np.random.default_rng(5)
+        net = Network([QuantLinear(6, 8, QuantConfig(), rng=rng), BatchNorm(8), LIF(),
+                       Linear(8, 2, rng=rng)])
+        x = (rng.random((4, 5, 6)) < 0.5).astype(float)
+        net.forward(x, training=True)
+        q = net.layers[0]
+        q.params["stimulus"] = q.params["stimulus"] - 0.1 * np.sign(q.params["stimulus"])
+        _, membranes = folded_forward(fold_network(net), x, record_membranes=True)
+        net.forward(x, training=False)
+        assert np.max(np.abs(membranes[0] - net.layers[2].cache["u"])) <= 1e-12
+
     def test_zero_input_closed_form(self):
         """With zero input the folded membrane is driven by delta alone:
         u[t] = delta * (1 - d^t) / (1 - d) with d the leak factor."""
@@ -223,7 +242,7 @@ class TestDecodeOnceKernel:
 
     def test_decoded_matrix_is_read_only(self):
         packed = pack_ternary(np.array([[1, 0, -1]]))
-        assert packed.matrix.dtype == np.float64
+        assert packed.matrix.dtype == np.float32
         with pytest.raises(ValueError):
             packed.matrix[0, 0] = 0.0
         assert np.array_equal(unpack_ternary(packed), [[1, 0, -1]])
