@@ -14,7 +14,7 @@ from .analysis import (
 )
 from .data import DatasetSpec, build_dataset, gen_temporal_xor, rate_encode
 from .errors import ConfigError, DataError, NumericError, ShapeError, TawqError
-from .layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear, lif_step
+from .layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear, lif_charge
 from .quantizer import (
     QuantConfig,
     QuantizerState,

@@ -4,9 +4,9 @@ Every layer consumes and produces arrays shaped (T, B, ...) and caches
 whatever its backward pass needs.  Quantized layers draw their integer
 weights from the temporal quantizer on each forward pass, and reuse the
 weights they hold while the stimulus equals, by value, the one those
-weights were made from under the same config; the LIF neuron carries
-membrane state across timesteps and owns the 1/tau input scaling of the
-charging equation.
+weights were made from under the same config; the LIF neuron owns the
+1/tau input scaling, and `lif_charge`, the one charge over time that the
+folded runtime runs too.
 
 A "relaxed" evaluation mode replaces the hard spike with its surrogate
 sigmoid so the whole forward becomes differentiable; it exists solely to
@@ -56,22 +56,38 @@ class LifConfig:
             raise ConfigError("v_threshold must exceed v_reset")
 
 
-def lif_step(u_prev: np.ndarray, input_current: np.ndarray,
-             cfg: LifConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Single hard LIF update; the caller supplies an already-scaled current.
+def lif_charge(us: np.ndarray, cfg: LifConfig, relaxed: bool = False) -> np.ndarray:
+    """Run the hard-reset LIF neuron over the leading time axis; returns the spikes.
 
-    Charging: U = (1 - 1/tau) * u_prev + input_current.  A spike fires when
-    U >= v_threshold and the membrane hard-resets to v_reset.
+    `us[t]` holds step t's scaled input current and is overwritten in place
+    with the membrane before reset, U[t] = us[t] + (1 - 1/tau) * u, where u
+    is the membrane after step t-1's reset.  A spike fires when
+    U[t] >= v_threshold (relaxed: the surrogate sigmoid of U[t] - v_threshold),
+    and the membrane resets to v_reset * s + U[t] * (1 - s).
     """
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    input_current = np.asarray(input_current, dtype=np.float64)
-    if u_prev.shape != input_current.shape:
-        raise ShapeError(
-            f"membrane shape {u_prev.shape} != current shape {input_current.shape}")
-    u = (1.0 - 1.0 / cfg.tau) * u_prev + input_current
-    spikes = (u >= cfg.v_threshold).astype(np.float64)
-    u_next = np.where(spikes > 0, cfg.v_reset, u)
-    return spikes, u_next
+    decay = 1.0 - 1.0 / cfg.tau
+    ss = np.empty(us.shape)
+    u = np.zeros(us.shape[1:])  # the membrane after the previous step's reset
+    fired, scratch = np.empty(us.shape[1:], dtype=bool), np.empty(us.shape[1:])
+    for t in range(us.shape[0]):
+        ut, st = us[t, ...], ss[t, ...]
+        u *= decay
+        ut += u
+        if relaxed:
+            st[...] = _sigmoid(cfg.sg_scale_neuron * (ut - cfg.v_threshold))
+        else:
+            np.greater_equal(ut, cfg.v_threshold, out=fired)
+            st[...] = fired
+        # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first
+        # term is v_reset itself (s >= 0), which saves a pass and a buffer
+        np.subtract(1.0, st, out=u)
+        u *= ut
+        if cfg.v_reset:
+            np.multiply(st, cfg.v_reset, out=scratch)
+            u += scratch
+        else:
+            u += cfg.v_reset
+    return ss
 
 
 class Layer:
@@ -431,8 +447,8 @@ class LIF(Layer):
     """Leaky integrate-and-fire neuron with hard reset.
 
     The layer scales its input current by 1/tau (charging equation) before
-    the membrane update, so folding scale/BN parameters into the charging
-    path is exact at inference.
+    the membrane update, `lif_charge`, so folding scale/BN parameters into
+    the charging path is exact at inference.
     """
 
     kind = "lif"
@@ -442,30 +458,8 @@ class LIF(Layer):
         self.cfg = cfg or LifConfig()
 
     def forward(self, x, training=False, relaxed=False):
-        cfg = self.cfg
-        T = x.shape[0]
-        decay = 1.0 - 1.0 / cfg.tau
-        us, ss = x / cfg.tau, np.empty(x.shape)  # us[t] becomes the membrane U[t]
-        u = np.zeros(x.shape[1:])  # the membrane after the previous step's reset
-        fired, scratch = np.empty(x.shape[1:], dtype=bool), np.empty(x.shape[1:])
-        for t in range(T):
-            ut, st = us[t, ...], ss[t, ...]
-            u *= decay
-            ut += u
-            if relaxed:
-                st[...] = _sigmoid(cfg.sg_scale_neuron * (ut - cfg.v_threshold))
-            else:
-                np.greater_equal(ut, cfg.v_threshold, out=fired)
-                st[...] = fired
-            # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first
-            # term is v_reset itself (s >= 0), which saves a pass and a buffer
-            np.subtract(1.0, st, out=u)
-            u *= ut
-            if cfg.v_reset:
-                np.multiply(st, cfg.v_reset, out=scratch)
-                u += scratch
-            else:
-                u += cfg.v_reset
+        us = x / self.cfg.tau  # lif_charge turns us[t] into the membrane U[t]
+        ss = lif_charge(us, self.cfg, relaxed)
         self.cache = {"x": x, "y": ss, "u": us, "relaxed": relaxed}
         return ss
 

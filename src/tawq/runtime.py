@@ -6,7 +6,9 @@ invalid.  A packed tensor is decoded once, on first use, into a read-only
 {-1, 0, +1} float32 matrix cached on the tensor.  The accumulate of binary
 spikes is then one float32 BLAS product with that matrix, exact while the
 fan-in stays below 2^24; a larger fan-in is refused.  The per-channel
-scale and the batch-norm affine are folded into the LIF charging path.
+scale and the batch-norm affine are folded into the LIF charging path: a
+folded block accumulates every timestep, then charges through the
+training layer's own `layers.lif_charge`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .layers import LIF, BatchNorm, LifConfig, Network, QuantLinear, layer_errors
+from .layers import LIF, BatchNorm, LifConfig, Network, QuantLinear, layer_errors, lif_charge
 
 CODE_ZERO, CODE_POS, CODE_NEG, CODE_INVALID = 0b00, 0b01, 0b10, 0b11
 
@@ -78,41 +80,6 @@ def unpack_ternary(packed: PackedTernaryTensor) -> np.ndarray:
     return values.astype(np.int64).reshape(packed.shape)
 
 
-@dataclass
-class PackedMultibitTensor:
-    """4-bit signed packing for the multi-bit variant, |w| <= 7."""
-
-    codes: bytes
-    shape: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-
-def pack_multibit(w_q: np.ndarray) -> PackedMultibitTensor:
-    w = np.asarray(w_q).ravel().astype(np.int64)
-    if w.size and (np.abs(w) > 7).any():
-        raise DataError("multi-bit packing supports |w| <= 7")
-    nibbles = (w & 0xF).astype(np.uint8)
-    pad = (-w.size) % 2
-    if pad:
-        nibbles = np.concatenate([nibbles, np.zeros(1, dtype=np.uint8)])
-    pairs = nibbles.reshape(-1, 2)
-    packed = pairs[:, 0] | (pairs[:, 1] << 4)
-    return PackedMultibitTensor(codes=packed.tobytes(), shape=np.asarray(w_q).shape)
-
-
-def unpack_multibit(packed: PackedMultibitTensor) -> np.ndarray:
-    raw = np.frombuffer(packed.codes, dtype=np.uint8)
-    nibbles = np.empty((raw.size, 2), dtype=np.uint8)
-    nibbles[:, 0] = raw & 0xF
-    nibbles[:, 1] = raw >> 4
-    vals = nibbles.ravel()[:packed.size].astype(np.int64)
-    vals[vals > 7] -= 16  # sign-extend the 4-bit two's complement codes
-    return vals.reshape(packed.shape)
-
-
 def ac_only_matmul(packed: PackedTernaryTensor, spikes: np.ndarray) -> np.ndarray:
     """Accumulate-only product: out[b, c] = (#matches at +1) - (#matches at -1).
 
@@ -141,8 +108,8 @@ class FoldedNeuronParams:
     """Scale and shift absorbed into the LIF charging step.
 
     rho has shape (T, C_o), delta shape (C_o,): the charging becomes
-    U[t] = (1 - 1/tau) U[t-1] + rho[t] * X_q[t] + delta, where X_q is the
-    raw integer accumulate output.
+    U[t] = rho[t] * X_q[t] + delta + (1 - 1/tau) U[t-1], where X_q is the
+    raw integer accumulate output and U[t-1] the membrane after reset.
     """
 
     rho: np.ndarray
@@ -224,25 +191,17 @@ def folded_forward(plan: list, x: np.ndarray,
     for item in plan:
         if isinstance(item, FoldedBlock):
             f = item.folded
-            cfg = f.lif
-            T = h.shape[0]
-            decay = 1.0 - 1.0 / cfg.tau
-            u = np.zeros((h.shape[1], f.rho.shape[1]))
-            spikes = np.empty((T,) + u.shape)
-            trace = np.empty_like(spikes)
             with layer_errors(i, "qlinear"):
-                if T != len(item.packed):
+                if h.shape[0] != len(item.packed):
                     raise ShapeError(f"expected {len(item.packed)} timesteps, "
-                                     f"got input with {T}")
-                for t in range(T):
-                    x_q = ac_only_matmul(item.packed[t], h[t])
-                    u = decay * u + f.rho[t] * x_q + f.delta
-                    trace[t] = u
-                    fired = (u >= cfg.v_threshold).astype(np.float64)
-                    spikes[t] = fired
-                    u = np.where(fired > 0, cfg.v_reset, u)
+                                     f"got input with {h.shape[0]}")
+                x_q = np.stack([ac_only_matmul(p, h[t]) for t, p in enumerate(item.packed)])
+            # the charging current rho[t] * X_q[t] + delta of every step,
+            # which lif_charge turns into the membrane
+            trace = f.rho[:, None, :] * x_q
+            trace += f.delta
+            h = lif_charge(trace, f.lif)
             membranes.append(trace)
-            h = spikes
             i += 3  # the block replaced a qlinear, a bn and a lif layer
         else:
             with layer_errors(i, item.kind):

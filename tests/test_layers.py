@@ -16,31 +16,26 @@ from tawq.layers import (
     Network,
     QuantConv2d,
     QuantLinear,
-    lif_step,
+    lif_charge,
 )
 from tawq.quantizer import QuantConfig, normalize_backward, tawq_backward
 
 
 class TestLifStep:
     def test_threshold_boundary_fires(self):
-        spikes, u_next = lif_step(np.array(0.0), np.array(1.0), LifConfig())
-        assert spikes == 1.0
-        assert u_next == 0.0
+        us = np.array([1.0, 0.0])  # fires at equality, then starts from the reset
+        spikes = lif_charge(us, LifConfig())
+        assert np.array_equal(spikes, [1.0, 0.0])
+        assert us[1] == 0.0
 
     def test_leak_arithmetic(self):
-        spikes, u_next = lif_step(np.array(0.8), np.array(0.0), LifConfig())
-        assert spikes == 0.0
-        assert abs(float(u_next) - 0.4) < 1e-15
+        us = np.array([0.8, 0.0])
+        spikes = lif_charge(us, LifConfig())
+        assert not spikes.any()
+        assert abs(float(us[1]) - 0.4) < 1e-15
 
     def test_zero_input_never_spikes(self):
-        u = np.zeros(5)
-        for _ in range(50):
-            spikes, u = lif_step(u, np.zeros(5), LifConfig())
-            assert not spikes.any()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            lif_step(np.zeros(2), np.zeros(3), LifConfig())
+        assert not lif_charge(np.zeros((50, 5)), LifConfig()).any()
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):

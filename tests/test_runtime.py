@@ -15,9 +15,7 @@ from tawq.runtime import (
     fold_network,
     fold_parameters,
     folded_forward,
-    pack_multibit,
     pack_ternary,
-    unpack_multibit,
     unpack_ternary,
 )
 
@@ -50,18 +48,6 @@ class TestTernaryCodec:
     def test_padding_is_ignored(self):
         w = np.array([1.0, -1.0, 1.0])  # 3 weights, 1 padded lane
         assert np.array_equal(unpack_ternary(pack_ternary(w)), w)
-
-
-class TestMultibitCodec:
-    def test_round_trip(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            w = rng.integers(-7, 8, size=rng.integers(1, 40))
-            assert np.array_equal(unpack_multibit(pack_multibit(w)), w)
-
-    def test_range_enforced(self):
-        with pytest.raises(DataError):
-            pack_multibit(np.array([8]))
 
 
 class TestAcOnlyMatmul:
