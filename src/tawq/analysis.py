@@ -20,6 +20,9 @@ E_AC_PJ = 0.9
 
 MAX_TERNARY_ENTROPY = math.log(3.0)
 
+# layer kinds that carry weights, and so synaptic operations
+WEIGHTED_KINDS = ("linear", "qlinear", "conv", "qconv")
+
 
 @dataclass
 class EntropyRow:
@@ -98,7 +101,7 @@ def count_sops(traces: list[dict]) -> list[LayerOps]:
     """
     rows = []
     for i, t in enumerate(traces):
-        if t["kind"] not in ("linear", "qlinear", "conv", "qconv"):
+        if t["kind"] not in WEIGHTED_KINDS:
             continue
         x = t["input"]
         quantized = "w_q" in t
@@ -141,6 +144,31 @@ class HardwareLayer:
     spatial: int = 1          # output feature positions H' * W' (1 for linear)
     weight_bits: int = 2      # 2 for packed ternary, 8 otherwise
     act_bits: int = 1         # 1 for spikes (packed 8/word), 8 for the input layer
+
+
+def hardware_layers(traces: list[dict]) -> list[HardwareLayer]:
+    """Read/write descriptors of every weighted layer in a forward trace.
+
+    Quantized layers read 2-bit weights and spikes; float layers read
+    8-bit weights, and spikes unless they are the input layer.
+    """
+    rows = []
+    for i, t in enumerate(traces):
+        if t["kind"] not in WEIGHTED_KINDS:
+            continue
+        if "w_q" in t:
+            n_rd = int(np.prod(t["w_q"].shape[1:]))
+            bits, act = 2, 1
+        else:
+            shape = t.get("weight_shape") or (t["output"].shape[2], t["input"].shape[2])
+            n_rd = int(np.prod(shape))
+            bits = 8
+            act = 8 if i == 0 else 1
+        spatial = (int(np.prod(t["output"].shape[3:]))
+                   if t["output"].ndim == 5 else 1)
+        rows.append(HardwareLayer(name=f"{i}.{t['kind']}", n_rd=n_rd, spatial=spatial,
+                                  weight_bits=bits, act_bits=act))
+    return rows
 
 
 @dataclass

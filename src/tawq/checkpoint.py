@@ -8,12 +8,15 @@ Layout:
 Per tensor: name length u16, name utf-8, dtype tag u8 (0 = float64,
 1 = int64, 2 = 2-bit packed ternary), ndim u8, dims u32 each, byte
 length u64, raw payload.  The trailing CRC covers everything before it.
+A reader refuses an unknown tag and a payload whose length does not
+match its dims.
 The header JSON carries the run-configuration echo and a metrics summary.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -70,12 +73,17 @@ def _read_tensor(blob: bytes, off: int):
     off += 8
     payload = blob[off:off + blen]
     off += blen
+    if tag not in (TAG_F64, TAG_I64, TAG_PACKED2):
+        raise DataError(f"tensor {name}: unknown dtype tag {tag}")
+    want = (math.prod(dims) + 3) // 4 if tag == TAG_PACKED2 else 8 * math.prod(dims)
+    if len(payload) != blen or blen != want:
+        raise DataError(f"tensor {name}: {len(payload)} of {blen} payload bytes "
+                        f"present, dims {dims} under dtype tag {tag} need {want}")
     if tag == TAG_PACKED2:
         value = PackedTernaryTensor(codes=payload, shape=tuple(dims))
-    elif tag == TAG_I64:
-        value = np.frombuffer(payload, dtype=np.int64).reshape(dims).copy()
     else:
-        value = np.frombuffer(payload, dtype=np.float64).reshape(dims).copy()
+        dtype = np.int64 if tag == TAG_I64 else np.float64
+        value = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
     return name, value, off
 
 
@@ -99,21 +107,26 @@ def load_checkpoint(path: str) -> Checkpoint:
     (crc_stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(blob[:-4]) != crc_stored:
         raise DataError(f"{path}: checksum mismatch, checkpoint is corrupt")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", blob, 6)
-    off = 10
-    header = json.loads(blob[off:off + hlen].decode())
-    off += hlen
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    tensors: dict = {}
-    for _ in range(count):
-        name, value, off = _read_tensor(blob, off)
-        tensors[name] = value
-    return Checkpoint(runconfig=header["runconfig"], metrics=header["metrics"],
-                      tensors=tensors)
+    body = blob[:-4]
+    try:
+        (version,) = struct.unpack_from("<H", body, 4)
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        (hlen,) = struct.unpack_from("<I", body, 6)
+        off = 10
+        header = json.loads(body[off:off + hlen].decode())
+        off += hlen
+        (count,) = struct.unpack_from("<I", body, off)
+        off += 4
+        tensors: dict = {}
+        for _ in range(count):
+            name, value, off = _read_tensor(body, off)
+            tensors[name] = value
+        return Checkpoint(runconfig=header["runconfig"], metrics=header["metrics"],
+                          tensors=tensors)
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        # ValueError covers malformed JSON and UTF-8
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
 
 
 def checkpoint_from_network(net: Network, cfg: RunConfig,

@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from .analysis import (
-    HardwareLayer,
     count_sops,
     energy_hardware,
     energy_total,
     entropy_report,
     firing_rate_stats,
+    hardware_layers,
 )
 from .checkpoint import (
     checkpoint_from_network,
@@ -78,24 +78,7 @@ def cmd_report(args) -> int:
     ent = entropy_report(traces)
     ops = count_sops(traces)
     energy = energy_total(ops)
-    hw_layers = []
-    for i, t in enumerate(traces):
-        if t["kind"] not in ("linear", "qlinear", "conv", "qconv"):
-            continue
-        if "w_q" in t:
-            n_rd = int(np.prod(t["w_q"].shape[1:]))
-            bits, act = 2, 1
-        else:
-            shape = t.get("weight_shape") or (t["output"].shape[2], t["input"].shape[2])
-            n_rd = int(np.prod(shape))
-            bits = 8
-            act = 8 if i == 0 else 1
-        spatial = (int(np.prod(t["output"].shape[3:]))
-                   if t["output"].ndim == 5 else 1)
-        hw_layers.append(HardwareLayer(name=f"{i}.{t['kind']}", n_rd=n_rd,
-                                       spatial=spatial, weight_bits=bits,
-                                       act_bits=act))
-    hw = energy_hardware(hw_layers, cfg.quant.timesteps)
+    hw = energy_hardware(hardware_layers(traces), cfg.quant.timesteps)
     firing = firing_rate_stats(traces)
 
     machine = {
@@ -135,10 +118,16 @@ def _load_inputs(path: str) -> np.ndarray:
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         raise ConfigError(f"input file {path!r} is missing or empty")
     try:
-        with np.load(path) as npz:
-            return np.asarray(npz["inputs"], dtype=np.float64)
+        npz = np.load(path)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise DataError(f"{path}: not an .npz archive")
+        with npz:
+            x = np.asarray(npz["inputs"], dtype=np.float64)
     except (KeyError, ValueError, OSError) as exc:
         raise DataError(f"{path}: cannot read 'inputs' array: {exc}") from exc
+    if x.ndim < 3:
+        raise DataError(f"{path}: 'inputs' must be (T, B, features...), got shape {x.shape}")
+    return x
 
 
 def _fold_summary(plan: list) -> str:

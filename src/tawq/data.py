@@ -39,6 +39,9 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.encoder not in ENCODERS:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
+        for name in ("n_samples", "n_classes", "n_features"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.timesteps < 2 and self.kind == "synthetic-temporal-xor":
             raise ConfigError("temporal-xor needs at least 2 timesteps")
 
@@ -154,6 +157,9 @@ def _split(x: np.ndarray, y: np.ndarray, spec: DatasetSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed + 0x5EED)
     order = rng.permutation(n)
     n_test = int(round(n * spec.test_fraction))
+    if not 0 < n_test < n:
+        raise ConfigError(f"dataset: {n} samples at test_fraction {spec.test_fraction} "
+                          "leave the train or the test split empty")
     test_idx, train_idx = order[:n_test], order[n_test:]
     return Dataset(train_x=x[:, train_idx], train_y=y[train_idx],
                    test_x=x[:, test_idx], test_y=y[test_idx], spec=spec)

@@ -120,6 +120,11 @@ def _kaiming_uniform(shape: tuple[int, ...], fan_in: int,
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _check_images(x: np.ndarray) -> None:
+    if x.ndim != 5:
+        raise ShapeError(f"expected a (T, B, C, H, W) input, got shape {x.shape}")
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
             padding: int) -> tuple[np.ndarray, tuple[int, int]]:
     """(B, C, H, W) -> (B, C*kh*kw, H_out*W_out) patch matrix."""
@@ -194,6 +199,7 @@ class _ConvContraction:
     def _contract(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(T, B, C, H, W) convolved with (O, C, k, k) or (T, O, C, k, k)
         -> (T, B, O, H', W')."""
+        _check_images(x)
         if x.shape[2] != w.shape[-3]:
             raise ShapeError(f"input channels {x.shape[2]} != weight channels {w.shape[-3]}")
         cols, out_hw = self._patches(x, w.shape[-1])
@@ -405,6 +411,9 @@ class BatchNorm(Layer):
         return (1, 1, self.channels) + (1,) * (x.ndim - 3)
 
     def forward(self, x, training=False, relaxed=False):
+        if x.ndim < 3 or x.shape[2] != self.channels:
+            raise ShapeError(f"expected {self.channels} channels on axis 2, "
+                             f"got input shape {x.shape}")
         axes, cs = self._axes(x), self._cshape(x)
         if training:
             mean = x.mean(axis=axes)
@@ -505,6 +514,7 @@ class AvgPool2d(Layer):
 
     def forward(self, x, training=False, relaxed=False):
         k = self.kernel_size
+        _check_images(x)
         T, B, C, H, W = x.shape
         if H % k or W % k:
             raise ShapeError(f"spatial dims {(H, W)} not divisible by pool size {k}")

@@ -28,16 +28,20 @@ from .trainer import TrainConfig
 
 LAYER_KINDS = ("linear", "qlinear", "conv", "qconv", "lif", "bn", "pool", "flatten")
 
+# (required, optional) keys of each layer kind besides "kind"
 _LAYER_FIELDS = {
-    "linear": {"kind", "in", "out", "bias"},
-    "qlinear": {"kind", "in", "out"},
-    "conv": {"kind", "in", "out", "kernel", "stride", "padding"},
-    "qconv": {"kind", "in", "out", "kernel", "stride", "padding"},
-    "lif": {"kind"},
-    "bn": {"kind", "channels"},
-    "pool": {"kind", "kernel"},
-    "flatten": {"kind"},
+    "linear": ({"in", "out"}, {"bias"}),
+    "qlinear": ({"in", "out"}, set()),
+    "conv": ({"in", "out", "kernel"}, {"stride", "padding"}),
+    "qconv": ({"in", "out", "kernel"}, {"stride", "padding"}),
+    "lif": (set(), set()),
+    "bn": ({"channels"}, set()),
+    "pool": ({"kernel"}, set()),
+    "flatten": (set(), set()),
 }
+
+# the least value of each integer size a layer may carry
+_SIZE_MIN = {"in": 1, "out": 1, "channels": 1, "kernel": 1, "stride": 1, "padding": 0}
 
 
 def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
@@ -93,7 +97,15 @@ def parse_runconfig(doc: dict) -> RunConfig:
         kind = spec["kind"]
         if kind not in LAYER_KINDS:
             raise ConfigError(f"network[{i}].kind: unknown layer kind {kind!r}")
-        _check_keys(f"network[{i}]", spec, _LAYER_FIELDS[kind])
+        required, optional = _LAYER_FIELDS[kind]
+        _check_keys(f"network[{i}]", spec, {"kind"} | required | optional)
+        missing = required - set(spec)
+        if missing:
+            raise ConfigError(f"network[{i}]: missing key(s) {sorted(missing)}")
+        for key, low in _SIZE_MIN.items():
+            if key in spec and not (type(spec[key]) is int and spec[key] >= low):
+                raise ConfigError(f"network[{i}].{key}: must be an integer >= {low}, "
+                                  f"got {spec[key]!r}")
     # field renames between the document and the dataclasses
     quant_doc = dict(doc.get("quant", {}))
     if "lambda" in quant_doc:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import weight_entropy
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .layers import Network
 
 OPTIMIZERS = ("sgd", "adamw")
@@ -41,6 +41,10 @@ class TrainConfig:
             raise ConfigError("weight_decay is applied by adamw only; sgd would ignore it")
         if self.lr_schedule not in SCHEDULES:
             raise ConfigError(f"lr_schedule must be one of {SCHEDULES}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -65,6 +69,9 @@ class GradientBundle:
 def softmax_cross_entropy(logits: np.ndarray,
                           labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean CE loss and its gradient w.r.t. the logits."""
+    if np.any(labels >= logits.shape[1]):
+        raise DataError(f"label {labels.max()} is not below the logits width "
+                        f"{logits.shape[1]}: the head is narrower than the class count")
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)

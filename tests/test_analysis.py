@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_simplex
+from conftest import conv_document, random_simplex
 from tawq.analysis import (
     E_AC_PJ,
     E_MAC_PJ,
@@ -17,6 +17,7 @@ from tawq.analysis import (
     energy_total,
     entropy_report,
     firing_rate_stats,
+    hardware_layers,
     pearson,
     weight_entropy,
 )
@@ -168,6 +169,20 @@ class TestHardwareEnergy:
         b = energy_hardware([HardwareLayer("q", n_rd=10, spatial=3)], 1)
         assert b.weight_read == a.weight_read
         assert b.activation_read == 3.0 * a.activation_read
+
+
+class TestHardwareLayers:
+    def test_conv_network_descriptors(self):
+        from tawq.runconfig import build_network, parse_runconfig
+        net = build_network(parse_runconfig(conv_document()))
+        net.forward((np.random.default_rng(3).random((4, 5, 2, 6, 6)) < 0.5) * 1.0)
+        assert hardware_layers(net.traces()) == [
+            # the 8-bit input layer, over 6x6 output positions
+            HardwareLayer("0.conv", n_rd=6 * 2 * 9, spatial=36, weight_bits=8, act_bits=8),
+            # 2-bit ternary kernels, one timestep's worth, on spikes
+            HardwareLayer("4.qconv", n_rd=4 * 6 * 9, spatial=9, weight_bits=2, act_bits=1),
+            HardwareLayer("8.linear", n_rd=2 * 36, spatial=1, weight_bits=8, act_bits=1),
+        ]
 
 
 class TestFiringRates:

@@ -4,8 +4,12 @@ CLI commands are exercised in-process through `tawq.cli.main`, which
 returns the documented exit codes: 0 ok, 2 config, 3 data, 4 numeric.
 """
 
+import copy
 import json
 import os
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -114,6 +118,54 @@ class TestCheckpointRoundTrip:
             load_checkpoint(str(path))
 
 
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _one_tensor_file(tag: int, dims: tuple, payload: bytes, name: bytes = b"x") -> bytes:
+    header = json.dumps({"runconfig": {}, "metrics": {}}).encode()
+    tensor = (struct.pack("<H", len(name)) + name + struct.pack("<BB", tag, len(dims))
+              + struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<Q", len(payload))
+              + payload)
+    return _with_crc(b"TAWQ" + struct.pack("<HI", 1, len(header)) + header
+                     + struct.pack("<I", 1) + tensor)
+
+
+class TestCraftedCheckpoints:
+    """Files with a correct CRC that the reader still cannot read are
+    refused with a DataError, which the CLI reports as exit 3."""
+
+    @pytest.mark.parametrize("blob,message", [
+        (_one_tensor_file(7, (2,), bytes(16)), "unknown dtype tag 7"),
+        (_one_tensor_file(0, (3,), bytes(16)), "dims (3,) under dtype tag 0 need 24"),
+        (_one_tensor_file(1, (2, 2), bytes(40)), "need 32"),
+        (_one_tensor_file(2, (5,), bytes(1)), "need 2"),
+        (_one_tensor_file(0, (1,), bytes(8), name=b"\xff\xfe"), "malformed"),
+    ], ids=["unknown-tag", "f64-short", "i64-long", "packed-short", "non-utf8-name"])
+    def test_refused(self, tmp_path, capsys, blob, message):
+        path = tmp_path / "crafted.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_checkpoint(str(path))
+        assert main(["report", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_well_formed_file_reads(self, tmp_path):
+        path = tmp_path / "crafted.ckpt"
+        path.write_bytes(_one_tensor_file(0, (2,), struct.pack("<2d", 1.5, -2.0)))
+        assert np.array_equal(load_checkpoint(str(path)).tensors["x"], [1.5, -2.0])
+
+    def test_every_truncated_body_refused(self, trained, tmp_path):
+        net, _, _, cfg = trained
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(str(path), checkpoint_from_network(net, cfg))
+        body = path.read_bytes()[:-4]
+        for cut in range(4, len(body), 5):
+            path.write_bytes(_with_crc(body[:cut]))
+            with pytest.raises(DataError):
+                load_checkpoint(str(path))
+
+
 class TestConvNetwork:
     def test_traces_sops_and_round_trip(self, tmp_path):
         cfg = parse_runconfig(conv_document())
@@ -199,6 +251,51 @@ class TestCliTrain:
         assert ckpt.metrics["ablate_temporal"] is True
 
 
+def _edit(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
+
+
+def _edit_layer(i, key, value):
+    def edit(doc):
+        if value is None:
+            del doc["network"][i][key]
+        else:
+            doc["network"][i][key] = value
+    return edit
+
+
+def _insert_layer(i, spec):
+    return lambda doc: doc["network"].insert(i, spec)
+
+
+class TestCliTrainRefusals:
+    """Configs that used to end in a traceback exit 2 when the document
+    alone is wrong, and 3, naming the layer, when the data does not fit."""
+
+    @pytest.mark.parametrize("edit,code,message", [
+        (_edit_layer(1, "channels", 16), 3, "layer 1 (bn): expected 16 channels"),
+        (_edit_layer(0, "in", 0), 2, "network[0].in: must be an integer >= 1"),
+        (_edit_layer(0, "in", None), 2, "network[0]: missing key(s) ['in']"),
+        (_edit("train", "epochs", 0), 2, "epochs must be >= 1"),
+        (_edit("train", "batch_size", 0), 2, "batch_size must be >= 1"),
+        (_edit("dataset", "n_samples", 1), 2, "split empty"),
+        (_insert_layer(1, {"kind": "pool", "kernel": 2}), 3,
+         "layer 1 (pool): expected a (T, B, C, H, W) input"),
+        (_insert_layer(1, {"kind": "conv", "in": 8, "out": 8, "kernel": 1}), 3,
+         "layer 1 (conv): expected a (T, B, C, H, W) input"),
+        (_edit_layer(3, "out", 1), 3, "narrower than the class count"),
+    ], ids=["bn-channels", "zero-in", "missing-in", "zero-epochs", "zero-batch",
+            "one-sample", "pool-after-linear", "conv-after-linear", "narrow-head"])
+    def test_exit_code_and_message(self, tmp_path, tiny_doc, capsys, edit, code, message):
+        doc = copy.deepcopy(tiny_doc)
+        edit(doc)
+        path, _ = _write_config(tmp_path, doc)
+        assert main(["train", path]) == code
+        assert message in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def cli_artifacts(tmp_path_factory, tiny_doc):
     tmp = tmp_path_factory.mktemp("cli")
@@ -264,6 +361,20 @@ class TestCliReportInferFold:
         open(empty, "w").close()
         assert main(["infer", cli_artifacts["ckpt"], empty]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name,inputs,message", [
+        ("inputs.npy", np.zeros((4, 5, 2)), "not an .npz archive"),
+        ("flat.npz", np.zeros((4, 2)), "'inputs' must be (T, B, features...)"),
+    ], ids=["npy-file", "2d-inputs"])
+    def test_infer_unreadable_inputs_exit_3(self, cli_artifacts, capsys, name,
+                                            inputs, message):
+        path = str(cli_artifacts["tmp"] / name)
+        if name.endswith(".npy"):
+            np.save(path, inputs)
+        else:
+            np.savez(path, inputs=inputs)
+        assert main(["infer", cli_artifacts["ckpt"], path]) == 3
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["--folded", "--unfolded"])
     def test_infer_wrong_width_exits_3(self, cli_artifacts, capsys, mode):
