@@ -164,8 +164,7 @@ def hardware_layers(traces: list[dict]) -> list[HardwareLayer]:
             n_rd = int(np.prod(shape))
             bits = 8
             act = 8 if i == 0 else 1
-        spatial = (int(np.prod(t["output"].shape[3:]))
-                   if t["output"].ndim == 5 else 1)
+        spatial = int(np.prod(t["output"].shape[3:]))  # 1 for (T, B, C) outputs
         rows.append(HardwareLayer(name=f"{i}.{t['kind']}", n_rd=n_rd, spatial=spatial,
                                   weight_bits=bits, act_bits=act))
     return rows

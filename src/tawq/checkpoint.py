@@ -109,10 +109,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"{path}: checksum mismatch, checkpoint is corrupt")
     body = blob[:-4]
     try:
-        (version,) = struct.unpack_from("<H", body, 4)
+        version, hlen = struct.unpack_from("<HI", body, 4)
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack_from("<I", body, 6)
         off = 10
         header = json.loads(body[off:off + hlen].decode())
         off += hlen
@@ -124,8 +123,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             tensors[name] = value
         return Checkpoint(runconfig=header["runconfig"], metrics=header["metrics"],
                           tensors=tensors)
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        # ValueError covers malformed JSON and UTF-8
+    except (struct.error, ValueError, KeyError, TypeError) as exc:  # ValueError: JSON, UTF-8
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
 
 

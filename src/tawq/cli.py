@@ -31,7 +31,7 @@ from .checkpoint import (
 )
 from .data import build_dataset, save_raster_grid
 from .errors import ConfigError, DataError, NumericError, TawqError
-from .runconfig import load_runconfig
+from .runconfig import build_network, load_runconfig
 from .runtime import FoldedBlock, fold_network, folded_forward
 from .trainer import train
 
@@ -42,7 +42,6 @@ def cmd_train(args) -> int:
         cfg.quant = dataclasses.replace(cfg.quant, temporal=False)
     if args.seed is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-    from .runconfig import build_network
     ds = build_dataset(cfg.dataset)
     net = build_network(cfg)
     log_lines: list[str] = []

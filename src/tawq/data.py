@@ -68,15 +68,6 @@ def gen_temporal_xor(n_samples: int, timesteps: int, noise: float,
     return x, labels.astype(np.int64)
 
 
-def xor_rule_classifier(x: np.ndarray) -> np.ndarray:
-    """Hand-coded rule: presence of channel-0 spikes in the first window
-    XOR presence of channel-1 spikes in the second; 100% at zero noise."""
-    half = x.shape[0] // 2
-    a = x[:half, :, 0].max(axis=0) > 0
-    b = x[half:, :, 1].max(axis=0) > 0
-    return (a ^ b).astype(np.int64)
-
-
 def gen_rate_patterns(n_samples: int, timesteps: int, n_classes: int,
                       n_features: int, seed: int,
                       noise: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -551,10 +551,8 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x, training=False, relaxed=False):
-        self.cache = {"x": x, "y": None, "shape": x.shape}
-        T, B = x.shape[:2]
-        y = x.reshape(T, B, -1)
-        self.cache["y"] = y
+        y = x.reshape(*x.shape[:2], -1)
+        self.cache = {"x": x, "y": y, "shape": x.shape}
         return y
 
     def backward(self, gout):

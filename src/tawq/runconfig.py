@@ -26,20 +26,17 @@ from .layers import (
 from .quantizer import QuantConfig
 from .trainer import TrainConfig
 
-LAYER_KINDS = ("linear", "qlinear", "conv", "qconv", "lif", "bn", "pool", "flatten")
-
-# (required, optional) keys of each layer kind besides "kind"
 _LAYER_FIELDS = {
-    "linear": ({"in", "out"}, {"bias"}),
-    "qlinear": ({"in", "out"}, set()),
-    "conv": ({"in", "out", "kernel"}, {"stride", "padding"}),
-    "qconv": ({"in", "out", "kernel"}, {"stride", "padding"}),
-    "lif": (set(), set()),
-    "bn": ({"channels"}, set()),
-    "pool": ({"kernel"}, set()),
-    "flatten": (set(), set()),
+    "linear": {"kind", "in", "out", "bias"},
+    "qlinear": {"kind", "in", "out"},
+    "conv": {"kind", "in", "out", "kernel", "stride", "padding"},
+    "qconv": {"kind", "in", "out", "kernel", "stride", "padding"},
+    "lif": {"kind"},
+    "bn": {"kind", "channels"},
+    "pool": {"kind", "kernel"},
+    "flatten": {"kind"},
 }
-
+_OPTIONAL_FIELDS = {"bias", "stride", "padding"}
 # the least value of each integer size a layer may carry
 _SIZE_MIN = {"in": 1, "out": 1, "channels": 1, "kernel": 1, "stride": 1, "padding": 0}
 
@@ -95,11 +92,10 @@ def parse_runconfig(doc: dict) -> RunConfig:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError(f"network[{i}]: each layer needs a 'kind'")
         kind = spec["kind"]
-        if kind not in LAYER_KINDS:
+        if kind not in _LAYER_FIELDS:
             raise ConfigError(f"network[{i}].kind: unknown layer kind {kind!r}")
-        required, optional = _LAYER_FIELDS[kind]
-        _check_keys(f"network[{i}]", spec, {"kind"} | required | optional)
-        missing = required - set(spec)
+        _check_keys(f"network[{i}]", spec, _LAYER_FIELDS[kind])
+        missing = _LAYER_FIELDS[kind] - _OPTIONAL_FIELDS - set(spec)
         if missing:
             raise ConfigError(f"network[{i}]: missing key(s) {sorted(missing)}")
         for key, low in _SIZE_MIN.items():

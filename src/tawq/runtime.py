@@ -196,10 +196,8 @@ def folded_forward(plan: list, x: np.ndarray,
                     raise ShapeError(f"expected {len(item.packed)} timesteps, "
                                      f"got input with {h.shape[0]}")
                 x_q = np.stack([ac_only_matmul(p, h[t]) for t, p in enumerate(item.packed)])
-            # the charging current rho[t] * X_q[t] + delta of every step,
-            # which lif_charge turns into the membrane
             trace = f.rho[:, None, :] * x_q
-            trace += f.delta
+            trace += f.delta  # the charging current; lif_charge turns it into U
             h = lif_charge(trace, f.lif)
             membranes.append(trace)
             i += 3  # the block replaced a qlinear, a bn and a lif layer
