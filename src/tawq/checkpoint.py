@@ -60,10 +60,10 @@ def _tensor_bytes(name: str, value) -> bytes:
     return head + payload
 
 
-def _read_tensor(blob: bytes, off: int):
+def _read_tensor(blob: memoryview, off: int):
     (nlen,) = struct.unpack_from("<H", blob, off)
     off += 2
-    name = blob[off:off + nlen].decode()
+    name = str(blob[off:off + nlen], "utf-8")
     off += nlen
     tag, ndim = struct.unpack_from("<BB", blob, off)
     off += 2
@@ -80,7 +80,7 @@ def _read_tensor(blob: bytes, off: int):
         raise DataError(f"tensor {name}: {len(payload)} of {blen} payload bytes "
                         f"present, dims {dims} under dtype tag {tag} need {want}")
     if tag == TAG_PACKED2:
-        value = PackedTernaryTensor(codes=payload, shape=tuple(dims))
+        value = PackedTernaryTensor(codes=bytes(payload), shape=tuple(dims))
     else:
         dtype = np.int64 if tag == TAG_I64 else np.float64
         value = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
@@ -104,16 +104,16 @@ def load_checkpoint(path: str) -> Checkpoint:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a TAWQ checkpoint")
-    (crc_stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) != crc_stored:
+    body = memoryview(blob)[:-4]  # parsed in place, without a copy of the file
+    (crc_stored,) = struct.unpack_from("<I", blob, len(body))
+    if zlib.crc32(body) != crc_stored:
         raise DataError(f"{path}: checksum mismatch, checkpoint is corrupt")
-    body = blob[:-4]
     try:
         version, hlen = struct.unpack_from("<HI", body, 4)
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         off = 10
-        header = json.loads(body[off:off + hlen].decode())
+        header = json.loads(str(body[off:off + hlen], "utf-8"))
         off += hlen
         (count,) = struct.unpack_from("<I", body, off)
         off += 4

@@ -4,9 +4,9 @@ Every layer consumes and produces arrays shaped (T, B, ...) and caches
 whatever its backward pass needs.  Quantized layers draw their integer
 weights from the temporal quantizer on each forward pass, and reuse the
 weights they hold while the stimulus equals, by value, the one those
-weights were made from under the same config; the LIF neuron owns the
-1/tau input scaling, and `lif_charge`, the one charge over time that the
-folded runtime runs too.
+weights were made from under the same config.  The LIF neuron scales its
+input by 1/tau and runs `lif_charge`, the one membrane update over time,
+which the folded runtime runs too.
 
 A "relaxed" evaluation mode replaces the hard spike with its surrogate
 sigmoid so the whole forward becomes differentiable; it exists solely to

@@ -36,6 +36,7 @@ _LAYER_FIELDS = {
     "pool": {"kind", "kernel"},
     "flatten": {"kind"},
 }
+# the keys a layer may leave out; every other key of its kind is required
 _OPTIONAL_FIELDS = {"bias", "stride", "padding"}
 # the least value of each integer size a layer may carry
 _SIZE_MIN = {"in": 1, "out": 1, "channels": 1, "kernel": 1, "stride": 1, "padding": 0}
