@@ -22,6 +22,13 @@ from tawq.data import build_dataset
 from tawq.runconfig import parse_runconfig
 
 
+def _document(network: list, timesteps: int = 4, batch_size: int = 16) -> dict:
+    return {"network": network, "quant": {"timesteps": timesteps},
+            "train": {"epochs": 1, "batch_size": batch_size},
+            "dataset": {"kind": "synthetic-temporal-xor", "timesteps": timesteps,
+                        "n_samples": 24}}
+
+
 # at most one out-of-range training or dataset size per document
 FAULTS = [None] * 8 + [("train", "epochs", 0), ("train", "batch_size", 0),
                        ("dataset", "n_samples", 1), ("dataset", "n_samples", 0)]
@@ -53,26 +60,12 @@ def documents(draw) -> dict:
             network.append({"kind": kind, "kernel": draw(st.integers(1, 2))})
         else:
             network.append({"kind": kind})
-    timesteps = draw(st.integers(2, 4))
-    doc = {
-        "network": network,
-        "quant": {"timesteps": timesteps},
-        "train": {"epochs": 1, "batch_size": draw(st.sampled_from([16, 5]))},
-        "dataset": {"kind": "synthetic-temporal-xor", "timesteps": timesteps,
-                    "n_samples": 24},
-    }
+    doc = _document(network, draw(st.integers(2, 4)), draw(st.sampled_from([16, 5])))
     fault = draw(st.sampled_from(FAULTS))
     if fault:
         section, key, value = fault
         doc[section][key] = value
     return doc
-
-
-def _document(network: list) -> dict:
-    return {"network": network, "quant": {"timesteps": 4},
-            "train": {"epochs": 1, "batch_size": 16},
-            "dataset": {"kind": "synthetic-temporal-xor", "timesteps": 4,
-                        "n_samples": 24}}
 
 
 BLOCK = [{"kind": "qlinear", "in": 4, "out": 4}, {"kind": "bn", "channels": 4},
