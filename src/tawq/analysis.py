@@ -149,21 +149,20 @@ class HardwareLayer:
 def hardware_layers(traces: list[dict]) -> list[HardwareLayer]:
     """Read/write descriptors of every weighted layer in a forward trace.
 
-    Quantized layers read 2-bit weights and spikes; float layers read
-    8-bit weights, and spikes unless they are the input layer.
+    Quantized layers read 2-bit weights, float layers 8-bit weights.  The
+    layer at index 0 reads the raw input as 8-bit activations; every other
+    layer reads spikes.
     """
     rows = []
     for i, t in enumerate(traces):
         if t["kind"] not in WEIGHTED_KINDS:
             continue
         if "w_q" in t:
-            n_rd = int(np.prod(t["w_q"].shape[1:]))
-            bits, act = 2, 1
+            n_rd, bits = int(np.prod(t["w_q"].shape[1:])), 2
         else:
             shape = t.get("weight_shape") or (t["output"].shape[2], t["input"].shape[2])
-            n_rd = int(np.prod(shape))
-            bits = 8
-            act = 8 if i == 0 else 1
+            n_rd, bits = int(np.prod(shape)), 8
+        act = 8 if i == 0 else 1
         spatial = int(np.prod(t["output"].shape[3:]))  # 1 for (T, B, C) outputs
         rows.append(HardwareLayer(name=f"{i}.{t['kind']}", n_rd=n_rd, spatial=spatial,
                                   weight_bits=bits, act_bits=act))

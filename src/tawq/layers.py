@@ -4,9 +4,11 @@ Every layer consumes and produces arrays shaped (T, B, ...) and caches
 whatever its backward pass needs.  Quantized layers draw their integer
 weights from the temporal quantizer on each forward pass, and reuse the
 weights they hold while the stimulus equals, by value, the one those
-weights were made from under the same config.  The LIF neuron scales its
-input by 1/tau and runs `lif_charge`, the one membrane update over time,
-which the folded runtime runs too.
+weights were made from under the same config.  A convolution runs one
+BLAS product per timestep over the whole batch.  The LIF neuron scales
+its input by 1/tau and runs `lif_charge`, the one membrane update over
+time, which the folded runtime runs too.  Both LIF time loops run all T
+steps over one `quantizer.BLOCK` of neurons before the next.
 
 A "relaxed" evaluation mode replaces the hard spike with its surrogate
 sigmoid so the whole forward becomes differentiable; it exists solely to
@@ -30,10 +32,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, StateError
 from .quantizer import (
+    BLOCK,
     QuantConfig,
     QuantizerState,
     _sigmoid,
     _sigmoid_deriv,
+    blocks,
     compute_scaling_all,
     normalize_backward,
     normalize_stimulus,
@@ -66,27 +70,34 @@ def lif_charge(us: np.ndarray, cfg: LifConfig, relaxed: bool = False) -> np.ndar
     and the membrane resets to v_reset * s + U[t] * (1 - s).
     """
     decay = 1.0 - 1.0 / cfg.tau
+    T, size = us.shape[0], int(np.prod(us.shape[1:]))
     ss = np.empty(us.shape)
-    u = np.zeros(us.shape[1:])  # the membrane after the previous step's reset
-    fired, scratch = np.empty(us.shape[1:], dtype=bool), np.empty(us.shape[1:])
-    for t in range(us.shape[0]):
-        ut, st = us[t, ...], ss[t, ...]
-        u *= decay
-        ut += u
-        if relaxed:
-            st[...] = _sigmoid(cfg.sg_scale_neuron * (ut - cfg.v_threshold))
-        else:
-            np.greater_equal(ut, cfg.v_threshold, out=fired)
-            st[...] = fired
-        # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first
-        # term is v_reset itself (s >= 0), which saves a pass and a buffer
-        np.subtract(1.0, st, out=u)
-        u *= ut
-        if cfg.v_reset:
-            np.multiply(st, cfg.v_reset, out=scratch)
-            u += scratch
-        else:
-            u += cfg.v_reset
+    flat_u, flat_s = us.reshape(T, size), ss.reshape(T, size)
+    width = min(size, BLOCK)
+    # u: the membrane after the previous step's reset
+    for blk, (u, scratch, fired) in blocks(size, np.empty(width), np.empty(width),
+                                           np.empty(width, dtype=bool)):
+        u.fill(0.0)
+        for t in range(T):
+            ut, st = flat_u[t, blk], flat_s[t, blk]
+            u *= decay
+            ut += u
+            if relaxed:
+                st[...] = _sigmoid(cfg.sg_scale_neuron * (ut - cfg.v_threshold))
+            else:
+                np.greater_equal(ut, cfg.v_threshold, out=fired)
+                st[...] = fired
+            # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first
+            # term is v_reset itself (s >= 0), which saves a pass and a buffer
+            np.subtract(1.0, st, out=u)
+            u *= ut
+            if cfg.v_reset:
+                np.multiply(st, cfg.v_reset, out=scratch)
+                u += scratch
+            else:
+                u += cfg.v_reset
+    if not us.flags.c_contiguous:  # flat_u was a copy
+        us[...] = flat_u.reshape(us.shape)
     return ss
 
 
@@ -125,42 +136,6 @@ def _check_images(x: np.ndarray) -> None:
         raise ShapeError(f"expected a (T, B, C, H, W) input, got shape {x.shape}")
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            padding: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """(B, C, H, W) -> (B, C*kh*kw, H_out*W_out) patch matrix."""
-    b, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
-    # row order must match weight.reshape(C_o, -1): channel-major, then (i, j)
-    cols = np.empty((b, c, kh * kw, h_out * w_out))
-    idx = 0
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-            cols[:, :, idx, :] = patch.reshape(b, c, -1)
-            idx += 1
-    return cols.reshape(b, c * kh * kw, h_out * w_out), (h_out, w_out)
-
-
-def _col2im(gcols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
-            stride: int, padding: int, out_hw: tuple[int, int]) -> np.ndarray:
-    b, c, h, w = x_shape
-    h_out, w_out = out_hw
-    gx = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-    gcols = gcols.reshape(b, c, kh * kw, h_out * w_out)
-    idx = 0
-    for i in range(kh):
-        for j in range(kw):
-            g = gcols[:, :, idx, :].reshape(b, c, h_out, w_out)
-            gx[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += g
-            idx += 1
-    if padding:
-        gx = gx[:, :, padding:-padding, padding:-padding]
-    return gx
-
-
 # One contraction per layer family, shared by its float and quantized
 # member.  A weight is either shared over time, (O, I) or (O, C, k, k), or
 # per timestep with a leading T axis; a shared weight's gradient is summed
@@ -179,22 +154,33 @@ class _LinearContraction:
         return (gw.sum(axis=0) if w.ndim == 2 else gw), gout @ w
 
 
-def _flat_kernel(w: np.ndarray) -> np.ndarray:
-    """(O, C, k, k) or (T, O, C, k, k) -> (1 or T, 1, O, C*k*k)."""
-    return w.reshape(-1, 1, w.shape[-4], int(np.prod(w.shape[-3:])))
+def _windows(a: np.ndarray, k: int, stride: int, out_hw: tuple[int, int]):
+    """The k*k strided views of a padded (C, B, H, W) array, one per kernel
+    offset (i, j) in weight order, each shaped (C, B, H', W')."""
+    h, w = out_hw
+    for i in range(k):
+        for j in range(k):
+            yield a[:, :, i:i + stride * h:stride, j:j + stride * w:stride]
 
 
 class _ConvContraction:
-    def _patches(self, x: np.ndarray, k: int) -> tuple[np.ndarray, tuple[int, int]]:
-        """(T, B, C, H, W) -> (T, B, C*k*k, H'*W'), time folded into the im2col batch.
+    """Each timestep is one BLAS product over the whole batch.  Its images,
+    padded in (C, B, H, W) order, are unrolled into a (C*k*k, B*H'*W')
+    patch matrix whose rows follow weight.reshape(O, C*k*k).  The backward
+    pass rebuilds a timestep's patches rather than caching them: they are
+    k*k times the size of its input."""
 
-        The backward pass rebuilds the patches rather than caching them:
-        they are k*k times the size of the input.
-        """
-        T, B = x.shape[:2]
-        cols, out_hw = _im2col(x.reshape(T * B, *x.shape[2:]), k, k,
-                               self.stride, self.padding)
-        return cols.reshape(T, B, *cols.shape[1:]), out_hw
+    def _step_patches(self, x: np.ndarray, k: int, out_hw: tuple[int, int]):
+        """Yield each timestep's patch matrix, refilling one buffer."""
+        T, B, C, H, W = x.shape
+        p = self.padding
+        padded = np.zeros((C, B, H + 2 * p, W + 2 * p))
+        cols = np.empty((C, k * k, B, *out_hw))
+        for t in range(T):
+            padded[:, :, p:p + H, p:p + W] = x[t].transpose(1, 0, 2, 3)
+            for idx, win in enumerate(_windows(padded, k, self.stride, out_hw)):
+                cols[:, idx] = win
+            yield cols.reshape(C * k * k, -1)
 
     def _contract(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(T, B, C, H, W) convolved with (O, C, k, k) or (T, O, C, k, k)
@@ -202,21 +188,36 @@ class _ConvContraction:
         _check_images(x)
         if x.shape[2] != w.shape[-3]:
             raise ShapeError(f"input channels {x.shape[2]} != weight channels {w.shape[-3]}")
-        cols, out_hw = self._patches(x, w.shape[-1])
-        return (_flat_kernel(w) @ cols).reshape(*x.shape[:2], -1, *out_hw)
+        T, B, C = x.shape[:3]
+        O, k = w.shape[-4], w.shape[-1]
+        hp, wp = (n + 2 * self.padding for n in x.shape[3:])
+        out_hw = ((hp - k) // self.stride + 1, (wp - k) // self.stride + 1)
+        if min(out_hw) < 1:
+            raise ShapeError(f"kernel {k} exceeds the padded input {(hp, wp)}")
+        w2 = np.broadcast_to(w.reshape(-1, O, C * k * k), (T, O, C * k * k))  # per timestep
+        y, prod = np.empty((T, B, O, *out_hw)), np.empty((O, B, *out_hw))
+        for t, cols in enumerate(self._step_patches(x, k, out_hw)):
+            np.matmul(w2[t], cols, out=prod.reshape(O, -1))
+            y[t] = prod.transpose(1, 0, 2, 3)
+        return y
 
     def _contract_grads(self, gout: np.ndarray, x: np.ndarray,
                         w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        T, B, O = gout.shape[:3]
-        k = w.shape[-1]
-        g = gout.reshape(T, B, O, -1)
-        gw = (g @ np.swapaxes(self._patches(x, k)[0], -1, -2)).sum(axis=1)
-        if w.ndim == 4:
-            gw = gw.sum(axis=0)
-        gcols = np.swapaxes(_flat_kernel(w), -1, -2) @ g
-        gx = _col2im(gcols.reshape(T * B, *gcols.shape[2:]), (T * B, *x.shape[2:]),
-                     k, k, self.stride, self.padding, gout.shape[3:])
-        return gw.reshape(w.shape), gx.reshape(x.shape)
+        T, B, O, *out_hw = gout.shape
+        C, H, W = x.shape[2:]
+        k, p = w.shape[-1], self.padding
+        w2 = np.broadcast_to(w.reshape(-1, O, C * k * k), (T, O, C * k * k))  # per timestep
+        gw, gx, g = np.empty((T, O, C * k * k)), np.empty(x.shape), np.empty((O, B, *out_hw))
+        gpad, gcols = np.empty((C, B, H + 2 * p, W + 2 * p)), np.empty((C, k * k, B, *out_hw))
+        for t, cols in enumerate(self._step_patches(x, k, out_hw)):
+            g[...] = gout[t].transpose(1, 0, 2, 3)
+            np.matmul(g.reshape(O, -1), cols.T, out=gw[t])
+            np.matmul(w2[t].T, g.reshape(O, -1), out=gcols.reshape(C * k * k, -1))
+            gpad.fill(0.0)
+            for idx, win in enumerate(_windows(gpad, k, self.stride, out_hw)):
+                win += gcols[:, idx]
+            gx[t] = gpad[:, :, p:p + H, p:p + W].transpose(1, 0, 2, 3)
+        return (gw.sum(axis=0) if w.ndim == 4 else gw).reshape(w.shape), gx
 
 
 class Linear(_LinearContraction, Layer):
@@ -228,8 +229,6 @@ class Linear(_LinearContraction, Layer):
                  bias: bool = True, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
         self.params["weight"] = _kaiming_uniform((out_features, in_features),
                                                  in_features, rng)
         if bias:
@@ -258,8 +257,7 @@ class Conv2d(_ConvContraction, Layer):
                  rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel_size, self.stride, self.padding = kernel_size, stride, padding
+        self.stride, self.padding = stride, padding
         fan_in = in_channels * kernel_size * kernel_size
         self.params["weight"] = _kaiming_uniform(
             (out_channels, in_channels, kernel_size, kernel_size), fan_in, rng)
@@ -356,8 +354,6 @@ class QuantLinear(_LinearContraction, _QuantizedLayer):
     def __init__(self, in_features: int, out_features: int, quant: QuantConfig, *,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__((out_features, in_features), in_features, quant, rng)
-        self.in_features = in_features
-        self.out_features = out_features
 
     # bench/tracer.py times the methods found in each class's own namespace
     materialize = _QuantizedLayer.materialize
@@ -375,8 +371,7 @@ class QuantConv2d(_ConvContraction, _QuantizedLayer):
                  rng: np.random.Generator | None = None) -> None:
         super().__init__((out_channels, in_channels, kernel_size, kernel_size),
                          in_channels * kernel_size * kernel_size, quant, rng)
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel_size, self.stride, self.padding = kernel_size, stride, padding
+        self.stride, self.padding = stride, padding
 
     # bench/tracer.py times the methods found in each class's own namespace
     materialize = _QuantizedLayer.materialize
@@ -473,30 +468,31 @@ class LIF(Layer):
         return ss
 
     def backward(self, gout):
-        cfg = self.cfg
-        us, ss = self.cache["u"], self.cache["y"]
-        T = gout.shape[0]
+        cfg, k = self.cfg, self.cfg.sg_scale_neuron
         decay = 1.0 - 1.0 / cfg.tau
-        k = cfg.sg_scale_neuron
         gx = np.empty(gout.shape)
-        ds, scratch = np.empty(gout.shape[1:]), np.empty(gout.shape[1:])
-        gu_carry = np.zeros(gout.shape[1:])
-        for t in range(T - 1, -1, -1):
-            u, s, gu = us[t, ...], ss[t, ...], gx[t, ...]
-            # ds = k * sigmoid'(k * (u - v_threshold))
-            np.subtract(u, cfg.v_threshold, out=ds)
-            _sigmoid_deriv(ds, k, scratch)
-            ds *= k
-            # gu = gout[t] * ds + gu_carry * ((1 - s) + (v_reset - u) * ds)
-            np.subtract(cfg.v_reset, u, out=scratch)
-            scratch *= ds
-            np.subtract(1.0, s, out=gu)
-            scratch += gu
-            scratch *= gu_carry
-            np.multiply(gout[t, ...], ds, out=gu)
-            gu += scratch
-            np.multiply(gu, decay, out=gu_carry)
-            gu /= cfg.tau  # gx[t]
+        T, size = gout.shape[0], int(np.prod(gout.shape[1:]))
+        flat_u, flat_s, flat_g, flat_gx = (a.reshape(T, size) for a in (
+            self.cache["u"], self.cache["y"], gout, gx))
+        bufs = [np.empty(min(size, BLOCK)) for _ in range(3)]
+        for blk, (ds, scratch, gu_carry) in blocks(size, *bufs):
+            gu_carry.fill(0.0)
+            for t in range(T - 1, -1, -1):
+                u, s, gu = flat_u[t, blk], flat_s[t, blk], flat_gx[t, blk]
+                # ds = k * sigmoid'(k * (u - v_threshold))
+                np.subtract(u, cfg.v_threshold, out=ds)
+                _sigmoid_deriv(ds, k, scratch)
+                ds *= k
+                # gu = gout[t] * ds + gu_carry * ((1 - s) + (v_reset - u) * ds)
+                np.subtract(cfg.v_reset, u, out=scratch)
+                scratch *= ds
+                np.subtract(1.0, s, out=gu)
+                scratch += gu
+                scratch *= gu_carry
+                np.multiply(flat_g[t, blk], ds, out=gu)
+                gu += scratch
+                np.multiply(gu, decay, out=gu_carry)
+                gu /= cfg.tau  # gx[t]
         return gx
 
     def trace(self):

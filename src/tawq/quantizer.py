@@ -19,7 +19,8 @@ The recurrence and its reverse pass treat the weight tensor as flat and
 run every timestep over one `BLOCK` of elements before moving to the
 next, so their step buffers stay in cache; the math is elementwise, so
 the blocking moves no result.  A tensor no larger than a block runs as
-one block.
+one block.  `blocks` yields the slabs, and the LIF neuron's time loops
+in `layers` run over them too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ from .errors import ConfigError, NumericError, ShapeError
 # in use.  At 512x512 and T=4, 8K-32K measured fastest; 2K-element blocks
 # and a single unblocked pass were slower.
 BLOCK = 16384
+
+
+def blocks(size: int, *scratch: np.ndarray):
+    """Tile range(size) with consecutive slabs of at most `BLOCK` elements.
+
+    Yields each slab's slice with the `scratch` buffers, whose last axis
+    holds min(size, BLOCK) elements, cut to the slab's length.
+    """
+    for start in range(0, size, BLOCK):
+        blk = slice(start, min(start + BLOCK, size))
+        yield blk, [b[..., :blk.stop - start] for b in scratch]
 
 
 @dataclass(frozen=True)
@@ -160,14 +172,11 @@ def tawq_forward(i_norm: np.ndarray, cfg: QuantConfig) -> QuantizerState:
     flat_c, flat_w = c_s.reshape(T + 1, size), w_q.reshape(T, size)
     flat_c[0] = 0.0
     width = min(size, BLOCK)
-    # gate = 1 - |w_prev| / n; also the multi-bit emitter's scratch
-    drive_buf, gate_buf = np.empty(width), np.empty(width)
-    mask_buf = np.empty(width, dtype=bool)
     first_bad = T + 1  # earliest timestep with a non-finite state, over all blocks
-    for start in range(0, size, BLOCK):
-        blk = slice(start, start + BLOCK)
+    # gate = 1 - |w_prev| / n; also the multi-bit emitter's scratch
+    for blk, (drive, gate, mask) in blocks(size, np.empty(width), np.empty(width),
+                                           np.empty(width, dtype=bool)):
         i_b = flat_i[blk]
-        drive, gate, mask = drive_buf[:i_b.size], gate_buf[:i_b.size], mask_buf[:i_b.size]
         np.multiply(i_b, 1.0 - cfg.lam, out=drive)
         gate.fill(0.0)
         for t in range(T):
@@ -303,16 +312,11 @@ def tawq_backward(upstream: np.ndarray, state: QuantizerState) -> np.ndarray:
     grad_i = np.zeros(state.i_norm.shape)
     flat_g = grad_i.reshape(size)
     width = min(size, BLOCK)
-    sg_buf, lower_buf, sg_scratch = (np.empty((T, width)) for _ in range(3))
-    # carry: dL/dc_s[t+1] reaching step t from the future
-    carry_buf, g_c_buf, scratch_buf = (np.empty(width) for _ in range(3))
-    for start in range(0, size, BLOCK):
-        blk = slice(start, start + BLOCK)
+    # sg[t - 1] is taken at c_s[t]; carry: dL/dc_s[t+1] reaching step t from the future
+    bufs = [np.empty((T, width)) for _ in range(3)] + [np.empty(width) for _ in range(3)]
+    for blk, (sg, lower, sg_scratch, carry, g_c, scratch) in blocks(size, *bufs):
         grad_b = flat_g[blk]
-        m = grad_b.size
-        sg = sg_buf[:, :m]  # sg[t - 1] is taken at c_s[t]
-        _surrogate_into(sg, flat_c[1:, blk], cfg, lower_buf[:, :m], sg_scratch[:, :m])
-        carry, g_c, scratch = carry_buf[:m], g_c_buf[:m], scratch_buf[:m]
+        _surrogate_into(sg, flat_c[1:, blk], cfg, lower, sg_scratch)
         carry.fill(0.0)
         for t in range(T, 0, -1):
             np.multiply(flat_up[t - 1, blk], sg[t - 1], out=g_c)

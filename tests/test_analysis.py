@@ -184,6 +184,18 @@ class TestHardwareLayers:
             HardwareLayer("8.linear", n_rd=2 * 36, spatial=1, weight_bits=8, act_bits=1),
         ]
 
+    def test_quantized_input_layer_reads_8bit_activations(self):
+        from tawq.layers import LIF, BatchNorm, Linear, Network, QuantLinear
+        from tawq.quantizer import QuantConfig
+        net = Network([QuantLinear(3, 4, QuantConfig(timesteps=2)), BatchNorm(4), LIF(),
+                       Linear(4, 2)])
+        net.forward(np.random.default_rng(4).random((2, 5, 3)))
+        assert hardware_layers(net.traces()) == [
+            # layer 0 reads the raw input, whatever its weights
+            HardwareLayer("0.qlinear", n_rd=4 * 3, spatial=1, weight_bits=2, act_bits=8),
+            HardwareLayer("3.linear", n_rd=2 * 4, spatial=1, weight_bits=8, act_bits=1),
+        ]
+
 
 class TestFiringRates:
     def _lif_trace(self, out):

@@ -1,6 +1,8 @@
 """Spiking layers: LIF dynamics, batch norm, quantized layers, network
 composition, and a pinned golden regression for a seed-fixed toy net."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from tawq.layers import (
     QuantLinear,
     lif_charge,
 )
-from tawq.quantizer import QuantConfig, normalize_backward, tawq_backward
+from tawq.quantizer import BLOCK, QuantConfig, normalize_backward, tawq_backward
 
 
 class TestLifStep:
@@ -36,6 +38,14 @@ class TestLifStep:
 
     def test_zero_input_never_spikes(self):
         assert not lif_charge(np.zeros((50, 5)), LifConfig()).any()
+
+    def test_strided_membrane_written_in_place(self):
+        us = (np.random.default_rng(2).random((6, 4, 3)) * 2).transpose(0, 2, 1)
+        assert not us.flags.c_contiguous
+        want_u = us.copy()
+        want_s = lif_charge(want_u, LifConfig())
+        assert np.array_equal(lif_charge(us, LifConfig()), want_s)
+        assert np.array_equal(us, want_u)
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):
@@ -158,6 +168,30 @@ class TestQuantizedLayers:
         layer = QuantLinear(2, 2, QuantConfig(timesteps=4))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((3, 1, 2)))
+
+    def test_kernel_larger_than_padded_input_rejected(self):
+        with pytest.raises(ShapeError, match=r"layer 0 \(conv\): kernel 5"):
+            Network([Conv2d(1, 2, 5)]).forward(np.zeros((4, 1, 1, 3, 3)))
+
+    def test_qconv_patch_memory_is_per_timestep(self):
+        # each pass may hold one timestep's patches, not all T of them
+        T, B, C, H, W, k = 4, 64, 16, 14, 14, 3
+        all_steps = T * B * C * k * k * H * W * 8  # bytes, at padding 1
+        rng = np.random.default_rng(23)
+        layer = QuantConv2d(C, 32, k, QuantConfig(timesteps=T), padding=1, rng=rng)
+        x = (rng.random((T, B, C, H, W)) < 0.3).astype(float)
+        gout = rng.standard_normal(layer.forward(x).shape)  # quantizes once
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: layer.forward(x), lambda: layer.backward(gout)):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < all_steps, peaks
 
 
 class TestMaterializeCache:
@@ -308,6 +342,124 @@ GOLDEN_LOGITS = np.array([
 ])
 
 
+# The previous conv contraction, kept as the oracle: time folded into the
+# im2col batch and one small product per image.  Forward and input
+# gradient must equal it exactly; the weight gradient sums the batch in
+# another order, so it agrees to rounding.
+
+def ref_im2col(x, k, stride, padding):
+    """(B, C, H, W) -> (B, C*k*k, H'*W') patch matrix."""
+    b, c, h, w = x.shape
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out, w_out = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    cols = np.empty((b, c, k * k, h_out * w_out))
+    for idx in range(k * k):
+        i, j = divmod(idx, k)
+        patch = x[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+        cols[:, :, idx, :] = patch.reshape(b, c, -1)
+    return cols.reshape(b, c * k * k, h_out * w_out), (h_out, w_out)
+
+
+def ref_col2im(gcols, x_shape, k, stride, padding, out_hw):
+    b, c, h, w = x_shape
+    h_out, w_out = out_hw
+    gx = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    gcols = gcols.reshape(b, c, k * k, h_out * w_out)
+    for idx in range(k * k):
+        i, j = divmod(idx, k)
+        g = gcols[:, :, idx, :].reshape(b, c, h_out, w_out)
+        gx[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += g
+    return gx[:, :, padding:padding + h, padding:padding + w]
+
+
+def ref_conv(x, gout, w, stride, padding):
+    """Output, weight gradient and input gradient of the convolution of
+    (T, B, C, H, W) with a shared (O, C, k, k) or per-timestep weight."""
+    T, B = x.shape[:2]
+    k = w.shape[-1]
+    cols, out_hw = ref_im2col(x.reshape(T * B, *x.shape[2:]), k, stride, padding)
+    cols = cols.reshape(T, B, *cols.shape[1:])
+    flat_w = w.reshape(-1, 1, w.shape[-4], int(np.prod(w.shape[-3:])))
+    y = (flat_w @ cols).reshape(*x.shape[:2], -1, *out_hw)
+    g = gout.reshape(T, B, gout.shape[2], -1)
+    gw = (g @ np.swapaxes(cols, -1, -2)).sum(axis=1)
+    if w.ndim == 4:
+        gw = gw.sum(axis=0)
+    gcols = np.swapaxes(flat_w, -1, -2) @ g
+    gx = ref_col2im(gcols.reshape(T * B, *gcols.shape[2:]), (T * B, *x.shape[2:]),
+                    k, stride, padding, gout.shape[3:])
+    return y, gw.reshape(w.shape), gx.reshape(x.shape)
+
+
+# (id, (T, B, C, H, W), stride, padding); conv shares its weight over
+# time, qconv has one per timestep
+CONV_CASES = [
+    pytest.param(quantized, shape, stride, padding,
+                 id=f"{'qconv' if quantized else 'conv'}-{name}")
+    for name, shape, stride, padding in [
+        ("3ch", (4, 3, 3, 8, 8), 1, 1),
+        ("1ch", (2, 4, 1, 9, 9), 1, 1),
+        ("stride2-pad0", (3, 2, 3, 9, 9), 2, 0),
+        ("T1", (1, 3, 2, 7, 7), 1, 1),
+        ("B1", (4, 1, 3, 6, 6), 1, 1),
+        ("non-square", (3, 2, 2, 5, 9), 2, 1),
+        ("non-square-pad2", (2, 3, 2, 7, 4), 1, 2),
+    ]
+    for quantized in (False, True)
+]
+
+
+def conv_layer(quantized, shape, stride, padding, rng):
+    T, C = shape[0], shape[2]
+    if quantized:
+        return QuantConv2d(C, 4, 3, QuantConfig(timesteps=T), stride=stride,
+                           padding=padding, rng=rng)
+    return Conv2d(C, 4, 3, stride=stride, padding=padding, rng=rng)
+
+
+class TestConvContractionExact:
+    @pytest.mark.parametrize("quantized,shape,stride,padding", CONV_CASES)
+    def test_matches_im2col_oracle(self, quantized, shape, stride, padding):
+        # dyadic data keep every sum exact, so equality does not depend on
+        # the order in which a BLAS kernel accumulates
+        rng = np.random.default_rng(41)
+        layer = conv_layer(quantized, shape, stride, padding, rng)
+        x = rng.integers(-4, 5, shape) / 4
+        if quantized:
+            layer.forward(x)
+            w = layer.state.w_q  # per timestep
+        else:
+            w = layer.params["weight"] = rng.integers(-8, 9, layer.params["weight"].shape) / 8
+        y = layer._contract(x, w)
+        gout = rng.integers(-4, 5, y.shape) / 8
+        gw, gx = layer._contract_grads(gout, x, w)
+        want_y, want_gw, want_gx = ref_conv(x, gout, w, stride, padding)
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(gx, want_gx)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-13)
+
+    @pytest.mark.parametrize("quantized,shape,stride,padding", CONV_CASES)
+    def test_layer_gradients_match_oracle(self, quantized, shape, stride, padding):
+        rng = np.random.default_rng(42)
+        layer = conv_layer(quantized, shape, stride, padding, rng)
+        x = rng.standard_normal(shape)
+        y = layer.forward(x)
+        gout = rng.standard_normal(y.shape)
+        gx = layer.backward(gout)
+        if quantized:
+            st, scale = layer.state, layer._scale(y.ndim)
+            _, g_wq, want_gx = ref_conv(x, gout * scale, st.w_q, stride, padding)
+            want_gw = normalize_backward(tawq_backward(g_wq, st), st.i_norm,
+                                         layer.params["stimulus"], st.cfg.epsilon)
+            got_gw = layer.grads["stimulus"]
+        else:
+            _, want_gw, want_gx = ref_conv(x, gout, layer.params["weight"], stride, padding)
+            got_gw = layer.grads["weight"]
+        # the batch is summed in another order; elements that cancel get an
+        # absolute bound at the same relative level of the gradient's scale
+        for got, want in ((gx, want_gx), (got_gw, want_gw)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
 # Exactness of the in-place kernels: each layer must reproduce, under
 # np.array_equal, the plain formula it replaced, and must leave its
 # inputs untouched.
@@ -392,13 +544,16 @@ class TestInPlaceKernelsExact:
             assert np.array_equal(got[name], value), name
         assert np.array_equal(x, x0) and np.array_equal(gout, g0)
 
-    @pytest.mark.parametrize("relaxed", [False, True])
-    @pytest.mark.parametrize("cfg", [LifConfig(),
-                                     LifConfig(tau=3.0, v_threshold=0.7, v_reset=-0.2,
-                                               sg_scale_neuron=2.5)])
-    def test_lif(self, cfg, relaxed):
+    # the "-blocks" cases span two full quantizer.BLOCKs per step and a ragged tail
+    @pytest.mark.parametrize("cfg,relaxed,shape", [
+        pytest.param(cfg, relaxed, shape, id=f"cfg{i}-{relaxed}{suffix}")
+        for shape, suffix in [((5, 6, 4, 3, 3), ""), ((3, 5, 2 * BLOCK // 5 + 700), "-blocks")]
+        for i, cfg in enumerate([LifConfig(), LifConfig(tau=3.0, v_threshold=0.7, v_reset=-0.2,
+                                                         sg_scale_neuron=2.5)])
+        for relaxed in (False, True)])
+    def test_lif(self, cfg, relaxed, shape):
         rng = np.random.default_rng(32)
-        x = rng.standard_normal((5, 6, 4, 3, 3)) * 2 + 0.5
+        x = rng.standard_normal(shape) * 2 + 0.5
         gout = rng.standard_normal(x.shape)
         lif = LIF(cfg)
         want_s, want_u, want_gx = ref_lif(x, gout, cfg, relaxed)
