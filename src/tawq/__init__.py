@@ -20,8 +20,6 @@ from .quantizer import (
     QuantizerState,
     compute_scaling,
     normalize_stimulus,
-    quantize_multibit,
-    quantize_ternary,
     surrogate_grad,
     tawq_backward,
     tawq_forward,

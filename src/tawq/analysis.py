@@ -206,45 +206,17 @@ def energy_hardware(layers: list[HardwareLayer], timesteps: int,
     return HardwareEnergyReport(rows)
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Pearson r, or None when either series has zero variance."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ShapeError(f"series shapes differ: {x.shape} vs {y.shape}")
-    xc, yc = x - x.mean(), y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom == 0.0:
-        return None
-    return float((xc * yc).sum() / denom)
-
-
 @dataclass
 class FiringRateStats:
     rates: list[list[float]]          # per LIF layer, per timestep
     mean_rate: float
-    correlation: float | None = None  # vs. a second trace set, if given
-    degenerate: bool = False
 
 
-def firing_rate_stats(traces: list[dict],
-                      other: list[dict] | None = None) -> FiringRateStats:
-    """Mean spike rates of every LIF layer; optionally Pearson r against a
-    second trace set with identical topology."""
+def firing_rate_stats(traces: list[dict]) -> FiringRateStats:
+    """Mean spike rates of every LIF layer."""
     rates = [[float(t["output"][ts].mean()) for ts in range(t["output"].shape[0])]
              for t in traces if t["kind"] == "lif"]
     if not rates:
         raise DataError("no spiking layers in traces")
     flat = np.concatenate([np.asarray(r) for r in rates])
-    stats = FiringRateStats(rates=rates, mean_rate=float(flat.mean()))
-    if other is not None:
-        other_rates = [[float(t["output"][ts].mean())
-                        for ts in range(t["output"].shape[0])]
-                       for t in other if t["kind"] == "lif"]
-        if len(other_rates) != len(rates) or any(
-                len(a) != len(b) for a, b in zip(rates, other_rates)):
-            raise DataError("trace sets have mismatched topology")
-        r = pearson(flat, np.concatenate([np.asarray(x) for x in other_rates]))
-        stats.correlation = r
-        stats.degenerate = r is None
-    return stats
+    return FiringRateStats(rates=rates, mean_rate=float(flat.mean()))

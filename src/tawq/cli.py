@@ -1,6 +1,8 @@
 """Command-line surface: train, report, infer, fold, gen-data.
 
-Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric error.
+Exit codes: 0 ok, 2 configuration error or a missing or unreadable file,
+3 data error (a checkpoint missing a tensor among them), 4 numeric error;
+no other code is used.
 The BLAS thread pool reads OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) when
 numpy loads, so set it in the environment that starts `tawq`.
 """
@@ -30,7 +32,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .data import build_dataset, save_raster_grid
-from .errors import ConfigError, DataError, NumericError, TawqError
+from .errors import ConfigError, DataError, NumericError
 from .runconfig import build_network, load_runconfig
 from .runtime import FoldedBlock, fold_network, folded_forward
 from .trainer import train
@@ -246,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
@@ -255,9 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except TawqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

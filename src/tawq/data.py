@@ -9,7 +9,7 @@ it requires integrating evidence across the two windows.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class Dataset:
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    spec: DatasetSpec = field(repr=False)
 
 
 def _split(x: np.ndarray, y: np.ndarray, spec: DatasetSpec) -> Dataset:
@@ -153,7 +152,7 @@ def _split(x: np.ndarray, y: np.ndarray, spec: DatasetSpec) -> Dataset:
                           "leave the train or the test split empty")
     test_idx, train_idx = order[:n_test], order[n_test:]
     return Dataset(train_x=x[:, train_idx], train_y=y[train_idx],
-                   test_x=x[:, test_idx], test_y=y[test_idx], spec=spec)
+                   test_x=x[:, test_idx], test_y=y[test_idx])
 
 
 def build_dataset(spec: DatasetSpec) -> Dataset:

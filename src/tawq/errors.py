@@ -21,5 +21,5 @@ class ShapeError(DataError):
     """Tensor shape incompatible with the operation."""
 
 
-class StateError(TawqError):
+class StateError(DataError):
     """Required forward trace or checkpoint section is missing."""

@@ -342,7 +342,7 @@ class _QuantizedLayer(Layer):
 
     def trace(self):
         t = super().trace()
-        t.update(state=self.state, alpha=self.alpha, w_q=self.state.w_q)
+        t.update(alpha=self.alpha, w_q=self.state.w_q)
         return t
 
 
@@ -464,7 +464,7 @@ class LIF(Layer):
     def forward(self, x, training=False, relaxed=False):
         us = x / self.cfg.tau  # lif_charge turns us[t] into the membrane U[t]
         ss = lif_charge(us, self.cfg, relaxed)
-        self.cache = {"x": x, "y": ss, "u": us, "relaxed": relaxed}
+        self.cache = {"x": x, "y": ss, "u": us}
         return ss
 
     def backward(self, gout):
@@ -494,11 +494,6 @@ class LIF(Layer):
                 np.multiply(gu, decay, out=gu_carry)
                 gu /= cfg.tau  # gx[t]
         return gx
-
-    def trace(self):
-        t = super().trace()
-        t.update(membrane=self.cache.get("u"))
-        return t
 
 
 class AvgPool2d(Layer):

@@ -123,11 +123,11 @@ class Optimizer:
                                    - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps))
 
 
-def clip_and_step(net: Network, grads: GradientBundle, cfg: TrainConfig,
-                  opt: Optimizer | None = None, lr: float | None = None) -> GradientBundle:
-    """Clip the bundle to `cfg.clip_norm` and apply one optimizer update."""
+def clip_and_step(grads: GradientBundle, cfg: TrainConfig, opt: Optimizer,
+                  lr: float | None = None) -> GradientBundle:
+    """Clip the bundle to `cfg.clip_norm` and apply one update of the run's `opt`."""
     clipped = grads.clipped(cfg.clip_norm)
-    (opt or Optimizer(net, cfg)).step(clipped, lr=lr)
+    opt.step(clipped, lr=lr)
     return clipped
 
 
@@ -193,7 +193,7 @@ def train(net: Network, train_set: tuple[np.ndarray, np.ndarray],
                 raise NumericError(f"divergence: non-finite loss at epoch {epoch}")
             net.backward(gl)
             grads = collect_gradients(net)
-            clipped = clip_and_step(net, grads, cfg, opt=opt, lr=lr)
+            clipped = clip_and_step(grads, cfg, opt, lr=lr)
             epoch_loss += loss * len(idx)
             correct += int((logits.argmax(axis=1) == yb).sum())
             grad_norms.append(clipped.global_norm)

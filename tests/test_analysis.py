@@ -18,7 +18,6 @@ from tawq.analysis import (
     entropy_report,
     firing_rate_stats,
     hardware_layers,
-    pearson,
     weight_entropy,
 )
 from tawq.errors import DataError, ShapeError
@@ -201,45 +200,12 @@ class TestFiringRates:
     def _lif_trace(self, out):
         return {"kind": "lif", "input": out, "output": out}
 
-    def test_identical_traces_correlate_perfectly(self):
-        rng = np.random.default_rng(61)
-        out = (rng.random((4, 8, 6)) < 0.3).astype(float)
-        traces = [self._lif_trace(out)]
-        stats = firing_rate_stats(traces, other=traces)
-        assert abs(stats.correlation - 1.0) < 1e-12
-
-    def test_zero_variance_is_degenerate(self):
-        out = np.ones((3, 2, 2))
-        stats = firing_rate_stats([self._lif_trace(out)],
-                                  other=[self._lif_trace(out * 1.0)])
-        assert stats.degenerate
-        assert stats.correlation is None
-
     def test_mean_rate(self):
         out = np.zeros((2, 1, 4))
         out[0, 0, :2] = 1.0
         stats = firing_rate_stats([self._lif_trace(out)])
         assert abs(stats.mean_rate - 0.25) < 1e-12
 
-    def test_topology_mismatch_rejected(self):
-        a = [self._lif_trace(np.ones((2, 1, 2)))]
-        b = [self._lif_trace(np.ones((2, 1, 2)))] * 2
-        with pytest.raises(DataError):
-            firing_rate_stats(a, other=b)
-
     def test_no_spiking_layers_rejected(self):
         with pytest.raises(DataError):
             firing_rate_stats([{"kind": "linear", "output": np.ones((1, 1, 1))}])
-
-
-class TestPearson:
-    def test_hand_built_series(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        y = np.array([2.0, 1.0, 4.0, 3.0])
-        xc, yc = x - x.mean(), y - y.mean()
-        want = (xc * yc).sum() / math.sqrt((xc**2).sum() * (yc**2).sum())
-        assert abs(pearson(x, y) - want) < 1e-15
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            pearson(np.ones(3), np.ones(4))

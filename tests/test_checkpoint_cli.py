@@ -1,7 +1,8 @@
 """Checkpoint format and command-line surface.
 
 CLI commands are exercised in-process through `tawq.cli.main`, which
-returns the documented exit codes: 0 ok, 2 config, 3 data, 4 numeric.
+returns the documented exit codes: 0 ok, 2 config or a missing or
+unreadable file, 3 data, 4 numeric.
 """
 
 import copy
@@ -25,8 +26,11 @@ from tawq.checkpoint import (
     save_checkpoint,
 )
 from tawq.cli import main
+from tawq import errors
+from tawq.data import load_raster_grid
 from tawq.errors import DataError, StateError
 from tawq.runconfig import build_network, default_xor_document, parse_runconfig
+from tawq.runtime import pack_ternary, unpack_ternary
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +101,21 @@ class TestCheckpointRoundTrip:
         with pytest.raises(StateError, match=f"1.{buffer}"):
             network_from_checkpoint(ckpt)
 
+    def test_sign_flipped_code_fails_verification(self, tmp_path, capsys):
+        from conftest import three_layer_document
+        cfg = parse_runconfig(three_layer_document())
+        ckpt = checkpoint_from_network(build_network(cfg), cfg)
+        w = unpack_ternary(ckpt.tensors["3.w_q.0"])
+        k = np.flatnonzero(w)[0]
+        w.flat[k] = -w.flat[k]
+        ckpt.tensors["3.w_q.0"] = pack_ternary(w)
+        with pytest.raises(DataError, match=r"3\.w_q\.0 disagrees with the stimulus"):
+            network_from_checkpoint(ckpt)
+        path = str(tmp_path / "flipped.ckpt")
+        save_checkpoint(path, ckpt)
+        assert main(["report", path]) == 3
+        assert "disagrees with the stimulus" in capsys.readouterr().err
+
     def test_snapshot_follows_stimulus_update(self):
         # a stimulus replaced after the last forward pass, as an optimizer
         # step does, must not leave the older weights in the checkpoint
@@ -122,12 +141,13 @@ def _with_crc(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _one_tensor_file(tag: int, dims: tuple, payload: bytes, name: bytes = b"x") -> bytes:
+def _one_tensor_file(tag: int, dims: tuple, payload: bytes, name: bytes = b"x",
+                     version: int = 1) -> bytes:
     header = json.dumps({"runconfig": {}, "metrics": {}}).encode()
     tensor = (struct.pack("<H", len(name)) + name + struct.pack("<BB", tag, len(dims))
               + struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<Q", len(payload))
               + payload)
-    return _with_crc(b"TAWQ" + struct.pack("<HI", 1, len(header)) + header
+    return _with_crc(b"TAWQ" + struct.pack("<HI", version, len(header)) + header
                      + struct.pack("<I", 1) + tensor)
 
 
@@ -141,7 +161,9 @@ class TestCraftedCheckpoints:
         (_one_tensor_file(1, (2, 2), bytes(40)), "need 32"),
         (_one_tensor_file(2, (5,), bytes(1)), "need 2"),
         (_one_tensor_file(0, (1,), bytes(8), name=b"\xff\xfe"), "malformed"),
-    ], ids=["unknown-tag", "f64-short", "i64-long", "packed-short", "non-utf8-name"])
+        (_one_tensor_file(0, (1,), bytes(8), version=2), "unsupported checkpoint version 2"),
+    ], ids=["unknown-tag", "f64-short", "i64-long", "packed-short", "non-utf8-name",
+            "version-2"])
     def test_refused(self, tmp_path, capsys, blob, message):
         path = tmp_path / "crafted.ckpt"
         path.write_bytes(blob)
@@ -286,8 +308,11 @@ class TestCliTrainRefusals:
         (_insert_layer(1, {"kind": "conv", "in": 8, "out": 8, "kernel": 1}), 3,
          "layer 1 (conv): expected a (T, B, C, H, W) input"),
         (_edit_layer(3, "out", 1), 3, "narrower than the class count"),
+        (_edit("dataset", "timesteps", 6), 2,
+         "dataset.timesteps (6) must equal quant.timesteps (4)"),
     ], ids=["bn-channels", "zero-in", "missing-in", "zero-epochs", "zero-batch",
-            "one-sample", "pool-after-linear", "conv-after-linear", "narrow-head"])
+            "one-sample", "pool-after-linear", "conv-after-linear", "narrow-head",
+            "timesteps-mismatch"])
     def test_exit_code_and_message(self, tmp_path, tiny_doc, capsys, edit, code, message):
         doc = copy.deepcopy(tiny_doc)
         edit(doc)
@@ -318,6 +343,14 @@ class TestCliReportInferFold:
         assert "entropy" in text and "E_total" in text
         sections = [json.loads(l)["section"] for l in open(jpath)]
         assert set(sections) == {"entropy", "energy", "hardware", "firing"}
+
+    def test_report_missing_tensor_exits_3(self, cli_artifacts, capsys):
+        ckpt = load_checkpoint(cli_artifacts["ckpt"])
+        del ckpt.tensors["1.running_var"]
+        path = str(cli_artifacts["tmp"] / "no_var.ckpt")
+        save_checkpoint(path, ckpt)
+        assert main(["report", path]) == 3
+        assert "checkpoint missing tensor 1.running_var" in capsys.readouterr().err
 
     def test_report_corrupt_checkpoint_exits_3(self, cli_artifacts, capsys):
         bad = str(cli_artifacts["tmp"] / "bad.ckpt")
@@ -411,6 +444,117 @@ class TestCliReportInferFold:
         with np.load(out) as npz:
             assert {"train_inputs", "train_labels",
                     "test_inputs", "test_labels"} <= set(npz.files)
+
+
+def test_every_error_maps_to_an_exit_code():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.TawqError)
+               and c is not errors.TawqError]
+    assert errors.StateError in classes
+    for cls in classes:
+        assert issubclass(cls, (errors.ConfigError, errors.DataError,
+                                errors.NumericError)), cls
+
+
+class TestCliFileErrors:
+    """A missing or unreadable file exits 2, naming the file, not with a traceback."""
+
+    def test_missing_config(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.yaml")
+        assert main(["train", missing]) == 2
+        assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "infer"])
+    def test_missing_checkpoint(self, cli_artifacts, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.ckpt")
+        inputs = [cli_artifacts["inputs"]] if command == "infer" else []
+        assert main([command, missing, *inputs]) == 2
+        assert missing in capsys.readouterr().err
+
+    def test_checkpoint_is_a_directory(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_missing_raster_grid(self, tmp_path, tiny_doc, capsys):
+        missing = str(tmp_path / "missing.bin")
+        doc = dict(tiny_doc, dataset={"kind": "raster-grid", "path": missing,
+                                      "timesteps": 4})
+        path, _ = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 2
+        assert missing in capsys.readouterr().err
+
+    def test_metrics_in_missing_directory(self, tmp_path, tiny_doc, capsys):
+        path, out = _write_config(tmp_path, tiny_doc)
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        metrics = str(tmp_path / "absent" / "metrics.jsonl")
+        doc["output"]["metrics"] = metrics
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh)
+        assert main(["train", path]) == 2
+        assert metrics in capsys.readouterr().err
+        assert not os.path.exists(out["checkpoint"])
+
+
+class TestCliRunFlagsAndDatasets:
+    def _train_log(self, tmp_path, doc, *flags) -> bytes:
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path, *flags]) == 0
+        with open(out["metrics"], "rb") as fh:
+            return fh.read()
+
+    def test_seed_flag_equals_config_seed(self, tmp_path, tiny_doc, capsys):
+        doc = copy.deepcopy(tiny_doc)
+        flagged = self._train_log(tmp_path, doc, "--seed", "3")
+        assert self._train_log(tmp_path, doc) != flagged  # tiny_doc's seed is 0
+        doc["train"]["seed"] = 3
+        assert self._train_log(tmp_path, doc) == flagged
+        capsys.readouterr()
+
+    def test_lambda_alias(self, tmp_path, tiny_doc, capsys):
+        doc = copy.deepcopy(tiny_doc)
+        doc["quant"] = {"timesteps": 4, "lambda": 0.3}
+        assert parse_runconfig(doc).quant.lam == 0.3
+        aliased = self._train_log(tmp_path, doc)
+        doc["quant"] = {"timesteps": 4, "lam": 0.3}
+        assert self._train_log(tmp_path, doc) == aliased
+        doc["quant"] = {"timesteps": 4}
+        assert self._train_log(tmp_path, doc) != aliased
+        capsys.readouterr()
+
+    @pytest.fixture
+    def raster(self, tmp_path, tiny_doc, capsys):
+        """A raster-grid file written by `gen-data --raster` from a 4x4
+        rate-pattern set, with that set's parsed config."""
+        doc = dict(tiny_doc, dataset={"kind": "synthetic-rate-patterns", "n_samples": 64,
+                                      "timesteps": 4, "n_features": 16, "seed": 5})
+        path, _ = _write_config(tmp_path, doc)
+        out = str(tmp_path / "grid.bin")
+        assert main(["gen-data", path, "--raster", "--out", out]) == 0
+        capsys.readouterr()
+        return out, parse_runconfig(doc)
+
+    def test_gen_data_raster_reads_back(self, raster):
+        from tawq.data import build_dataset
+        out, cfg = raster
+        ds = build_dataset(cfg.dataset)
+        pixels, labels = load_raster_grid(out)
+        assert pixels.shape == (ds.train_y.size, 4, 4)
+        assert np.array_equal(labels, ds.train_y)
+        rates = ds.train_x.mean(axis=0).reshape(-1, 4, 4)
+        assert np.all(np.abs(pixels / 255.0 - rates) < 1 / 255)
+
+    @pytest.mark.parametrize("encoder", ["direct", "latency"])
+    def test_train_on_raster_grid(self, raster, tmp_path, tiny_doc, capsys, encoder):
+        doc = copy.deepcopy(tiny_doc)
+        doc["dataset"] = {"kind": "raster-grid", "path": raster[0], "timesteps": 4,
+                          "encoder": encoder}
+        doc["network"][0]["in"] = 16
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert 0.0 <= summary["final_test_accuracy"] <= 1.0
+        assert os.path.exists(out["checkpoint"])
 
 
 class TestFoldCommandWithBlock:

@@ -242,8 +242,11 @@ class TestOptimizer:
     def test_clip_and_step_returns_clipped_bundle(self):
         net = Network([Linear(1, 1, bias=False)])
         g = GradientBundle({"0.weight": np.array([[10.0]])})
-        out = clip_and_step(net, g, TrainConfig(clip_norm=1.0))
+        cfg = TrainConfig(clip_norm=1.0)
+        opt = Optimizer(net, cfg)
+        out = clip_and_step(g, cfg, opt)
         assert abs(out.global_norm - 1.0) < 1e-12
+        assert opt.step_count == 1  # the caller's optimizer, not a fresh one
 
     def test_nonfinite_gradient_rejected(self):
         net = Network([Linear(1, 1, bias=False)])

@@ -91,7 +91,7 @@ class TestQuantizedLayers:
     def test_alpha_scaled_example(self):
         from tawq.quantizer import compute_scaling
         w_q = np.array([[1.0, 0.0, -1.0]])
-        alpha = compute_scaling(w_q, 1)
+        alpha = compute_scaling(w_q)
         assert alpha[0] == 1.5
         x = np.array([1.0, 1.0, 0.0])
         assert alpha[0] * (w_q[0] @ x) == 1.5

@@ -17,8 +17,6 @@ from tawq.quantizer import (
     compute_scaling,
     compute_scaling_all,
     normalize_stimulus,
-    quantize_multibit,
-    quantize_ternary,
     surrogate_grad,
     tawq_backward,
     tawq_forward,
@@ -42,6 +40,12 @@ def scalar_recurrence(i: float, cfg: QuantConfig):
         cs.append(c)
         ws.append(w)
     return cs, ws
+
+
+def emit(c, c_th=0.25, n_level=1):
+    """The recurrence's weight emitter applied to ``c``: one memoryless step."""
+    cfg = QuantConfig(timesteps=1, temporal=False, c_th=c_th, n_level=n_level)
+    return tawq_forward(np.asarray(c, dtype=np.float64), cfg).w_q[0]
 
 
 class TestNormalization:
@@ -74,36 +78,30 @@ class TestNormalization:
 
 class TestTernary:
     def test_upper_branch(self):
-        assert quantize_ternary(np.array(0.30), 0.25) == 1.0
+        assert emit(0.30) == 1.0
 
     def test_dead_zone(self):
-        assert quantize_ternary(np.array(0.0), 0.25) == 0.0
+        assert emit(0.0) == 0.0
 
     def test_lower_branch(self):
-        assert quantize_ternary(np.array(-0.50), 0.25) == -1.0
+        assert emit(-0.50) == -1.0
 
     def test_boundary_maps_to_zero(self):
         # strict inequality at |c| == threshold
-        assert quantize_ternary(np.array(0.25), 0.25) == 0.0
-        assert quantize_ternary(np.array(-0.25), 0.25) == 0.0
+        assert emit(0.25) == 0.0
+        assert emit(-0.25) == 0.0
 
 
 class TestMultibit:
     def test_clamp_bound(self):
-        assert quantize_multibit(np.array(2.7), 2) == 2.0
+        assert emit(2.7, n_level=2) == 2.0
 
     def test_rounds_to_zero(self):
-        assert quantize_multibit(np.array(-0.4), 4) == 0.0
+        assert emit(-0.4, n_level=4) == 0.0
 
     def test_tie_rounds_away_from_zero(self):
-        assert quantize_multibit(np.array(1.5), 4) == 2.0
-        assert quantize_multibit(np.array(-1.5), 4) == -2.0
-
-    def test_level_one_matches_ternary_at_half_threshold(self):
-        # the boundary set {±0.5} is excluded; elsewhere the two agree
-        grid = np.linspace(-2.0, 2.0, 1601)
-        grid = grid[np.abs(np.abs(grid) - 0.5) > 1e-9]
-        assert np.array_equal(quantize_multibit(grid, 1), quantize_ternary(grid, 0.5))
+        assert emit(1.5, n_level=4) == 2.0
+        assert emit(-1.5, n_level=4) == -2.0
 
 
 class TestRecurrence:
@@ -152,7 +150,7 @@ class TestRecurrence:
     def test_memoryless_mode_repeats_first_decision(self):
         i = np.linspace(-2, 2, 101)
         st = tawq_forward(i, QuantConfig(timesteps=4, temporal=False))
-        first = quantize_ternary(i, 0.25)
+        first = emit(i)
         for t in range(4):
             assert np.array_equal(st.w_q[t], first)
 
@@ -220,18 +218,18 @@ class TestSurrogate:
 
 class TestScaling:
     def test_dense_channel_is_identity(self):
-        assert compute_scaling(np.array([[1, -1, 1, -1]]), 1) == [1.0]
+        assert compute_scaling(np.array([[1, -1, 1, -1]])) == [1.0]
 
     def test_half_sparse_channel_doubles(self):
-        assert compute_scaling(np.array([[1, 0, -1, 0]]), 1) == [2.0]
+        assert compute_scaling(np.array([[1, 0, -1, 0]])) == [2.0]
 
     def test_all_zero_channel_gets_zero(self):
-        assert compute_scaling(np.zeros((1, 4)), 1) == [0.0]
+        assert compute_scaling(np.zeros((1, 4))) == [0.0]
 
     def test_reciprocal_law(self):
         rng = np.random.default_rng(3)
         w = rng.integers(-1, 2, size=(16, 24)).astype(float)
-        alpha = compute_scaling(w, 1)
+        alpha = compute_scaling(w)
         mean_abs = np.abs(w).mean(axis=1)
         nz = mean_abs > 0
         assert np.allclose(alpha[nz] * mean_abs[nz], 1.0)
@@ -267,6 +265,18 @@ class TestInvariants:
         i = rng.uniform(-4, 4, size=(self.N_CASES,))
         st = tawq_forward(i, QuantConfig(timesteps=16))
         assert np.all(np.abs(st.c_s) <= np.abs(i).max() + 1e-12)
+
+    @pytest.mark.parametrize("temporal", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_huge_finite_stimulus_keeps_state_finite_and_bounded(self, n, temporal):
+        # tawq_forward checks only its input for finiteness: the carried
+        # state can never leave [-max|i_norm|, max|i_norm|]
+        rng = np.random.default_rng(25)
+        i = rng.uniform(-4, 4, size=(self.N_CASES,))
+        i[:6] = (1e300, -1e300, 1.7e300, -1.7e300, np.finfo(float).max, 0.5)
+        st = tawq_forward(i, QuantConfig(timesteps=8, n_level=n, temporal=temporal))
+        assert np.all(np.isfinite(st.c_s))
+        assert np.all(np.abs(st.c_s) <= np.abs(i).max())
 
     def test_alpha_reciprocal_over_random_states(self):
         rng = np.random.default_rng(24)
@@ -373,9 +383,9 @@ class TestInPlaceKernelsExact:
         c = np.random.default_rng(42).uniform(-4, 4, size=200)
         c[:4] = (0.25, -0.25, 2.5, -2.5)
         c0 = c.copy()
-        assert np.array_equal(quantize_ternary(c, 0.25),
+        assert np.array_equal(emit(c),
                               np.where(c > 0.25, 1.0, np.where(c < -0.25, -1.0, 0.0)))
         clipped = np.clip(c, -3, 3)
-        assert np.array_equal(quantize_multibit(c, 3),
+        assert np.array_equal(emit(c, n_level=3),
                               np.sign(clipped) * np.floor(np.abs(clipped) + 0.5))
         assert np.array_equal(c, c0)
