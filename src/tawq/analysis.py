@@ -18,8 +18,6 @@ from .errors import DataError, ShapeError
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
 
-MAX_TERNARY_ENTROPY = math.log(3.0)
-
 # layer kinds that carry weights, and so synaptic operations
 WEIGHTED_KINDS = ("linear", "qlinear", "conv", "qconv")
 
@@ -91,6 +89,20 @@ class EnergyReport:
         self.e_total_mj = self.e_total_pj * 1e-9
 
 
+def _weight_count(i: int, t: dict) -> int:
+    """Weights one timestep of layer `i` reads: from its weight stack, else
+    its weight shape, else (linear kinds only) its (out, in) widths."""
+    if "w_q" in t:
+        shape = t["w_q"].shape[1:]
+    elif "weight_shape" in t:
+        shape = t["weight_shape"]
+    elif t["kind"] in ("linear", "qlinear"):
+        shape = (t["output"].shape[2], t["input"].shape[2])
+    else:
+        raise DataError(f"layer {i}: missing weight shape for conv op count")
+    return math.prod(shape)
+
+
 def count_sops(traces: list[dict]) -> list[LayerOps]:
     """Operation counts for every weighted layer in a forward trace.
 
@@ -105,16 +117,7 @@ def count_sops(traces: list[dict]) -> list[LayerOps]:
             continue
         x = t["input"]
         quantized = "w_q" in t
-        if t["kind"] in ("conv", "qconv"):
-            fan_in = (int(np.prod(t["w_q"].shape[2:])) if quantized
-                      else int(np.prod(t["weight_shape"][1:]))
-                      if "weight_shape" in t else None)
-            if fan_in is None:
-                raise DataError(f"layer {i}: missing weight shape for conv op count")
-            c_out, h_out, w_out = t["output"].shape[2:]
-            tops = float(fan_in * c_out * h_out * w_out)
-        else:
-            tops = float(x.shape[2] * t["output"].shape[2])
+        tops = float(_weight_count(i, t) * math.prod(t["output"].shape[3:]))
         timesteps = x.shape[0]
         fr = [float((x[ts] != 0).mean()) for ts in range(timesteps)]
         row = LayerOps(name=f"{i}.{t['kind']}", quantized=quantized,
@@ -157,15 +160,11 @@ def hardware_layers(traces: list[dict]) -> list[HardwareLayer]:
     for i, t in enumerate(traces):
         if t["kind"] not in WEIGHTED_KINDS:
             continue
-        if "w_q" in t:
-            n_rd, bits = int(np.prod(t["w_q"].shape[1:])), 2
-        else:
-            shape = t.get("weight_shape") or (t["output"].shape[2], t["input"].shape[2])
-            n_rd, bits = int(np.prod(shape)), 8
+        bits = 2 if "w_q" in t else 8
         act = 8 if i == 0 else 1
-        spatial = int(np.prod(t["output"].shape[3:]))  # 1 for (T, B, C) outputs
-        rows.append(HardwareLayer(name=f"{i}.{t['kind']}", n_rd=n_rd, spatial=spatial,
-                                  weight_bits=bits, act_bits=act))
+        spatial = math.prod(t["output"].shape[3:])  # 1 for (T, B, C) outputs
+        rows.append(HardwareLayer(name=f"{i}.{t['kind']}", n_rd=_weight_count(i, t),
+                                  spatial=spatial, weight_bits=bits, act_bits=act))
     return rows
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError, StateError
 from .layers import BatchNorm, Network
 from .runconfig import RunConfig, build_network, parse_runconfig
-from .runtime import PackedTernaryTensor, pack_ternary, unpack_ternary
+from .runtime import PackedTernaryTensor, pack_ternary
 
 MAGIC = b"TAWQ"
 VERSION = 1
@@ -127,26 +127,28 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
 
 
+def _tensors(net: Network):
+    """Every tensor of a checkpoint of `net`, in file order and stored form;
+    ternary weight stacks are 2-bit packed and multi-bit ones int64."""
+    for i, layer in enumerate(net.layers):
+        for pname, value in layer.params.items():
+            yield f"{i}.{pname}", value
+        if isinstance(layer, BatchNorm):
+            yield f"{i}.running_mean", layer.running_mean
+            yield f"{i}.running_var", layer.running_var
+        if layer.kind in ("qlinear", "qconv"):
+            layer.materialize()  # a no-op while the held weights are current
+            yield f"{i}.alpha", layer.alpha
+            for t, w in enumerate(layer.state.w_q):
+                yield f"{i}.w_q.{t}", (pack_ternary(w) if layer.quant.n_level == 1
+                                       else w.astype(np.int64))
+
+
 def checkpoint_from_network(net: Network, cfg: RunConfig,
                             metrics: dict | None = None) -> Checkpoint:
     """Snapshot all parameters, BN buffers, and per-timestep packed weights."""
-    tensors: dict = {}
-    for i, layer in enumerate(net.layers):
-        for pname, value in layer.params.items():
-            tensors[f"{i}.{pname}"] = value
-        if isinstance(layer, BatchNorm):
-            tensors[f"{i}.running_mean"] = layer.running_mean
-            tensors[f"{i}.running_var"] = layer.running_var
-        if layer.kind in ("qlinear", "qconv"):
-            layer.materialize()  # a no-op while the held weights are current
-            tensors[f"{i}.alpha"] = layer.alpha
-            for t, w in enumerate(layer.state.w_q):
-                if layer.quant.n_level == 1:
-                    tensors[f"{i}.w_q.{t}"] = pack_ternary(w)
-                else:
-                    tensors[f"{i}.w_q.{t}"] = w.astype(np.int64)
     return Checkpoint(runconfig=cfg.to_dict(), metrics=metrics or {},
-                      tensors=tensors)
+                      tensors=dict(_tensors(net)))
 
 
 def _stored(ckpt: Checkpoint, key: str):
@@ -156,8 +158,8 @@ def _stored(ckpt: Checkpoint, key: str):
 
 
 def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
-    """Rebuild the network: restore parameters and buffers, re-materialize
-    quantized weights, and verify them against the stored packed stacks."""
+    """Rebuild the network: restore parameters and buffers, then check that
+    every tensor, quantized weights included, is stored as the writer would."""
     cfg = parse_runconfig(ckpt.runconfig)
     net = build_network(cfg)
     for i, layer in enumerate(net.layers):
@@ -166,14 +168,8 @@ def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
         if isinstance(layer, BatchNorm):
             layer.running_mean = np.asarray(_stored(ckpt, f"{i}.running_mean"))
             layer.running_var = np.asarray(_stored(ckpt, f"{i}.running_var"))
-        if layer.kind in ("qlinear", "qconv"):
-            layer.materialize()
-            for t, w in enumerate(layer.state.w_q):
-                key = f"{i}.w_q.{t}"
-                stored = _stored(ckpt, key)
-                if isinstance(stored, PackedTernaryTensor):
-                    stored = unpack_ternary(stored)
-                if not np.array_equal(np.asarray(stored, dtype=np.float64), w):
-                    raise DataError(
-                        f"checkpoint tensor {key} disagrees with the stimulus")
+    for key, value in _tensors(net):
+        stored = _stored(ckpt, key)  # restored parameters and buffers are `value`
+        if stored is not value and _tensor_bytes(key, stored) != _tensor_bytes(key, value):
+            raise DataError(f"checkpoint tensor {key} disagrees with the stimulus")
     return net, cfg

@@ -137,9 +137,9 @@ def _fold_summary(plan: list) -> str:
     folded, floats = [], []
     i = 0
     for item in plan:
-        if isinstance(item, FoldedBlock):  # replaced a qlinear, a bn and a lif layer
-            folded.append(f"{i}-{i + 2} (qlinear, bn, lif)")
-            i += 3
+        if isinstance(item, FoldedBlock):
+            folded.append(f"{i}-{i + len(item.replaces) - 1} ({', '.join(item.replaces)})")
+            i += len(item.replaces)
         else:
             floats.append(f"{i} ({item.kind})")
             i += 1

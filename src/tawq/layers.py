@@ -341,6 +341,8 @@ class _QuantizedLayer(Layer):
         return gx
 
     def trace(self):
+        if self.state is None:
+            raise StateError("no trace before a forward pass")
         t = super().trace()
         t.update(alpha=self.alpha, w_q=self.state.w_q)
         return t
@@ -587,7 +589,11 @@ class Network:
         return g
 
     def traces(self) -> list[dict]:
-        return [layer.trace() for layer in self.layers]
+        traces = []
+        for i, layer in enumerate(self.layers):
+            with layer_errors(i, layer.kind):
+                traces.append(layer.trace())
+        return traces
 
     def named_params(self):
         for i, layer in enumerate(self.layers):

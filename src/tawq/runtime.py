@@ -8,7 +8,8 @@ spikes is then one float32 BLAS product with that matrix, exact while the
 fan-in stays below 2^24; a larger fan-in is refused.  The per-channel
 scale and the batch-norm affine are folded into the LIF charging path: a
 folded block accumulates every timestep, then charges through the
-training layer's own `layers.lif_charge`.
+training layer's own `layers.lif_charge`.  `FoldedBlock.replaces` names
+the layers a block stands for, and is the one statement of the fold rule.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .layers import LIF, BatchNorm, LifConfig, Network, QuantLinear, layer_errors, lif_charge
+from .layers import LifConfig, Network, layer_errors, lif_charge
 
 CODE_ZERO, CODE_POS, CODE_NEG, CODE_INVALID = 0b00, 0b01, 0b10, 0b11
 
@@ -137,6 +138,8 @@ def fold_parameters(alpha: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 class FoldedBlock:
     """One quantized-linear + BN + LIF block prepared for inference."""
 
+    replaces = ("qlinear", "bn", "lif")  # kinds of the layers it stands for; not a field
+
     packed: list[PackedTernaryTensor]  # one matrix per timestep
     folded: FoldedNeuronParams
 
@@ -146,33 +149,30 @@ def fold_network(net: Network) -> list:
 
     Quantized layers must have been run forward at least once; weights
     held from before a later stimulus update are re-materialized, so the
-    plan packs the current stimulus's weights.  Blocks of
-    ternary (QuantLinear, BatchNorm, LIF) collapse into `FoldedBlock`; all
-    other layers, multi-bit QuantLinear included, are passed through
-    unchanged and run as float layers.
+    plan packs the current stimulus's weights.  Runs of layers whose kinds
+    are `FoldedBlock.replaces`, with a ternary quantized layer first,
+    collapse into a `FoldedBlock`; all other layers, multi-bit QuantLinear
+    included, are passed through unchanged and run as float layers.
     """
     plan = []
-    layers = net.layers
     i = 0
-    while i < len(layers):
-        layer = layers[i]
-        if (isinstance(layer, QuantLinear) and layer.quant.n_level == 1
-                and i + 2 < len(layers)
-                and isinstance(layers[i + 1], BatchNorm)
-                and isinstance(layers[i + 2], LIF)):
-            if layer.state is None:
+    while i < len(net.layers):
+        block = net.layers[i:i + len(FoldedBlock.replaces)]
+        if (tuple(layer.kind for layer in block) == FoldedBlock.replaces
+                and block[0].quant.n_level == 1):
+            q, bn, lif = block
+            if q.state is None:
                 raise DataError(f"layer {i}: quantized weights not materialized; "
                                 "run a forward pass first")
-            layer.materialize()  # the held weights may predate a stimulus update
-            bn, lif = layers[i + 1], layers[i + 2]
-            folded = fold_parameters(layer.alpha, bn.params["gamma"],
+            q.materialize()  # the held weights may predate a stimulus update
+            folded = fold_parameters(q.alpha, bn.params["gamma"],
                                      bn.params["beta"], bn.running_mean,
                                      bn.running_var, bn.eps, lif.cfg)
-            packed = [pack_ternary(w) for w in layer.state.w_q]
+            packed = [pack_ternary(w) for w in q.state.w_q]
             plan.append(FoldedBlock(packed=packed, folded=folded))
-            i += 3
+            i += len(block)
         else:
-            plan.append(layer)
+            plan.append(net.layers[i])
             i += 1
     return plan
 
@@ -191,7 +191,7 @@ def folded_forward(plan: list, x: np.ndarray,
     for item in plan:
         if isinstance(item, FoldedBlock):
             f = item.folded
-            with layer_errors(i, "qlinear"):
+            with layer_errors(i, item.replaces[0]):
                 if h.shape[0] != len(item.packed):
                     raise ShapeError(f"expected {len(item.packed)} timesteps, "
                                      f"got input with {h.shape[0]}")
@@ -200,7 +200,7 @@ def folded_forward(plan: list, x: np.ndarray,
             trace += f.delta  # the charging current; lif_charge turns it into U
             h = lif_charge(trace, f.lif)
             membranes.append(trace)
-            i += 3  # the block replaced a qlinear, a bn and a lif layer
+            i += len(item.replaces)
         else:
             with layer_errors(i, item.kind):
                 h = item.forward(h, training=False)

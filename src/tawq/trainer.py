@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import weight_entropy
+from .analysis import EntropyReport, weight_entropy
 from .errors import ConfigError, DataError, NumericError
 from .layers import Network
 
@@ -159,9 +159,7 @@ def mean_weight_entropy(net: Network) -> float:
     """Mean entropy of the quantized-weight stacks, 0.0 if none exist."""
     rows = [weight_entropy(layer.state.w_q) for layer in net.layers
             if layer.kind in ("qlinear", "qconv") and layer.state is not None]
-    if not rows:
-        return 0.0
-    return float(np.mean([r.entropy for r in rows]))
+    return EntropyReport(rows).mean_entropy
 
 
 def train(net: Network, train_set: tuple[np.ndarray, np.ndarray],

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import random_simplex, run_document, three_layer_document
-from tawq.analysis import MAX_TERNARY_ENTROPY, HardwareLayer, LayerOps, energy_hardware, energy_total, weight_entropy
+from tawq.analysis import HardwareLayer, LayerOps, energy_hardware, energy_total, weight_entropy
 from tawq.layers import LIF
 from tawq.quantizer import (
     QuantConfig,
@@ -151,7 +151,7 @@ def test_criterion_4_entropy(three_layer_runs):
                     for r in three_layer_runs)
     median_delta = statistics.median(deltas)
     # the init distribution deviates from uniform thirds (below maximum)
-    init_below_max = all(r["init_entropy"] < MAX_TERNARY_ENTROPY - 1e-3
+    init_below_max = all(r["init_entropy"] < math.log(3) - 1e-3
                          for r in three_layer_runs)
     _verdict(4, f"entropy constants ok, trained-minus-init median "
                 f"{median_delta:+.4f} over 5 seeds",
@@ -270,12 +270,12 @@ def test_criterion_9_invariant_suite():
     for _ in range(1000):
         row = weight_entropy(rng.integers(-1, 2, size=60))
         simplex_ok &= abs(row.p_p + row.p_z + row.p_n - 1.0) <= 1e-12
-        simplex_ok &= row.entropy <= MAX_TERNARY_ENTROPY + 1e-9
+        simplex_ok &= row.entropy <= math.log(3) + 1e-9
     # entropy maximum uniqueness on the simplex
     pts = random_simplex(rng, 1200)
     pts = pts[np.max(np.abs(pts - 1 / 3), axis=1) > 1e-3][:1000]
     unique_ok = all(-sum(q * math.log(q) for q in p if q > 0)
-                    < MAX_TERNARY_ENTROPY for p in pts)
+                    < math.log(3) for p in pts)
     _verdict(9, "sign / boundedness / spike purity / alpha reciprocal / "
                 "simplex closure invariants",
              sign_ok and bound_ok and binary_ok and alpha_ok

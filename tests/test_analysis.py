@@ -9,7 +9,6 @@ from conftest import conv_document, random_simplex
 from tawq.analysis import (
     E_AC_PJ,
     E_MAC_PJ,
-    MAX_TERNARY_ENTROPY,
     HardwareLayer,
     LayerOps,
     count_sops,
@@ -32,7 +31,7 @@ class TestEntropy:
         w = np.array([1, 0, -1] * 100)
         row = weight_entropy(w)
         assert abs(row.entropy - 1.0986) <= 1e-4
-        assert abs(row.entropy - MAX_TERNARY_ENTROPY) <= 1e-12
+        assert abs(row.entropy - math.log(3)) <= 1e-12
 
     def test_degenerate_distribution(self):
         assert weight_entropy(np.ones(50)).entropy == 0.0
@@ -47,7 +46,7 @@ class TestEntropy:
             w = rng.integers(-1, 2, size=300)
             row = weight_entropy(w)
             assert abs(row.p_p + row.p_z + row.p_n - 1.0) <= 1e-12
-            assert 0.0 <= row.entropy <= MAX_TERNARY_ENTROPY + 1e-9
+            assert 0.0 <= row.entropy <= math.log(3) + 1e-9
 
     def test_maximum_is_unique(self):
         rng = np.random.default_rng(52)
@@ -55,7 +54,7 @@ class TestEntropy:
         pts = pts[np.max(np.abs(pts - 1.0 / 3.0), axis=1) > 1e-3]
         assert len(pts) >= 1000
         for p in pts:
-            assert entropy_of(p) < MAX_TERNARY_ENTROPY
+            assert entropy_of(p) < math.log(3)
 
     def test_empty_tensor_rejected(self):
         with pytest.raises(ShapeError):
@@ -194,6 +193,24 @@ class TestHardwareLayers:
             HardwareLayer("0.qlinear", n_rd=4 * 3, spatial=1, weight_bits=2, act_bits=8),
             HardwareLayer("3.linear", n_rd=2 * 4, spatial=1, weight_bits=8, act_bits=1),
         ]
+
+
+class TestWeightCount:
+    """count_sops and hardware_layers read a layer's weight count from one
+    rule: the weight stack, else the weight shape, else (linear only) the
+    (out, in) widths."""
+
+    def test_conv_without_weight_shape_refused_by_both(self):
+        t = {"kind": "conv", "input": np.ones((1, 2, 3, 6, 6)),
+             "output": np.zeros((1, 2, 4, 6, 6))}
+        for analyse in (count_sops, hardware_layers):
+            with pytest.raises(DataError, match="layer 0: missing weight shape"):
+                analyse([t])
+
+    def test_linear_without_weight_shape_counts_out_times_in(self):
+        t = _linear_trace("linear", np.ones((1, 2, 100)), np.zeros((1, 2, 10)))
+        assert count_sops([t])[0].tops_per_t == 100 * 10
+        assert hardware_layers([t])[0].n_rd == 100 * 10
 
 
 class TestFiringRates:

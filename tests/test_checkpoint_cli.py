@@ -30,7 +30,7 @@ from tawq import errors
 from tawq.data import load_raster_grid
 from tawq.errors import DataError, StateError
 from tawq.runconfig import build_network, default_xor_document, parse_runconfig
-from tawq.runtime import pack_ternary, unpack_ternary
+from tawq.runtime import PackedTernaryTensor, pack_ternary, unpack_ternary
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,31 @@ class TestCheckpointRoundTrip:
         assert main(["report", path]) == 3
         assert "disagrees with the stimulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,mutate", [
+        ("3.alpha", lambda v: 2.0 * v),
+        ("3.w_q.0", unpack_ternary),  # the ternary stack stored as int64
+        ("3.w_q.0", lambda p: _with_code(p, 9, 0b01)),  # a set padding lane
+        ("3.w_q.0", lambda p: _with_code(p, 0, 0b11)),  # the invalid code
+    ], ids=["alpha-doubled", "unpacked", "padding-bits", "invalid-code"])
+    def test_tensor_unlike_the_writers_refused(self, tmp_path, capsys, key, mutate):
+        # a 3x3 quantized layer: 9 codes leave 3 padding lanes in the last byte
+        from conftest import three_layer_document
+        doc = three_layer_document()
+        doc["network"] = [{"kind": "linear", "in": 2, "out": 3}, {"kind": "bn", "channels": 3},
+                          {"kind": "lif"}, {"kind": "qlinear", "in": 3, "out": 3},
+                          {"kind": "bn", "channels": 3}, {"kind": "lif"},
+                          {"kind": "linear", "in": 3, "out": 2}]
+        cfg = parse_runconfig(doc)
+        ckpt = checkpoint_from_network(build_network(cfg), cfg)
+        ckpt.tensors[key] = mutate(ckpt.tensors[key])
+        message = f"checkpoint tensor {key} disagrees with the stimulus"
+        with pytest.raises(DataError, match=re.escape(message)):
+            network_from_checkpoint(ckpt)
+        path = str(tmp_path / "tampered.ckpt")
+        save_checkpoint(path, ckpt)
+        assert main(["report", path]) == 3
+        assert message in capsys.readouterr().err
+
     def test_snapshot_follows_stimulus_update(self):
         # a stimulus replaced after the last forward pass, as an optimizer
         # step does, must not leave the older weights in the checkpoint
@@ -135,6 +160,13 @@ class TestCheckpointRoundTrip:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(DataError):
             load_checkpoint(str(path))
+
+
+def _with_code(packed: PackedTernaryTensor, lane: int, code: int) -> PackedTernaryTensor:
+    """`packed` with `code` ORed into 2-bit lane `lane` of its payload."""
+    codes = bytearray(packed.codes)
+    codes[lane // 4] |= code << 2 * (lane % 4)
+    return PackedTernaryTensor(codes=bytes(codes), shape=packed.shape)
 
 
 def _with_crc(body: bytes) -> bytes:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tawq.errors import ConfigError, NumericError, ShapeError
+from tawq.errors import ConfigError, NumericError, ShapeError, StateError
 from tawq.layers import (
     LIF,
     AvgPool2d,
@@ -307,6 +307,11 @@ class TestNetwork:
         net = Network([layer])
         logits = net.forward(np.ones((2, 4, 3)))
         assert not logits.any()
+
+    def test_traces_before_forward_name_the_layer(self):
+        net = Network([QuantLinear(3, 2, QuantConfig())])
+        with pytest.raises(StateError, match=r"layer 0 \(qlinear\): no trace before"):
+            net.traces()
 
     def test_time_constant_input_mean_over_t(self):
         lin = Linear(2, 2, bias=False)
