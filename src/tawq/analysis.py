@@ -80,13 +80,11 @@ class EnergyReport:
     e_mac_pj: float = field(init=False)
     e_ac_pj: float = field(init=False)
     e_total_pj: float = field(init=False)
-    e_total_mj: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.e_mac_pj = E_MAC_PJ * sum(l.flops_float for l in self.layers)
         self.e_ac_pj = E_AC_PJ * sum(l.sops for l in self.layers)
         self.e_total_pj = self.e_mac_pj + self.e_ac_pj
-        self.e_total_mj = self.e_total_pj * 1e-9
 
 
 def _weight_count(i: int, t: dict) -> int:
@@ -170,39 +168,34 @@ def hardware_layers(traces: list[dict]) -> list[HardwareLayer]:
 
 @dataclass
 class HardwareEnergyReport:
-    layers: list[dict]
-    weight_read: float = field(init=False)
-    activation_read: float = field(init=False)
-    write: float = field(init=False)
-    total: float = field(init=False)
+    """Totals over all layers, in units of E_rd, one 8-bit read."""
 
-    def __post_init__(self) -> None:
-        self.weight_read = sum(l["weight_read"] for l in self.layers)
-        self.activation_read = sum(l["activation_read"] for l in self.layers)
-        self.write = sum(l["write"] for l in self.layers)
-        self.total = self.weight_read + self.activation_read + self.write
+    weight_read: float
+    activation_read: float
+    write: float
+
+    @property
+    def total(self) -> float:
+        return self.weight_read + self.activation_read + self.write
 
 
-def energy_hardware(layers: list[HardwareLayer], timesteps: int,
-                    e_rd: float = 1.0) -> HardwareEnergyReport:
+def energy_hardware(layers: list[HardwareLayer], timesteps: int) -> HardwareEnergyReport:
     """Read/write energy with 2-bit weight packing and 8-spikes-per-word
-    activation packing.
+    activation packing, in E_rd units.
 
-    Per weight, one read costs e_rd/4 at 2-bit and e_rd at 8-bit; per
-    activation, e_rd/8 for packed spikes and e_rd for 8-bit values.
+    Per weight, one read costs 1/4 at 2-bit and 1 at 8-bit; per
+    activation, 1/8 for packed spikes and 1 for 8-bit values.
     Weight reads repeat every timestep; activation traffic additionally
     scales with the output feature positions.  Writes mirror reads.
     """
-    rows = []
+    weight_read = activation_read = write = 0
     for l in layers:
-        w_cost = e_rd / 4.0 if l.weight_bits == 2 else e_rd
-        a_cost = e_rd / 8.0 if l.act_bits == 1 else e_rd
-        weight_read = l.n_rd * w_cost * timesteps
-        act_read = l.n_rd * a_cost * timesteps * l.spatial
-        rows.append({"name": l.name, "weight_read": weight_read,
-                     "activation_read": act_read,
-                     "write": weight_read + act_read})
-    return HardwareEnergyReport(rows)
+        w = l.n_rd * (0.25 if l.weight_bits == 2 else 1.0) * timesteps
+        a = l.n_rd * (0.125 if l.act_bits == 1 else 1.0) * timesteps * l.spatial
+        weight_read += w
+        activation_read += a
+        write += w + a
+    return HardwareEnergyReport(weight_read, activation_read, write)
 
 
 @dataclass

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -46,11 +47,10 @@ def cmd_train(args) -> int:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
     ds = build_dataset(cfg.dataset)
     net = build_network(cfg)
-    log_lines: list[str] = []
-    metrics = train(net, (ds.train_x, ds.train_y), (ds.test_x, ds.test_y),
-                    cfg.train, log_lines=log_lines)
+    metrics = train(net, (ds.train_x, ds.train_y), (ds.test_x, ds.test_y), cfg.train)
     with open(cfg.metrics_path, "w") as fh:
-        fh.write("\n".join(log_lines) + "\n")
+        for record in metrics["history"]:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     summary = {"final_test_loss": metrics["final_test_loss"],
                "final_test_accuracy": metrics["final_test_accuracy"],
                "final_entropy_mean": metrics["final_entropy_mean"],
@@ -124,7 +124,7 @@ def _load_inputs(path: str) -> np.ndarray:
             raise DataError(f"{path}: not an .npz archive")
         with npz:
             x = np.asarray(npz["inputs"], dtype=np.float64)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: cannot read 'inputs' array: {exc}") from exc
     if x.ndim < 3:
         raise DataError(f"{path}: 'inputs' must be (T, B, features...), got shape {x.shape}")

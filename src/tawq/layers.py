@@ -390,11 +390,11 @@ class BatchNorm(Layer):
 
     kind = "bn"
     momentum = 0.1
+    eps = 1e-5
 
-    def __init__(self, channels: int, eps: float = 1e-5) -> None:
+    def __init__(self, channels: int) -> None:
         super().__init__()
         self.channels = channels
-        self.eps = eps
         self.params["gamma"] = np.ones(channels)
         self.params["beta"] = np.zeros(channels)
         self.running_mean = np.zeros(channels)

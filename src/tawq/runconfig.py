@@ -106,6 +106,8 @@ def parse_runconfig(doc: dict) -> RunConfig:
     # field renames between the document and the dataclasses
     quant_doc = dict(doc.get("quant", {}))
     if "lambda" in quant_doc:
+        if "lam" in quant_doc:
+            raise ConfigError("quant: give 'lambda' or 'lam', not both")
         quant_doc["lam"] = quant_doc.pop("lambda")
     quant = _build_dataclass(QuantConfig, quant_doc, "quant")
     train = _build_dataclass(TrainConfig, dict(doc.get("train", {})), "train")
@@ -117,10 +119,9 @@ def parse_runconfig(doc: dict) -> RunConfig:
         raise ConfigError(
             f"dataset.timesteps ({dataset.timesteps}) must equal "
             f"quant.timesteps ({quant.timesteps})")
+    paths = {f"{key}_path": path for key, path in out.items()}  # absent: the field default
     return RunConfig(network=doc["network"], quant=quant, train=train, lif=lif,
-                     dataset=dataset,
-                     checkpoint_path=out.get("checkpoint", "tawq.ckpt"),
-                     metrics_path=out.get("metrics", "metrics.jsonl"))
+                     dataset=dataset, **paths)
 
 
 def default_xor_document(hidden: int = 24, quantized: bool = True,

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .layers import LifConfig, Network, layer_errors, lif_charge
 
-CODE_ZERO, CODE_POS, CODE_NEG, CODE_INVALID = 0b00, 0b01, 0b10, 0b11
+CODE_INVALID = 0b11
 
 # Every partial sum of a float32 accumulate is an integer of magnitude at
 # most the fan-in, so it is exact below this fan-in.
@@ -71,14 +71,18 @@ def pack_ternary(w_q: np.ndarray) -> PackedTernaryTensor:
 
 
 def unpack_ternary(packed: PackedTernaryTensor) -> np.ndarray:
+    """Decode a payload; as the checkpoint reader does, refuse a byte count
+    the shape does not need, a 0b11 code, and a set padding bit."""
     raw = np.frombuffer(packed.codes, dtype=np.uint8)
-    values = np.take(_BYTE_VALUES, raw, axis=0).ravel()[:packed.size]
-    if values.size != packed.size:
-        raise DataError(f"packed payload holds {values.size} codes, "
+    if raw.size != (packed.size + 3) // 4:
+        raise DataError(f"packed payload holds {4 * raw.size} codes, "
                         f"shape {packed.shape} needs {packed.size}")
+    values = np.take(_BYTE_VALUES, raw, axis=0).ravel()
     if np.any(values == _INVALID_VALUE):
         raise DataError("invalid 0b11 code in packed ternary payload")
-    return values.astype(np.int64).reshape(packed.shape)
+    if np.any(values[packed.size:]):
+        raise DataError("set padding bits in packed ternary payload")
+    return values[:packed.size].astype(np.int64).reshape(packed.shape)
 
 
 def ac_only_matmul(packed: PackedTernaryTensor, spikes: np.ndarray) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Training loop: softmax cross-entropy on mean-over-time logits, global
-gradient-norm clipping, SGD / AdamW, and deterministic metrics logging."""
+gradient-norm clipping, SGD / AdamW, and deterministic per-epoch records."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +13,7 @@ from .layers import Network
 
 OPTIMIZERS = ("sgd", "adamw")
 SCHEDULES = ("constant", "cosine")
+EVAL_BATCH = 256  # samples per inference-mode forward in `evaluate`
 
 
 @dataclass
@@ -102,9 +102,8 @@ class Optimizer:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, grads: GradientBundle, lr: float | None = None) -> None:
+    def step(self, grads: GradientBundle, lr: float) -> None:
         cfg = self.cfg
-        lr = cfg.lr if lr is None else lr
         self.step_count += 1
         for name, layer, pname, param in self.net.named_params():
             g = grads.tensors[name]
@@ -124,10 +123,10 @@ class Optimizer:
 
 
 def clip_and_step(grads: GradientBundle, cfg: TrainConfig, opt: Optimizer,
-                  lr: float | None = None) -> GradientBundle:
-    """Clip the bundle to `cfg.clip_norm` and apply one update of the run's `opt`."""
+                  lr: float) -> GradientBundle:
+    """Clip the bundle to `cfg.clip_norm`; apply one step at `lr` of the run's `opt`."""
     clipped = grads.clipped(cfg.clip_norm)
-    opt.step(clipped, lr=lr)
+    opt.step(clipped, lr)
     return clipped
 
 
@@ -141,13 +140,12 @@ def _fmt(x: float) -> float:
     return float(round(x, 10))
 
 
-def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray,
-             batch_size: int = 256) -> tuple[float, float]:
+def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset; inference-mode forward."""
     losses, correct, n = [], 0, inputs.shape[1]
-    for start in range(0, n, batch_size):
-        xb = inputs[:, start:start + batch_size]
-        yb = labels[start:start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        xb = inputs[:, start:start + EVAL_BATCH]
+        yb = labels[start:start + EVAL_BATCH]
         logits = net.forward(xb, training=False)
         loss, _ = softmax_cross_entropy(logits, yb)
         losses.append(loss * len(yb))
@@ -163,13 +161,13 @@ def mean_weight_entropy(net: Network) -> float:
 
 
 def train(net: Network, train_set: tuple[np.ndarray, np.ndarray],
-          test_set: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
-          log_lines: list[str] | None = None) -> dict:
-    """Train in place; returns a metrics summary.
+          test_set: tuple[np.ndarray, np.ndarray], cfg: TrainConfig) -> dict:
+    """Train in place; returns a metrics summary whose "history" holds one
+    record per epoch and split.
 
     Deterministic for a fixed seed: batch order comes from a dedicated
-    generator and every logged float is rounded before serialization, so
-    identical runs produce identical log bytes.
+    generator and every recorded float is rounded, so identical runs
+    produce identical records.
     """
     x_train, y_train = train_set
     x_test, y_test = test_set
@@ -191,7 +189,7 @@ def train(net: Network, train_set: tuple[np.ndarray, np.ndarray],
                 raise NumericError(f"divergence: non-finite loss at epoch {epoch}")
             net.backward(gl)
             grads = collect_gradients(net)
-            clipped = clip_and_step(grads, cfg, opt, lr=lr)
+            clipped = clip_and_step(grads, cfg, opt, lr)
             epoch_loss += loss * len(idx)
             correct += int((logits.argmax(axis=1) == yb).sum())
             grad_norms.append(clipped.global_norm)
@@ -202,9 +200,6 @@ def train(net: Network, train_set: tuple[np.ndarray, np.ndarray],
             record = {"epoch": epoch, "split": split, "loss": _fmt(loss_v),
                       "accuracy": _fmt(acc_v), "entropy_mean": _fmt(entropy),
                       "grad_norm": _fmt(float(np.mean(grad_norms)))}
-            line = json.dumps(record, sort_keys=True)
-            if log_lines is not None:
-                log_lines.append(line)
             history.append(record)
     final = [h for h in history if h["split"] == "test"][-1]
     return {"final_test_loss": final["loss"], "final_test_accuracy": final["accuracy"],

@@ -117,7 +117,6 @@ class TestEnergyTotals:
         report = energy_total(layers)
         assert report.e_total_pj == E_MAC_PJ * 1000.0 + E_AC_PJ * 10000.0
         assert abs(report.e_total_pj - 13600.0) < 1e-9
-        assert abs(report.e_total_mj - 13600.0e-9) < 1e-18
 
     def test_all_silent_is_zero(self):
         assert energy_total([LayerOps("a", True, 0, [], [])]).e_total_pj == 0.0

@@ -342,14 +342,41 @@ class TestCliTrainRefusals:
         (_edit_layer(3, "out", 1), 3, "narrower than the class count"),
         (_edit("dataset", "timesteps", 6), 2,
          "dataset.timesteps (6) must equal quant.timesteps (4)"),
+        (_edit("train", "lr", 0.0), 2, "lr must be positive"),
+        (_edit("train", "clip_norm", -1.0), 2, "clip_norm must be positive"),
+        (_edit("train", "optimizer", "lion"), 2, "optimizer must be one of"),
+        (_edit("train", "lr_schedule", "step"), 2, "lr_schedule must be one of"),
+        (_edit("dataset", "encoder", "delta"), 2, "unknown encoder 'delta'"),
+        (_edit("dataset", "timesteps", 1), 2, "temporal-xor needs at least 2 timesteps"),
+        (lambda doc: doc["quant"].update({"lambda": 0.3, "lam": 0.4}), 2,
+         "give 'lambda' or 'lam', not both"),
+        pytest.param(
+            lambda doc: doc["train"].update(optimizer="sgd", lr=1e308, clip_norm=1e308,
+                                            epochs=2),
+            4, "numeric error: non-finite gradient",
+            marks=pytest.mark.filterwarnings("ignore:overflow|invalid:RuntimeWarning")),
     ], ids=["bn-channels", "zero-in", "missing-in", "zero-epochs", "zero-batch",
             "one-sample", "pool-after-linear", "conv-after-linear", "narrow-head",
-            "timesteps-mismatch"])
+            "timesteps-mismatch", "zero-lr", "negative-clip", "unknown-optimizer",
+            "unknown-schedule", "unknown-encoder", "xor-one-timestep", "both-lambdas",
+            "diverging-sgd"])
     def test_exit_code_and_message(self, tmp_path, tiny_doc, capsys, edit, code, message):
         doc = copy.deepcopy(tiny_doc)
         edit(doc)
         path, _ = _write_config(tmp_path, doc)
         assert main(["train", path]) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("- linear\n- lif\n", "run configuration must be a mapping"),
+        ("network: [{in: 2}]\n", "network[0]: each layer needs a 'kind'"),
+        ("network: [{kind: dense}]\n", "network[0].kind: unknown layer kind 'dense'"),
+        ("network: [\n", "cfg.yaml: while parsing a flow node"),
+    ], ids=["not-a-mapping", "no-kind", "unknown-kind", "yaml-syntax"])
+    def test_malformed_document_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert main(["train", str(path)]) == 2
         assert message in capsys.readouterr().err
 
 
@@ -489,7 +516,9 @@ def test_every_error_maps_to_an_exit_code():
 
 
 class TestCliFileErrors:
-    """A missing or unreadable file exits 2, naming the file, not with a traceback."""
+    """A missing or unreadable file exits 2, naming the file, and an input
+    archive that opens but does not hold an 'inputs' array exits 3; neither
+    ends in a traceback."""
 
     def test_missing_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.yaml")
@@ -526,6 +555,19 @@ class TestCliFileErrors:
         assert main(["train", path]) == 2
         assert metrics in capsys.readouterr().err
         assert not os.path.exists(out["checkpoint"])
+
+    @pytest.mark.parametrize("write,message", [
+        (lambda path: path.write_bytes(b"PK\x03\x04 and no zip after it"),
+         "cannot read 'inputs' array: File is not a zip file"),
+        (lambda path: np.savez(path, x=np.zeros((4, 5, 2))),
+         "cannot read 'inputs' array"),
+    ], ids=["zip-magic-only", "no-inputs-key"])
+    def test_unreadable_archive_exits_3(self, cli_artifacts, tmp_path, capsys,
+                                        write, message):
+        path = tmp_path / "inputs.npz"
+        write(path)
+        assert main(["infer", cli_artifacts["ckpt"], str(path)]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestCliRunFlagsAndDatasets:

@@ -91,6 +91,11 @@ class TestEncoders:
     def test_latency_encode_zero_never_fires(self):
         assert not latency_encode(np.zeros(5), 4).any()
 
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_latency_encode_range_check(self, value):
+        with pytest.raises(DataError, match="must lie in"):
+            latency_encode(np.array([0.5, value]), 4)
+
 
 class TestRasterGrid:
     def test_round_trip(self, tmp_path):
@@ -102,6 +107,17 @@ class TestRasterGrid:
         p2, l2 = load_raster_grid(path)
         assert np.array_equal(p2, pixels)
         assert np.array_equal(l2, labels)
+
+    @pytest.mark.parametrize("pixel_shape,n_labels,message", [
+        ((4, 9), 4, "pixels must be \\(N, H, W\\)"),
+        ((4, 3, 3), 3, "label count does not match"),
+    ], ids=["flat-pixels", "label-count"])
+    def test_malformed_grid_not_written(self, tmp_path, pixel_shape, n_labels, message):
+        path = tmp_path / "grid.bin"
+        with pytest.raises(DataError, match=message):
+            save_raster_grid(str(path), np.zeros(pixel_shape, dtype=np.uint8),
+                             np.zeros(n_labels, dtype=np.uint8))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

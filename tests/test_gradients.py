@@ -29,6 +29,7 @@ from tawq.trainer import (
     clip_and_step,
     collect_gradients,
     softmax_cross_entropy,
+    train,
 )
 
 
@@ -209,7 +210,7 @@ class TestOptimizer:
         w0 = net.layers[0].params["weight"].copy()
         g = np.full((2, 2), 0.5)
         cfg = TrainConfig(lr=0.1, optimizer="sgd", clip_norm=1e9)
-        Optimizer(net, cfg).step(GradientBundle({"0.weight": g}))
+        Optimizer(net, cfg).step(GradientBundle({"0.weight": g}), cfg.lr)
         assert np.array_equal(net.layers[0].params["weight"], w0 - 0.1 * g)
 
     def test_sgd_rejects_weight_decay(self):
@@ -234,7 +235,7 @@ class TestOptimizer:
         g = 0.7
         cfg = TrainConfig(lr=0.01, optimizer="adamw", weight_decay=0.1,
                           clip_norm=1e9)
-        Optimizer(net, cfg).step(GradientBundle({"0.weight": np.array([[g]])}))
+        Optimizer(net, cfg).step(GradientBundle({"0.weight": np.array([[g]])}), cfg.lr)
         # bias-corrected first moments reduce to g and g^2 exactly
         want = w0 - cfg.lr * cfg.weight_decay * w0 - cfg.lr * g / (abs(g) + cfg.adam_eps)
         assert abs(float(net.layers[0].params["weight"][0, 0]) - want) < 1e-14
@@ -244,7 +245,7 @@ class TestOptimizer:
         g = GradientBundle({"0.weight": np.array([[10.0]])})
         cfg = TrainConfig(clip_norm=1.0)
         opt = Optimizer(net, cfg)
-        out = clip_and_step(g, cfg, opt)
+        out = clip_and_step(g, cfg, opt, cfg.lr)
         assert abs(out.global_norm - 1.0) < 1e-12
         assert opt.step_count == 1  # the caller's optimizer, not a fresh one
 
@@ -253,6 +254,17 @@ class TestOptimizer:
         net.layers[0].grads = {"weight": np.array([[np.inf]])}
         with pytest.raises(NumericError):
             collect_gradients(net)
+
+    def test_missing_gradient_rejected(self):
+        net = Network([Linear(1, 1, bias=False)])  # no backward, so no gradient
+        with pytest.raises(NumericError, match="missing gradient for parameter 0.weight"):
+            collect_gradients(net)
+
+    def test_nonfinite_loss_stops_training(self):
+        net = Network([Linear(2, 2, rng=np.random.default_rng(0))])
+        x, y = np.full((1, 4, 2), np.nan), np.zeros(4, dtype=np.int64)
+        with pytest.raises(NumericError, match="non-finite loss at epoch 0"):
+            train(net, (x, y), (x, y), TrainConfig(epochs=1, batch_size=4))
 
 
 class TestManualChainRule:

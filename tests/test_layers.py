@@ -173,6 +173,15 @@ class TestQuantizedLayers:
         with pytest.raises(ShapeError, match=r"layer 0 \(conv\): kernel 5"):
             Network([Conv2d(1, 2, 5)]).forward(np.zeros((4, 1, 1, 3, 3)))
 
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match=r"layer 0 \(conv\): input channels 3 != "
+                                             "weight channels 2"):
+            Network([Conv2d(2, 4, 3)]).forward(np.zeros((1, 1, 3, 5, 5)))
+
+    def test_backward_before_forward_rejected(self):
+        with pytest.raises(StateError, match="backward called before forward"):
+            QuantLinear(2, 2, QuantConfig()).backward(np.zeros((4, 1, 2)))
+
     def test_qconv_patch_memory_is_per_timestep(self):
         # each pass may hold one timestep's patches, not all T of them
         T, B, C, H, W, k = 4, 64, 16, 14, 14, 3

@@ -88,6 +88,10 @@ class TestAcOnlyMatmul:
         with pytest.raises(ShapeError):
             ac_only_matmul(packed, np.ones((1, 3)))
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ShapeError, match="expected a packed matrix"):
+            ac_only_matmul(pack_ternary(np.zeros((2, 2, 2))), np.zeros((1, 2)))
+
     def test_fan_in_beyond_float32_exactness_rejected(self):
         # refused from the shape alone, before the (empty) payload is decoded
         with pytest.raises(ShapeError, match="2\\^24"):
@@ -115,6 +119,13 @@ class TestFoldParameters:
         with pytest.raises(ConfigError):
             fold_parameters(np.ones((1, 1)), np.ones(1), np.zeros(1),
                             np.zeros(1), np.array([-1.0]), 1e-6, LifConfig())
+
+    @pytest.mark.parametrize("alpha,beta", [(np.inf, 0.0), (1.0, np.nan)],
+                             ids=["infinite-alpha", "nan-beta"])
+    def test_nonfinite_parameters_rejected(self, alpha, beta):
+        with pytest.raises(ConfigError, match="non-finite folded parameters"):
+            fold_parameters(np.full((1, 1), alpha), np.ones(1), np.full(1, beta),
+                            np.zeros(1), np.ones(1), 1e-5, LifConfig())
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +281,16 @@ class TestDecodeOnceKernel:
     def test_short_payload_rejected(self):
         with pytest.raises(DataError, match="needs 8"):
             unpack_ternary(PackedTernaryTensor(codes=bytes(1), shape=(2, 4)))
+
+    @pytest.mark.parametrize("codes,shape,message", [
+        (bytes(3), (2, 4), "holds 12 codes, shape \\(2, 4\\) needs 8"),
+        (bytes([0b11 << 6]), (3,), "0b11"),
+        (bytes([0b01 << 6]), (3,), "padding"),
+    ], ids=["long-payload", "invalid-padding-lane", "set-padding-lane"])
+    def test_payload_the_reader_refuses_is_refused(self, codes, shape, message):
+        # the checkpoint reader refuses each of these, so decoding does too
+        with pytest.raises(DataError, match=message):
+            unpack_ternary(PackedTernaryTensor(codes=codes, shape=shape))
 
     def test_wrong_timestep_count_names_layer(self, trained):
         net, ds = trained
