@@ -42,6 +42,8 @@ class DatasetSpec:
         for name in ("n_samples", "n_classes", "n_features"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.timesteps < 2 and self.kind == "synthetic-temporal-xor":
             raise ConfigError("temporal-xor needs at least 2 timesteps")
 

@@ -139,7 +139,10 @@ def _check_images(x: np.ndarray) -> None:
 # One contraction per layer family, shared by its float and quantized
 # member.  A weight is either shared over time, (O, I) or (O, C, k, k), or
 # per timestep with a leading T axis; a shared weight's gradient is summed
-# over time.  Activations stay C-contiguous (T, B, ...).
+# over time.  Activations stay C-contiguous (T, B, ...).  `_contract_grads`
+# multiplies the upstream gradient by `scale` (a quantized layer's alpha,
+# or None) and returns the weight gradient and, if `input_grad`, the input
+# gradient, else None.
 
 class _LinearContraction:
     def _contract(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -148,10 +151,17 @@ class _LinearContraction:
             raise ShapeError(f"input width {x.shape[-1]} != weight width {w.shape[-1]}")
         return x @ np.swapaxes(w, -1, -2)
 
-    def _contract_grads(self, gout: np.ndarray, x: np.ndarray,
-                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gw = np.swapaxes(gout, -1, -2) @ x
-        return (gw.sum(axis=0) if w.ndim == 2 else gw), gout @ w
+    def _contract_grads(self, gout: np.ndarray, x: np.ndarray, w: np.ndarray,
+                        scale: np.ndarray | None, input_grad: bool):
+        if scale is not None:
+            gout = gout * scale
+        if w.ndim == 3:
+            gw = np.swapaxes(gout, -1, -2) @ x
+        else:  # the T products added in time order, as (T, O, I).sum(axis=0) does
+            gw, prod = gout[0].T @ x[0], np.empty(w.shape)
+            for t in range(1, x.shape[0]):
+                gw += np.matmul(gout[t].T, x[t], out=prod)
+        return gw, (gout @ w if input_grad else None)
 
 
 def _windows(a: np.ndarray, k: int, stride: int, out_hw: tuple[int, int]):
@@ -201,17 +211,26 @@ class _ConvContraction:
             y[t] = prod.transpose(1, 0, 2, 3)
         return y
 
-    def _contract_grads(self, gout: np.ndarray, x: np.ndarray,
-                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _contract_grads(self, gout: np.ndarray, x: np.ndarray, w: np.ndarray,
+                        scale: np.ndarray | None, input_grad: bool):
         T, B, O, *out_hw = gout.shape
         C, H, W = x.shape[2:]
         k, p = w.shape[-1], self.padding
         w2 = np.broadcast_to(w.reshape(-1, O, C * k * k), (T, O, C * k * k))  # per timestep
-        gw, gx, g = np.empty((T, O, C * k * k)), np.empty(x.shape), np.empty((O, B, *out_hw))
-        gpad, gcols = np.empty((C, B, H + 2 * p, W + 2 * p)), np.empty((C, k * k, B, *out_hw))
+        gw, g = np.empty((T, O, C * k * k)), np.empty((O, B, *out_hw))
+        g_bo = g.transpose(1, 0, 2, 3)  # g in gout[t]'s (B, O, H', W') order
+        gx = None
+        if input_grad:
+            gx, gpad = np.empty(x.shape), np.empty((C, B, H + 2 * p, W + 2 * p))
+            gcols = np.empty((C, k * k, B, *out_hw))
         for t, cols in enumerate(self._step_patches(x, k, out_hw)):
-            g[...] = gout[t].transpose(1, 0, 2, 3)
+            if scale is None:
+                g_bo[...] = gout[t]
+            else:  # scaled in the transposing copy, not in a copy of all of gout
+                np.multiply(gout[t], scale[t], out=g_bo)
             np.matmul(g.reshape(O, -1), cols.T, out=gw[t])
+            if not input_grad:
+                continue
             np.matmul(w2[t].T, g.reshape(O, -1), out=gcols.reshape(C * k * k, -1))
             gpad.fill(0.0)
             for idx, win in enumerate(_windows(gpad, k, self.stride, out_hw)):
@@ -241,9 +260,9 @@ class Linear(_LinearContraction, Layer):
         self.cache = {"x": x, "y": y}
         return y
 
-    def backward(self, gout):
-        self.grads["weight"], gx = self._contract_grads(gout, self.cache["x"],
-                                                        self.params["weight"])
+    def backward(self, gout, input_grad=True):
+        self.grads["weight"], gx = self._contract_grads(
+            gout, self.cache["x"], self.params["weight"], None, input_grad)
         if "bias" in self.params:
             self.grads["bias"] = gout.sum(axis=(0, 1))
         return gx
@@ -267,9 +286,9 @@ class Conv2d(_ConvContraction, Layer):
         self.cache = {"x": x, "y": y}
         return y
 
-    def backward(self, gout):
-        self.grads["weight"], gx = self._contract_grads(gout, self.cache["x"],
-                                                        self.params["weight"])
+    def backward(self, gout, input_grad=True):
+        self.grads["weight"], gx = self._contract_grads(
+            gout, self.cache["x"], self.params["weight"], None, input_grad)
         return gx
 
     def trace(self):
@@ -330,11 +349,11 @@ class _QuantizedLayer(Layer):
         self.cache = {"x": x, "y": y}
         return y
 
-    def backward(self, gout):
+    def backward(self, gout, input_grad=True):
         if self.state is None:
             raise StateError("backward called before forward")
-        g_wq, gx = self._contract_grads(gout * self._scale(gout.ndim),
-                                        self.cache["x"], self.state.w_q)
+        g_wq, gx = self._contract_grads(gout, self.cache["x"], self.state.w_q,
+                                        self._scale(gout.ndim), input_grad)
         g_inorm = tawq_backward(g_wq, self.state)
         self.grads["stimulus"] = normalize_backward(
             g_inorm, self.state.i_norm, self.params["stimulus"], self.quant.epsilon)
@@ -431,12 +450,14 @@ class BatchNorm(Layer):
         self.cache = {"x": x, "y": y, "xhat": xhat, "std": std, "training": training}
         return y
 
-    def backward(self, gout):
+    def backward(self, gout, input_grad=True):
         xhat, std = self.cache["xhat"], self.cache["std"]
         axes, cs = self._axes(gout), self._cshape(gout)
         scratch = np.multiply(gout, xhat)
         self.grads["gamma"] = scratch.sum(axis=axes)
         self.grads["beta"] = gout.sum(axis=axes)
+        if not input_grad:
+            return None
         gx = np.multiply(gout, self.params["gamma"].reshape(cs))  # g_scaled
         if self.cache["training"]:
             # g_scaled - mean(g_scaled) - xhat * mean(g_scaled * xhat)
@@ -581,12 +602,17 @@ class Network:
         self._timesteps = h.shape[0]
         return h.mean(axis=0)
 
-    def backward(self, glogits: np.ndarray) -> np.ndarray:
+    def backward(self, glogits: np.ndarray) -> None:
+        """Backpropagate the logits' gradient, leaving each parameter's
+        gradient in its layer's `grads`; returns nothing.  No caller reads
+        the input gradient, so layer 0 computes only its parameter
+        gradients (`input_grad=False`) and, if it has none, does not run."""
         g = np.broadcast_to(glogits / self._timesteps,
                             (self._timesteps,) + glogits.shape).copy()
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g
+        if self.layers[0].params:
+            self.layers[0].backward(g, input_grad=False)
 
     def traces(self) -> list[dict]:
         traces = []

@@ -40,6 +40,9 @@ _LAYER_FIELDS = {
 _OPTIONAL_FIELDS = {"bias", "stride", "padding"}
 # the least value of each integer size a layer may carry
 _SIZE_MIN = {"in": 1, "out": 1, "channels": 1, "kernel": 1, "stride": 1, "padding": 0}
+# the value types a dataclass field's annotation admits; a bool is no number
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+                "str | None": (str, type(None))}
 
 
 def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
@@ -48,9 +51,22 @@ def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
 
 
+def _section(doc: dict, section: str) -> dict:
+    """A copy of the document's `section`, empty if absent."""
+    value = doc.get(section, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section}: must be a mapping, got {value!r}")
+    return dict(value)
+
+
 def _build_dataclass(cls, doc: dict, section: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(section, doc, fields)
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    _check_keys(section, doc, set(fields))
+    for key, value in doc.items():
+        types = _FIELD_TYPES[fields[key]]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ConfigError(f"{section}.{key}: must be of type {fields[key]}, "
+                              f"got {value!r}")
     try:
         return cls(**doc)
     except (TypeError, ConfigError) as exc:
@@ -103,18 +119,24 @@ def parse_runconfig(doc: dict) -> RunConfig:
             if key in spec and not (type(spec[key]) is int and spec[key] >= low):
                 raise ConfigError(f"network[{i}].{key}: must be an integer >= {low}, "
                                   f"got {spec[key]!r}")
+        if "bias" in spec and type(spec["bias"]) is not bool:
+            raise ConfigError(f"network[{i}].bias: must be true or false, "
+                              f"got {spec['bias']!r}")
     # field renames between the document and the dataclasses
-    quant_doc = dict(doc.get("quant", {}))
+    quant_doc = _section(doc, "quant")
     if "lambda" in quant_doc:
         if "lam" in quant_doc:
             raise ConfigError("quant: give 'lambda' or 'lam', not both")
         quant_doc["lam"] = quant_doc.pop("lambda")
     quant = _build_dataclass(QuantConfig, quant_doc, "quant")
-    train = _build_dataclass(TrainConfig, dict(doc.get("train", {})), "train")
-    lif = _build_dataclass(LifConfig, dict(doc.get("lif", {})), "lif")
-    dataset = _build_dataclass(DatasetSpec, dict(doc.get("dataset", {})), "dataset")
-    out = dict(doc.get("output", {}))
+    train = _build_dataclass(TrainConfig, _section(doc, "train"), "train")
+    lif = _build_dataclass(LifConfig, _section(doc, "lif"), "lif")
+    dataset = _build_dataclass(DatasetSpec, _section(doc, "dataset"), "dataset")
+    out = _section(doc, "output")
     _check_keys("output", out, {"checkpoint", "metrics"})
+    for key, path in out.items():
+        if not isinstance(path, str):  # open() would take an int as a file descriptor
+            raise ConfigError(f"output.{key}: must be a file path, got {path!r}")
     if dataset.timesteps != quant.timesteps:
         raise ConfigError(
             f"dataset.timesteps ({dataset.timesteps}) must equal "

@@ -1,5 +1,10 @@
 """Training loop: softmax cross-entropy on mean-over-time logits, global
-gradient-norm clipping, SGD / AdamW, and deterministic per-epoch records."""
+gradient-norm clipping, SGD / AdamW, and deterministic per-epoch records.
+
+AdamW updates its moments in place and runs one `quantizer.BLOCK` slab at
+a time through two scratch buffers; every step gives each parameter a
+fresh array and leaves the old one as it was.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ import numpy as np
 from .analysis import EntropyReport, weight_entropy
 from .errors import ConfigError, DataError, NumericError
 from .layers import Network
+from .quantizer import BLOCK, blocks
 
 OPTIMIZERS = ("sgd", "adamw")
 SCHEDULES = ("constant", "cosine")
@@ -45,6 +51,15 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -95,12 +110,20 @@ def collect_gradients(net: Network) -> GradientBundle:
 
 
 class Optimizer:
+    """SGD, or AdamW with decoupled weight decay.
+
+    A step never writes into a parameter's array: a parameter may be a
+    checkpoint's own array, and bench/tracer.py tells a changed stimulus
+    by object identity.
+    """
+
     def __init__(self, net: Network, cfg: TrainConfig) -> None:
         self.net = net
         self.cfg = cfg
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch = (np.empty(BLOCK), np.empty(BLOCK))
 
     def step(self, grads: GradientBundle, lr: float) -> None:
         cfg = self.cfg
@@ -110,16 +133,39 @@ class Optimizer:
             if cfg.optimizer == "sgd":
                 layer.params[pname] = param - lr * g
                 continue
-            # AdamW: standard moments with decoupled weight decay
-            m = self.m.setdefault(name, np.zeros_like(param))
-            v = self.v.setdefault(name, np.zeros_like(param))
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-            self.m[name], self.v[name] = m, v
-            mhat = m / (1 - cfg.adam_beta1 ** self.step_count)
-            vhat = v / (1 - cfg.adam_beta2 ** self.step_count)
-            layer.params[pname] = (param - lr * cfg.weight_decay * param
-                                   - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps))
+            m = self.m.setdefault(name, np.zeros(param.shape))
+            v = self.v.setdefault(name, np.zeros(param.shape))
+            new = np.empty(param.shape)
+            self._adamw(param.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1),
+                        new.reshape(-1), lr)
+            layer.params[pname] = new
+
+    def _adamw(self, p, g, m, v, out, lr: float) -> None:
+        """out = (p - (lr*wd)*p) - (lr*(m/c1)) / (sqrt(v/c2) + eps), after
+        m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g in place, one
+        `BLOCK` slab at a time: the plain formula's operations in its
+        order, so the result is bit-identical to it."""
+        cfg = self.cfg
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        c1, c2 = 1 - b1 ** self.step_count, 1 - b2 ** self.step_count
+        for blk, (a, b) in blocks(p.size, *self._scratch):
+            mb, vb, gb = m[blk], v[blk], g[blk]
+            mb *= b1
+            np.multiply(gb, 1 - b1, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, 1 - b2, out=a)
+            a *= gb
+            vb += a
+            np.divide(vb, c2, out=a)
+            np.sqrt(a, out=a)
+            a += cfg.adam_eps
+            np.divide(mb, c1, out=b)
+            b *= lr
+            b /= a
+            np.multiply(p[blk], lr * cfg.weight_decay, out=a)
+            np.subtract(p[blk], a, out=out[blk])
+            out[blk] -= b
 
 
 def clip_and_step(grads: GradientBundle, cfg: TrainConfig, opt: Optimizer,

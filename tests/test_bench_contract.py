@@ -4,6 +4,10 @@
 rename or a method that moves into a base class breaks the traced run.
 Every call the bench scripts make of a tawq module function must bind to
 that function's signature, so a removed or renamed parameter fails here.
+The host-speed hook and the tracer patch `trainer.clip_and_step`, so
+`train` must call it through the module global, once per step; the
+tracer's materialize counter tells a changed stimulus by object identity,
+so every step must put a new array in each `params[...]`.
 """
 
 import ast
@@ -13,8 +17,11 @@ import inspect
 import pathlib
 
 import numpy as np
+import pytest
 
 from conftest import three_layer_document
+from tawq import trainer
+from tawq.data import build_dataset
 from tawq.runconfig import build_network, parse_runconfig
 from tawq.runtime import FoldedBlock, fold_network
 
@@ -99,3 +106,40 @@ def test_bench_calls_bind_to_tawq_signatures():
     # direct and deferred calls are both found
     assert {"analysis.energy_hardware", "trainer.train", "runtime.folded_forward",
             "runtime.unpack_ternary"} <= seen, seen
+
+
+def _train_spied(monkeypatch, optimizer: str):
+    """Train the three-layer net for two epochs with `trainer.clip_and_step`
+    replaced by a spy; returns the number of steps `train` takes and, per
+    spied call, each parameter's object before and after the call."""
+    doc = three_layer_document(epochs=2)
+    doc["train"].update(optimizer=optimizer, batch_size=100)
+    doc["dataset"]["n_samples"] = 400  # 300 training samples: 3 steps an epoch
+    cfg = parse_runconfig(doc)
+    ds = build_dataset(cfg.dataset)
+    net = build_network(cfg)
+    original, calls = trainer.clip_and_step, []
+
+    def spy(*args, **kwargs):
+        before = {name: param for name, _, _, param in net.named_params()}
+        out = original(*args, **kwargs)
+        calls.append((before, {name: param for name, _, _, param in net.named_params()}))
+        return out
+
+    monkeypatch.setattr(trainer, "clip_and_step", spy)
+    trainer.train(net, (ds.train_x, ds.train_y), (ds.test_x, ds.test_y), cfg.train)
+    steps = -(-ds.train_x.shape[1] // cfg.train.batch_size) * cfg.train.epochs
+    return steps, calls
+
+
+def test_train_steps_through_the_module_global(monkeypatch):
+    steps, calls = _train_spied(monkeypatch, "adamw")
+    assert steps == 6 and len(calls) == steps
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+def test_every_step_replaces_every_parameter(monkeypatch, optimizer):
+    _, calls = _train_spied(monkeypatch, optimizer)
+    for before, after in calls:
+        assert before.keys() == after.keys()
+        assert all(after[name] is not before[name] for name in before)

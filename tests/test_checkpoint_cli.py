@@ -355,17 +355,57 @@ class TestCliTrainRefusals:
                                             epochs=2),
             4, "numeric error: non-finite gradient",
             marks=pytest.mark.filterwarnings("ignore:overflow|invalid:RuntimeWarning")),
+        (_edit("train", "epochs", 1.5), 2, "train.epochs: must be of type int, got 1.5"),
+        (_edit("train", "epochs", True), 2, "train.epochs: must be of type int, got True"),
+        (_edit("dataset", "n_samples", 10.5), 2,
+         "dataset.n_samples: must be of type int, got 10.5"),
+        (_edit("train", "seed", -1), 2, "train: seed must be >= 0, got -1"),
+        (_edit("dataset", "seed", -1), 2, "dataset: seed must be >= 0, got -1"),
+        (_edit("dataset", "noise", "x"), 2, "dataset.noise: must be of type float, got 'x'"),
+        (_edit("quant", "temporal", "no"), 2, "quant.temporal: must be of type bool"),
+        (lambda doc: doc.update(quant=5), 2, "quant: must be a mapping, got 5"),
+        (lambda doc: doc.update(lif=[["tau", 3.0]]), 2, "lif: must be a mapping"),
+        (_edit_layer(0, "bias", "no"), 2, "network[0].bias: must be true or false, got 'no'"),
+        (_edit("train", "adam_beta1", 1.5), 2, "adam_beta1 must lie in [0, 1), got 1.5"),
+        (_edit("train", "adam_beta2", -0.1), 2, "adam_beta2 must lie in [0, 1), got -0.1"),
+        (_edit("train", "adam_eps", 0.0), 2, "adam_eps must be positive, got 0.0"),
+        (_edit("train", "weight_decay", -1.0), 2, "weight_decay must be >= 0, got -1.0"),
     ], ids=["bn-channels", "zero-in", "missing-in", "zero-epochs", "zero-batch",
             "one-sample", "pool-after-linear", "conv-after-linear", "narrow-head",
             "timesteps-mismatch", "zero-lr", "negative-clip", "unknown-optimizer",
             "unknown-schedule", "unknown-encoder", "xor-one-timestep", "both-lambdas",
-            "diverging-sgd"])
+            "diverging-sgd", "float-epochs", "bool-epochs", "float-n-samples",
+            "negative-train-seed", "negative-dataset-seed", "string-noise",
+            "string-temporal", "quant-not-a-mapping", "lif-pair-list", "string-bias",
+            "beta1-above-one", "negative-beta2", "zero-eps", "negative-weight-decay"])
     def test_exit_code_and_message(self, tmp_path, tiny_doc, capsys, edit, code, message):
         doc = copy.deepcopy(tiny_doc)
         edit(doc)
         path, _ = _write_config(tmp_path, doc)
         assert main(["train", path]) == code
         assert message in capsys.readouterr().err
+
+    # An integer would be opened as a file descriptor, and 1 or 2 would be
+    # the process's own stdout or stderr; the test uses numbers no open
+    # descriptor has, so that a regression fails here without harm.
+    @pytest.mark.parametrize("key,value", [("checkpoint", 987654), ("checkpoint", None),
+                                           ("metrics", 987655)])
+    def test_output_path_must_be_a_string(self, tmp_path, tiny_doc, capsys, key, value):
+        path, out = _write_config(tmp_path, tiny_doc)
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        doc["output"][key] = value
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh)
+        assert main(["train", path]) == 2
+        captured = capsys.readouterr()
+        assert f"output.{key}: must be a file path, got {value!r}" in captured.err
+        assert captured.out == "" and not os.path.exists(out["metrics"])
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, tiny_doc, capsys):
+        path, _ = _write_config(tmp_path, tiny_doc)
+        assert main(["train", path, "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
         ("- linear\n- lif\n", "run configuration must be a mapping"),

@@ -14,6 +14,7 @@ from conftest import conv_document
 from tawq.errors import ConfigError, NumericError, ShapeError
 from tawq.layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear
 from tawq.quantizer import (
+    BLOCK,
     QuantConfig,
     normalize_backward,
     normalize_stimulus,
@@ -239,6 +240,38 @@ class TestOptimizer:
         # bias-corrected first moments reduce to g and g^2 exactly
         want = w0 - cfg.lr * cfg.weight_decay * w0 - cfg.lr * g / (abs(g) + cfg.adam_eps)
         assert abs(float(net.layers[0].params["weight"][0, 0]) - want) < 1e-14
+
+    @pytest.mark.parametrize("size", [1, BLOCK, 2 * BLOCK + 37])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adamw_matches_plain_formula_bitwise(self, size, weight_decay):
+        rng = np.random.default_rng(size)
+        net = Network([Linear(size, 1, rng=rng)])  # a (1, size) weight and a (1,) bias
+        cfg = TrainConfig(lr=0.01, optimizer="adamw", weight_decay=weight_decay)
+        opt = Optimizer(net, cfg)
+        want = {name: (param, np.zeros(param.shape), np.zeros(param.shape))
+                for name, _, _, param in net.named_params()}
+        for step in range(1, 6):
+            lr = cfg.lr / step
+            grads = {name: rng.standard_normal(p.shape) * 10.0 ** (step - 3)
+                     for name, (p, _, _) in want.items()}
+            old = {}
+            for name, _, _, param in net.named_params():
+                param.flags.writeable = False  # as a checkpoint's own array
+                old[name] = (param, param.copy())
+            opt.step(GradientBundle(grads), lr)
+            for name, _, _, param in net.named_params():
+                p, m, v = want[name]
+                # the parent formula, one whole-array temporary per operator
+                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grads[name]
+                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grads[name] * grads[name]
+                mhat = m / (1 - cfg.adam_beta1 ** step)
+                vhat = v / (1 - cfg.adam_beta2 ** step)
+                p = p - lr * cfg.weight_decay * p - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+                want[name] = (p, m, v)
+                assert param is not old[name][0]
+                assert np.array_equal(old[name][0], old[name][1])
+                assert np.array_equal(param, p), (name, step)
+                assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v)
 
     def test_clip_and_step_returns_clipped_bundle(self):
         net = Network([Linear(1, 1, bias=False)])

@@ -1,6 +1,7 @@
 """Spiking layers: LIF dynamics, batch norm, quantized layers, network
 composition, and a pinned golden regression for a seed-fixed toy net."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -346,6 +347,64 @@ class TestNetwork:
         assert np.allclose(logits, GOLDEN_LOGITS, atol=1e-12)
 
 
+# Nets by the kind of their layer 0, each with its (T, B, ...) input shape
+def _first_layer_nets():
+    quant = QuantConfig(timesteps=3)
+    rng = np.random.default_rng(61)
+    head = [BatchNorm(4), LIF(), Flatten(), Linear(4 * 5 * 5, 2, rng=rng)]
+    return {
+        "linear": ([Linear(3, 4, rng=rng), BatchNorm(4), LIF(), Linear(4, 2, rng=rng)],
+                   (3, 6, 3)),
+        "qlinear": ([QuantLinear(3, 4, quant, rng=rng), LIF(), Linear(4, 2, rng=rng)],
+                    (3, 6, 3)),
+        "conv": ([Conv2d(2, 4, 3, padding=1, rng=rng), *head], (3, 6, 2, 5, 5)),
+        "qconv": ([QuantConv2d(2, 4, 3, quant, padding=1, rng=rng), *head[1:]],
+                  (3, 6, 2, 5, 5)),
+        "bn": ([BatchNorm(3), LIF(), Linear(3, 2, rng=rng)], (3, 6, 3)),
+        "lif": ([LIF(), Linear(3, 2, rng=rng)], (3, 6, 3)),
+    }
+
+
+class TestBackwardAtLayerZero:
+    @pytest.mark.parametrize("kind", ["linear", "qlinear", "conv", "qconv", "bn", "lif"])
+    def test_parameter_gradients_match_full_loop(self, kind, monkeypatch):
+        layers, shape = _first_layer_nets()[kind]
+        rng = np.random.default_rng(62)
+        net = Network(layers)
+        x = rng.standard_normal(shape) * 2
+        logits = net.forward(x, training=True)
+        glogits = rng.standard_normal(logits.shape)
+        # the full per-layer loop, input gradient of layer 0 included
+        ref = copy.deepcopy(net)
+        g = np.broadcast_to(glogits / shape[0], (shape[0],) + glogits.shape).copy()
+        for layer in reversed(ref.layers):
+            g = layer.backward(g)
+        first, calls = net.layers[0], []
+        backward = first.backward
+        def spy_backward(gout, **kwargs):
+            calls.append((kwargs, backward(gout, **kwargs)))
+            return calls[-1][1]
+        monkeypatch.setattr(first, "backward", spy_backward)
+        if hasattr(first, "_contract_grads"):
+            contract = first._contract_grads
+            def spy_contract(*args):
+                gw, gx = contract(*args)
+                calls.append(("contract", args[-1], gx))
+                return gw, gx
+            monkeypatch.setattr(first, "_contract_grads", spy_contract)
+        assert net.backward(glogits) is None
+        for layer, want in zip(net.layers, ref.layers):
+            assert layer.grads.keys() == want.grads.keys()
+            for name, grad in layer.grads.items():
+                assert np.array_equal(grad, want.grads[name]), (kind, layer.kind, name)
+        if kind == "lif":
+            assert calls == []  # a layer 0 without parameters does not run
+        elif kind == "bn":
+            assert calls == [({"input_grad": False}, None)]
+        else:
+            assert calls == [("contract", False, None), ({"input_grad": False}, None)]
+
+
 # frozen from the first verified run of the seed-fixed net above
 GOLDEN_LOGITS = np.array([
     [-0.25, -0.06666666666666671],
@@ -446,7 +505,7 @@ class TestConvContractionExact:
             w = layer.params["weight"] = rng.integers(-8, 9, layer.params["weight"].shape) / 8
         y = layer._contract(x, w)
         gout = rng.integers(-4, 5, y.shape) / 8
-        gw, gx = layer._contract_grads(gout, x, w)
+        gw, gx = layer._contract_grads(gout, x, w, None, True)
         want_y, want_gw, want_gx = ref_conv(x, gout, w, stride, padding)
         assert np.array_equal(y, want_y)
         assert np.array_equal(gx, want_gx)
@@ -473,6 +532,36 @@ class TestConvContractionExact:
         # absolute bound at the same relative level of the gradient's scale
         for got, want in ((gx, want_gx), (got_gw, want_gw)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("quantized,shape,stride,padding",
+                             [case for case in CONV_CASES if case.values[0]])
+    def test_qconv_scales_like_scaled_gout(self, quantized, shape, stride, padding):
+        # alpha is applied in the per-timestep transposing copy; the
+        # products equal those of the full `gout * scale` copy
+        rng = np.random.default_rng(43)
+        layer = conv_layer(quantized, shape, stride, padding, rng)
+        x = rng.standard_normal(shape)
+        gout = rng.standard_normal(layer.forward(x).shape)
+        gx = layer.backward(gout)
+        st = layer.state
+        g_wq, want_gx = layer._contract_grads(gout * layer._scale(gout.ndim), x, st.w_q,
+                                              None, True)
+        want_gw = normalize_backward(tawq_backward(g_wq, st), st.i_norm,
+                                     layer.params["stimulus"], st.cfg.epsilon)
+        assert np.array_equal(gx, want_gx)
+        assert np.array_equal(layer.grads["stimulus"], want_gw)
+
+
+@pytest.mark.parametrize("T", [1, 2, 4, 9])
+def test_shared_linear_weight_gradient_sums_in_time_order(T):
+    # one (O, I) buffer gives the sum over a (T, O, I) stack of products
+    rng = np.random.default_rng(T)
+    layer = Linear(7, 5, rng=rng)
+    x, gout = rng.standard_normal((T, 6, 7)), rng.standard_normal((T, 6, 5))
+    layer.forward(x)
+    layer.backward(gout)
+    want = (np.swapaxes(gout, -1, -2) @ x).sum(axis=0)
+    assert np.array_equal(layer.grads["weight"], want)
 
 # Exactness of the in-place kernels: each layer must reproduce, under
 # np.array_equal, the plain formula it replaced, and must leave its
