@@ -43,7 +43,7 @@ assert np.array_equal(unpack_ternary(packed), w0)
 # quantized block then needs only integer accumulation at run time.
 plan = fold_network(net)
 blocks = [b for b in plan if isinstance(b, FoldedBlock)]
-print(f"folded {len(blocks)} block(s); rho table shape {blocks[0].folded.rho.shape}")
+print(f"folded {len(blocks)} block(s); rho table shape {blocks[0].rho.shape}")
 
 x = ds.test_x
 unfolded = net.forward(x, training=False)

@@ -26,7 +26,6 @@ from .quantizer import (
 )
 from .runconfig import RunConfig, build_network, load_runconfig, parse_runconfig
 from .runtime import (
-    FoldedNeuronParams,
     PackedTernaryTensor,
     ac_only_matmul,
     fold_network,

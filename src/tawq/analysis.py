@@ -150,15 +150,15 @@ class HardwareLayer:
 def hardware_layers(traces: list[dict]) -> list[HardwareLayer]:
     """Read/write descriptors of every weighted layer in a forward trace.
 
-    Quantized layers read 2-bit weights, float layers 8-bit weights.  The
-    layer at index 0 reads the raw input as 8-bit activations; every other
-    layer reads spikes.
+    Ternary layers read 2-bit packed weights; float and multi-bit layers,
+    whose weights are not packed, read 8-bit weights.  The layer at index 0
+    reads the raw input as 8-bit activations; every other layer reads spikes.
     """
     rows = []
     for i, t in enumerate(traces):
         if t["kind"] not in WEIGHTED_KINDS:
             continue
-        bits = 2 if "w_q" in t else 8
+        bits = 2 if t.get("n_level") == 1 else 8
         act = 8 if i == 0 else 1
         spatial = math.prod(t["output"].shape[3:])  # 1 for (T, B, C) outputs
         rows.append(HardwareLayer(name=f"{i}.{t['kind']}", n_rd=_weight_count(i, t),

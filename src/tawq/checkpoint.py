@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError, StateError
 from .layers import BatchNorm, Network
 from .runconfig import RunConfig, build_network, parse_runconfig
-from .runtime import PackedTernaryTensor, pack_ternary
+from .quantizer import PackedTernaryTensor
 
 MAGIC = b"TAWQ"
 VERSION = 1
@@ -128,8 +128,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def _tensors(net: Network):
-    """Every tensor of a checkpoint of `net`, in file order and stored form;
-    ternary weight stacks are 2-bit packed and multi-bit ones int64."""
+    """Every tensor of a checkpoint of `net`, in file order and in the
+    stored form its quantizer state keeps (`QuantizerState.stored`)."""
     for i, layer in enumerate(net.layers):
         for pname, value in layer.params.items():
             yield f"{i}.{pname}", value
@@ -139,9 +139,8 @@ def _tensors(net: Network):
         if layer.kind in ("qlinear", "qconv"):
             layer.materialize()  # a no-op while the held weights are current
             yield f"{i}.alpha", layer.alpha
-            for t, w in enumerate(layer.state.w_q):
-                yield f"{i}.w_q.{t}", (pack_ternary(w) if layer.quant.n_level == 1
-                                       else w.astype(np.int64))
+            for t, w in enumerate(layer.state.stored):
+                yield f"{i}.w_q.{t}", w
 
 
 def checkpoint_from_network(net: Network, cfg: RunConfig,

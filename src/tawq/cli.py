@@ -128,6 +128,8 @@ def _load_inputs(path: str) -> np.ndarray:
         raise DataError(f"{path}: cannot read 'inputs' array: {exc}") from exc
     if x.ndim < 3:
         raise DataError(f"{path}: 'inputs' must be (T, B, features...), got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"{path}: 'inputs' holds non-finite values")
     return x
 
 
@@ -176,8 +178,8 @@ def cmd_fold(args) -> int:
         raise DataError("checkpoint has no foldable quantized blocks")
     arrays = {}
     for j, b in enumerate(blocks):
-        arrays[f"block{j}.rho"] = b.folded.rho
-        arrays[f"block{j}.delta"] = b.folded.delta
+        arrays[f"block{j}.rho"] = b.rho
+        arrays[f"block{j}.delta"] = b.delta
     np.savez(args.out, **arrays)
     print(_fold_summary(plan), file=sys.stderr)
     print(f"folded {len(blocks)} block(s) -> {args.out}")

@@ -13,12 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, refuse_unread
 
 RASTER_MAGIC = b"TAWR"
 
 KINDS = ("synthetic-temporal-xor", "synthetic-rate-patterns", "raster-grid")
 ENCODERS = ("direct", "rate", "latency")
+# the DatasetSpec fields each kind never reads
+UNREAD = {"synthetic-temporal-xor": ("encoder", "path", "n_classes", "n_features"),
+          "synthetic-rate-patterns": ("encoder", "path"),
+          "raster-grid": ("noise", "n_classes", "n_features")}
 
 
 @dataclass
@@ -46,6 +50,7 @@ class DatasetSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.timesteps < 2 and self.kind == "synthetic-temporal-xor":
             raise ConfigError("temporal-xor needs at least 2 timesteps")
+        refuse_unread(self, f"by dataset kind {self.kind!r}", *UNREAD[self.kind])
 
 
 def gen_temporal_xor(n_samples: int, timesteps: int, noise: float,

@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the library and the CLI exit codes."""
 
+import dataclasses
+
 
 class TawqError(Exception):
     """Base class for all library errors."""
@@ -23,3 +25,11 @@ class ShapeError(DataError):
 
 class StateError(DataError):
     """Required forward trace or checkpoint section is missing."""
+
+
+def refuse_unread(cfg, mode: str, *names: str) -> None:
+    """Refuse a non-default value in a field of dataclass `cfg` that `mode`
+    never reads, since it would have no effect; defaults stay accepted."""
+    for f in dataclasses.fields(cfg):
+        if f.name in names and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f"{f.name} is not read {mode}; got {getattr(cfg, f.name)!r}")

@@ -363,7 +363,7 @@ class _QuantizedLayer(Layer):
         if self.state is None:
             raise StateError("no trace before a forward pass")
         t = super().trace()
-        t.update(alpha=self.alpha, w_q=self.state.w_q)
+        t.update(alpha=self.alpha, w_q=self.state.w_q, n_level=self.quant.n_level)
         return t
 
 

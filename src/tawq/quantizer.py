@@ -21,15 +21,19 @@ next, so their step buffers stay in cache; the math is elementwise, so
 the blocking moves no result.  A tensor no larger than a block runs as
 one block.  `blocks` yields the slabs, and the LIF neuron's time loops
 in `layers` run over them too.
+
+A state also owns its weights' stored form: ternary weights 2-bit packed
+by `pack_ternary`, multi-bit ones int64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, refuse_unread
 
 # Weight elements per block of the recurrence and its reverse pass, so
 # that a block's (T, BLOCK) working set stays in L2 at the timestep counts
@@ -73,11 +77,74 @@ class QuantConfig:
             raise ConfigError(f"timesteps must be >= 1, got {self.timesteps}")
         if self.epsilon <= 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.n_level > 1:
+            refuse_unread(self, f"by the multi-bit emitter (n_level {self.n_level})",
+                          "c_th", "sg_scale", "sg_chain_factor")
 
     @property
     def bit_width(self) -> float:
         """Effective bit-width of the emitted weights: log2(2n + 1)."""
         return float(np.log2(2 * self.n_level + 1))
+
+
+CODE_INVALID = 0b11
+
+# Byte -> the values of its 4 lanes, lane 0 in the low bits; the invalid
+# code 0b11 decodes to the sentinel 2.
+_INVALID_VALUE = 2
+_BYTE_VALUES = np.array([0, 1, -1, _INVALID_VALUE], dtype=np.int8)[
+    np.arange(256)[:, None] >> np.arange(0, 8, 2) & 0b11]
+
+
+@dataclass(frozen=True)
+class PackedTernaryTensor:
+    codes: bytes
+    shape: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The decoded weights as a read-only float32 array, decoded on
+        first use and kept on this tensor."""
+        w = unpack_ternary(self).astype(np.float32)
+        w.flags.writeable = False
+        return w
+
+
+def pack_ternary(w_q: np.ndarray) -> PackedTernaryTensor:
+    """Lossless 2-bit encoding of a {-1, 0, +1} tensor: 4 codes per byte in
+    row-major order, lane 0 in the low bits, 00->0, 01->+1, 10->-1."""
+    w = np.asarray(w_q)
+    flat = w.ravel()
+    pos, neg = flat == 1, flat == -1
+    valid = pos | neg | (flat == 0)
+    if not valid.all():
+        raise DataError(f"out-of-range ternary entry {flat[~valid][0]!r}")
+    codes2 = pos.view(np.uint8) | neg.view(np.uint8) << 1
+    pad = (-flat.size) % 4
+    if pad:
+        codes2 = np.concatenate([codes2, np.zeros(pad, dtype=np.uint8)])
+    lanes = codes2.reshape(-1, 4)
+    packed = lanes[:, 0] | (lanes[:, 1] << 2) | (lanes[:, 2] << 4) | (lanes[:, 3] << 6)
+    return PackedTernaryTensor(codes=packed.tobytes(), shape=w.shape)
+
+
+def unpack_ternary(packed: PackedTernaryTensor) -> np.ndarray:
+    """Decode a payload; as the checkpoint reader does, refuse a byte count
+    the shape does not need, a 0b11 code, and a set padding bit."""
+    raw = np.frombuffer(packed.codes, dtype=np.uint8)
+    if raw.size != (packed.size + 3) // 4:
+        raise DataError(f"packed payload holds {4 * raw.size} codes, "
+                        f"shape {packed.shape} needs {packed.size}")
+    values = np.take(_BYTE_VALUES, raw, axis=0).ravel()
+    if np.any(values == _INVALID_VALUE):
+        raise DataError("invalid 0b11 code in packed ternary payload")
+    if np.any(values[packed.size:]):
+        raise DataError("set padding bits in packed ternary payload")
+    return values[:packed.size].astype(np.int64).reshape(packed.shape)
 
 
 @dataclass
@@ -92,6 +159,14 @@ class QuantizerState:
     c_s: np.ndarray
     w_q: np.ndarray
     cfg: QuantConfig = field(repr=False)
+
+    @cached_property
+    def stored(self) -> tuple:
+        """Each timestep's weights as stored, made once: 2-bit packed if
+        ternary, else int64.  A state is replaced, never updated."""
+        if self.cfg.n_level == 1:
+            return tuple(pack_ternary(w) for w in self.w_q)
+        return tuple(w.astype(np.int64) for w in self.w_q)
 
 
 def normalize_stimulus(values: np.ndarray, epsilon: float) -> np.ndarray:

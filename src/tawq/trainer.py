@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import EntropyReport, weight_entropy
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, refuse_unread
 from .layers import Network
 from .quantizer import BLOCK, blocks
 
@@ -43,8 +43,6 @@ class TrainConfig:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.optimizer == "sgd" and self.weight_decay != 0:
-            raise ConfigError("weight_decay is applied by adamw only; sgd would ignore it")
         if self.lr_schedule not in SCHEDULES:
             raise ConfigError(f"lr_schedule must be one of {SCHEDULES}")
         if self.epochs < 1:
@@ -60,6 +58,9 @@ class TrainConfig:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.optimizer == "sgd":
+            refuse_unread(self, "by optimizer sgd", "weight_decay", "adam_beta1",
+                          "adam_beta2", "adam_eps")
 
 
 @dataclass
@@ -70,8 +71,11 @@ class GradientBundle:
     global_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.global_norm = float(np.sqrt(
-            sum(float((g * g).sum()) for g in self.tensors.values())))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            self.global_norm = float(np.sqrt(
+                sum(float((g * g).sum()) for g in self.tensors.values())))
+        if not np.isfinite(self.global_norm):
+            raise NumericError("non-finite gradient norm: the squared entries overflow float64")
 
     def clipped(self, clip_norm: float) -> "GradientBundle":
         """Scale every tensor so the global norm is at most `clip_norm`."""

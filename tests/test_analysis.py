@@ -194,6 +194,20 @@ class TestHardwareLayers:
         ]
 
 
+    def test_multibit_layer_reads_8bit_weights(self):
+        # only ternary stacks are stored 2-bit packed; n_level 3 is stored int64
+        from tawq.runconfig import build_network, default_xor_document, parse_runconfig
+        widths = []
+        for n_level in (1, 3):
+            doc = default_xor_document(hidden=8)
+            doc["quant"]["n_level"] = n_level
+            net = build_network(parse_runconfig(doc))
+            net.forward((np.random.default_rng(5).random((4, 6, 2)) < 0.5) * 1.0)
+            widths.append([(l.name, l.weight_bits) for l in hardware_layers(net.traces())])
+        assert widths == [[("0.linear", 8), ("3.qlinear", 2)],
+                          [("0.linear", 8), ("3.qlinear", 8)]]
+
+
 class TestWeightCount:
     """count_sops and hardware_layers read a layer's weight count from one
     rule: the weight stack, else the weight shape, else (linear only) the

@@ -15,15 +15,22 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import three_layer_document
 from tawq import trainer
+from tawq.checkpoint import (
+    checkpoint_from_network,
+    load_checkpoint,
+    network_from_checkpoint,
+    save_checkpoint,
+)
 from tawq.data import build_dataset
 from tawq.runconfig import build_network, parse_runconfig
-from tawq.runtime import FoldedBlock, fold_network
+from tawq.runtime import FoldedBlock, fold_network, pack_ternary, unpack_ternary
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -53,13 +60,46 @@ def test_traced_methods_are_in_their_class_namespace():
             assert meth in cls.__dict__, f"tawq.layers.{cls_name}.{meth}"
 
 
-def test_fold_plan_packed_is_a_list():
-    # bench/selftest.py corrupts a plan by assigning into `packed`
+def test_fold_plan_packed_is_a_list(tmp_path):
+    # bench/selftest.py corrupts a plan by assigning into `packed`; that must
+    # not reach the quantizer state the block took its tensors from
     cfg = parse_runconfig(three_layer_document())
     net = build_network(cfg)
     net.forward(np.zeros((cfg.quant.timesteps, 2, 2)))
+    before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+    save_checkpoint(str(before), checkpoint_from_network(net, cfg))
+    stored = net.layers[3].state.stored
     blocks = [item for item in fold_network(net) if isinstance(item, FoldedBlock)]
     assert len(blocks) == 1 and isinstance(blocks[0].packed, list)
+    blocks[0].packed[0] = pack_ternary(-unpack_ternary(blocks[0].packed[0]))
+    assert net.layers[3].state.stored is stored
+    assert blocks[0].packed[0] is not stored[0]
+    save_checkpoint(str(after), checkpoint_from_network(net, cfg))
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_one_deploy_cycle_packs_each_state_once(tmp_path, monkeypatch):
+    # save -> load -> rebuild -> fold -> rewrite: the saved net's state and
+    # the rebuilt net's state each pack their T stacks once, and neither the
+    # fold nor the rewrite packs again
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return pack_ternary(w)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tawq" or name.startswith("tawq."):
+            for attr, value in list(vars(module).items()):
+                if value is pack_ternary:
+                    monkeypatch.setattr(module, attr, counting)
+    cfg = parse_runconfig(three_layer_document())
+    path = str(tmp_path / "run.ckpt")
+    save_checkpoint(path, checkpoint_from_network(build_network(cfg), cfg))
+    net, cfg = network_from_checkpoint(load_checkpoint(path))
+    fold_network(net)
+    save_checkpoint(str(tmp_path / "rewrite.ckpt"), checkpoint_from_network(net, cfg))
+    assert len(calls) == 2 * cfg.quant.timesteps == 8
 
 
 def _tawq_calls(path: pathlib.Path):

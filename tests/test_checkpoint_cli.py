@@ -370,6 +370,18 @@ class TestCliTrainRefusals:
         (_edit("train", "adam_beta2", -0.1), 2, "adam_beta2 must lie in [0, 1), got -0.1"),
         (_edit("train", "adam_eps", 0.0), 2, "adam_eps must be positive, got 0.0"),
         (_edit("train", "weight_decay", -1.0), 2, "weight_decay must be >= 0, got -1.0"),
+        (_edit("dataset", "encoder", "rate"), 2,
+         "dataset: encoder is not read by dataset kind 'synthetic-temporal-xor'; got 'rate'"),
+        (_edit("dataset", "path", "grid.bin"), 2,
+         "dataset: path is not read by dataset kind 'synthetic-temporal-xor'; got 'grid.bin'"),
+        (_edit("dataset", "n_classes", 7), 2,
+         "dataset: n_classes is not read by dataset kind 'synthetic-temporal-xor'; got 7"),
+        (lambda doc: doc["train"].update(optimizer="sgd", adam_beta1=0.8), 2,
+         "train: adam_beta1 is not read by optimizer sgd; got 0.8"),
+        (lambda doc: doc["quant"].update(n_level=2, c_th=0.3), 2,
+         "quant: c_th is not read by the multi-bit emitter (n_level 2); got 0.3"),
+        (lambda doc: doc["quant"].update(n_level=3, sg_chain_factor=True), 2,
+         "quant: sg_chain_factor is not read by the multi-bit emitter (n_level 3); got True"),
     ], ids=["bn-channels", "zero-in", "missing-in", "zero-epochs", "zero-batch",
             "one-sample", "pool-after-linear", "conv-after-linear", "narrow-head",
             "timesteps-mismatch", "zero-lr", "negative-clip", "unknown-optimizer",
@@ -377,7 +389,9 @@ class TestCliTrainRefusals:
             "diverging-sgd", "float-epochs", "bool-epochs", "float-n-samples",
             "negative-train-seed", "negative-dataset-seed", "string-noise",
             "string-temporal", "quant-not-a-mapping", "lif-pair-list", "string-bias",
-            "beta1-above-one", "negative-beta2", "zero-eps", "negative-weight-decay"])
+            "beta1-above-one", "negative-beta2", "zero-eps", "negative-weight-decay",
+            "xor-rate-encoder", "xor-path", "xor-n-classes", "sgd-adam-beta1",
+            "multibit-c-th", "multibit-chain-factor"])
     def test_exit_code_and_message(self, tmp_path, tiny_doc, capsys, edit, code, message):
         doc = copy.deepcopy(tiny_doc)
         edit(doc)
@@ -401,6 +415,18 @@ class TestCliTrainRefusals:
         captured = capsys.readouterr()
         assert f"output.{key}: must be a file path, got {value!r}" in captured.err
         assert captured.out == "" and not os.path.exists(out["metrics"])
+
+    @pytest.mark.parametrize("section,values", [
+        ("train", {"optimizer": "sgd"}),
+        ("quant", {"n_level": 2}),
+        ("dataset", {"kind": "synthetic-rate-patterns"}),
+    ], ids=["sgd", "multibit", "rate-patterns"])
+    def test_echoed_defaults_of_unread_fields_accepted(self, tiny_doc, section, values):
+        # a checkpoint echoes every field, unread ones at their defaults
+        doc = copy.deepcopy(tiny_doc)
+        doc[section].update(values)
+        echo = parse_runconfig(doc).to_dict()
+        assert parse_runconfig(echo).to_dict() == echo
 
     def test_negative_seed_flag_exits_2(self, tmp_path, tiny_doc, capsys):
         path, _ = _write_config(tmp_path, tiny_doc)
@@ -608,6 +634,18 @@ class TestCliFileErrors:
         write(path)
         assert main(["infer", cli_artifacts["ckpt"], str(path)]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["--folded", "--unfolded"])
+    def test_non_finite_inputs_exit_3(self, cli_artifacts, tmp_path, capsys, mode, value):
+        path = tmp_path / "inputs.npz"
+        x = np.zeros((4, 3, 2))
+        x[1, 2, 0] = value
+        np.savez(path, inputs=x)
+        assert main(["infer", cli_artifacts["ckpt"], str(path), mode]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"data error: {path}: 'inputs' holds non-finite values" in captured.err
 
 
 class TestCliRunFlagsAndDatasets:

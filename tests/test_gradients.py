@@ -226,6 +226,12 @@ class TestOptimizer:
         assert np.allclose(clipped.tensors["p"], g / 2)
         assert abs(clipped.global_norm - 2.5) < 1e-12
 
+    def test_overflowing_norm_raises(self):
+        # every entry is finite, but 1e160 ** 2 overflows float64; the step
+        # must not be scaled to zero with a recorded norm of 0
+        with pytest.raises(NumericError, match="non-finite gradient norm"):
+            GradientBundle({"p": np.array([1e160, 1.0])}).clipped(1.0)
+
     def test_clip_is_identity_below_cap(self):
         bundle = GradientBundle({"p": np.array([0.3])})
         assert bundle.clipped(1.0) is bundle

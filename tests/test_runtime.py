@@ -8,6 +8,7 @@ from conftest import run_document, three_layer_document
 from tawq.errors import ConfigError, DataError, ShapeError
 from tawq.layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear
 from tawq.quantizer import QuantConfig
+from tawq.runconfig import build_network, parse_runconfig
 from tawq.runtime import (
     FoldedBlock,
     PackedTernaryTensor,
@@ -102,18 +103,18 @@ class TestFoldParameters:
     def test_direct_substitution(self):
         lif = LifConfig(tau=2.0)
         eps = 1e-5
-        out = fold_parameters(alpha=np.ones((1, 3)), gamma=np.ones(3),
-                              beta=np.zeros(3), mu=np.zeros(3),
-                              sigma2=np.full(3, 1.0 - eps), eps=eps, lif=lif)
-        assert np.allclose(out.rho, 0.5)
-        assert np.allclose(out.delta, 0.0)
+        rho, delta = fold_parameters(alpha=np.ones((1, 3)), gamma=np.ones(3),
+                                     beta=np.zeros(3), mu=np.zeros(3),
+                                     sigma2=np.full(3, 1.0 - eps), eps=eps, lif=lif)
+        assert np.allclose(rho, 0.5)
+        assert np.allclose(delta, 0.0)
 
     def test_zero_alpha_propagates(self):
         lif = LifConfig()
         alpha = np.array([[0.0, 2.0]])
-        out = fold_parameters(alpha, np.ones(2), np.zeros(2), np.zeros(2),
-                              np.ones(2), 1e-5, lif)
-        assert out.rho[0, 0] == 0.0
+        rho, _ = fold_parameters(alpha, np.ones(2), np.zeros(2), np.zeros(2),
+                                 np.ones(2), 1e-5, lif)
+        assert rho[0, 0] == 0.0
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ConfigError):
@@ -159,12 +160,15 @@ class TestFoldedForward:
         b = folded_forward(plan, ds.test_x)
         assert np.array_equal(a, b)
 
-    def test_unmaterialized_network_rejected(self, trained):
-        from tawq.runconfig import build_network, parse_runconfig
-        cfg = parse_runconfig(three_layer_document())
-        fresh = build_network(cfg)
-        with pytest.raises(DataError):
-            fold_network(fresh)
+    def test_never_run_network_folds(self, trained):
+        # fold_network materializes the weights itself, so a net that has
+        # never run folds as a trained or reloaded one does
+        _, ds = trained
+        fresh = build_network(parse_runconfig(three_layer_document()))
+        x = ds.test_x[:, :100]
+        _, membranes = folded_forward(fold_network(fresh), x, record_membranes=True)
+        fresh.forward(x, training=False)
+        assert np.max(np.abs(membranes[0] - fresh.layers[5].cache["u"])) <= 1e-12
 
     def test_nonbinary_input_rejected(self):
         # a folded block accumulates spikes only; graded input must be refused,
@@ -196,10 +200,10 @@ class TestFoldedForward:
         u[t] = delta * (1 - d^t) / (1 - d) with d the leak factor."""
         lif = LifConfig(tau=2.0)
         delta = np.array([0.3, -0.2])  # below threshold, never spikes
-        folded = fold_parameters(np.ones((4, 2)), np.ones(2), delta * lif.tau,
-                                 np.zeros(2), np.full(2, 1.0 - 1e-5), 1e-5, lif)
+        rho, shift = fold_parameters(np.ones((4, 2)), np.ones(2), delta * lif.tau,
+                                     np.zeros(2), np.full(2, 1.0 - 1e-5), 1e-5, lif)
         block = FoldedBlock(packed=[pack_ternary(np.zeros((2, 3)))] * 4,
-                            folded=folded)
+                            rho=rho, delta=shift, lif=lif)
         x = np.zeros((4, 1, 3))
         _, membranes = folded_forward([block], x, record_membranes=True)
         d = 1.0 - 1.0 / lif.tau
@@ -220,15 +224,19 @@ class TestDecodeOnceKernel:
         return plan, k
 
     def test_each_tensor_decoded_once(self, trained, monkeypatch):
-        import tawq.runtime
-        net, ds = trained
+        import tawq.quantizer
+        _, ds = trained
+        # a net of its own: the packed stacks live on the quantizer state,
+        # so the trained net's were decoded by earlier tests
+        net = build_network(parse_runconfig(three_layer_document(seed=1)))
         calls = []
 
         def counting(packed):
             calls.append(packed)
             return unpack_ternary(packed)
 
-        monkeypatch.setattr(tawq.runtime, "unpack_ternary", counting)
+        # PackedTernaryTensor.matrix looks the decoder up in its own module
+        monkeypatch.setattr(tawq.quantizer, "unpack_ternary", counting)
         plan, k = self._plan(net, ds.test_x[:, :50])
         assert not calls  # folding packs but does not decode
         first = folded_forward(plan, ds.test_x[:, :50])
