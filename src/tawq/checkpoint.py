@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, StateError
-from .layers import BatchNorm, Network
+from .layers import BatchNorm, Network, QuantizedLayer
 from .runconfig import RunConfig, build_network, parse_runconfig
 from .quantizer import PackedTernaryTensor
 
@@ -136,7 +136,7 @@ def _tensors(net: Network):
         if isinstance(layer, BatchNorm):
             yield f"{i}.running_mean", layer.running_mean
             yield f"{i}.running_var", layer.running_var
-        if layer.kind in ("qlinear", "qconv"):
+        if isinstance(layer, QuantizedLayer):
             layer.materialize()  # a no-op while the held weights are current
             yield f"{i}.alpha", layer.alpha
             for t, w in enumerate(layer.state.stored):

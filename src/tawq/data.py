@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, refuse_unread
+from .errors import ConfigError, DataError, refuse_unread, require
 
 RASTER_MAGIC = b"TAWR"
 
@@ -43,11 +43,9 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.encoder not in ENCODERS:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
-        for name in ("n_samples", "n_classes", "n_features"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        require(self, "be >= 1", "n_samples", "n_classes", "n_features")
+        require(self, "be >= 0", "seed", "noise")
+        require(self, "be in (0, 1)", "test_fraction")
         if self.timesteps < 2 and self.kind == "synthetic-temporal-xor":
             raise ConfigError("temporal-xor needs at least 2 timesteps")
         refuse_unread(self, f"by dataset kind {self.kind!r}", *UNREAD[self.kind])
@@ -173,6 +171,9 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
         if not spec.path:
             raise ConfigError("raster-grid dataset needs a 'path'")
         pixels, y = load_raster_grid(spec.path)
+        if spec.n_samples not in (DatasetSpec.n_samples, y.shape[0]):
+            raise ConfigError(f"dataset: n_samples is {spec.n_samples}, but {spec.path} "
+                              f"holds {y.shape[0]} samples")
         values = pixels.reshape(pixels.shape[0], -1) / 255.0
         if spec.encoder == "rate":
             x = rate_encode(values, spec.timesteps, spec.seed)

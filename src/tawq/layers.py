@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError, TawqError, require
 from .quantizer import (
     BLOCK,
     QuantConfig,
@@ -54,8 +54,9 @@ class LifConfig:
     sg_scale_neuron: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.tau <= 1.0:
-            raise ConfigError(f"tau must exceed 1, got {self.tau}")
+        require(self, "be finite", "v_threshold", "v_reset")
+        require(self, "exceed 1", "tau")
+        require(self, "be positive", "sg_scale_neuron")
         if self.v_threshold <= self.v_reset:
             raise ConfigError("v_threshold must exceed v_reset")
 
@@ -297,7 +298,7 @@ class Conv2d(_ConvContraction, Layer):
         return t
 
 
-class _QuantizedLayer(Layer):
+class QuantizedLayer(Layer):
     """A weighted layer whose weight carries a time axis.
 
     The trainable parameter is the stimulus tensor; each forward pass
@@ -367,7 +368,7 @@ class _QuantizedLayer(Layer):
         return t
 
 
-class QuantLinear(_LinearContraction, _QuantizedLayer):
+class QuantLinear(_LinearContraction, QuantizedLayer):
     """Linear layer whose weights come from the temporal quantizer."""
 
     kind = "qlinear"
@@ -377,12 +378,12 @@ class QuantLinear(_LinearContraction, _QuantizedLayer):
         super().__init__((out_features, in_features), in_features, quant, rng)
 
     # bench/tracer.py times the methods found in each class's own namespace
-    materialize = _QuantizedLayer.materialize
-    forward = _QuantizedLayer.forward
-    backward = _QuantizedLayer.backward
+    materialize = QuantizedLayer.materialize
+    forward = QuantizedLayer.forward
+    backward = QuantizedLayer.backward
 
 
-class QuantConv2d(_ConvContraction, _QuantizedLayer):
+class QuantConv2d(_ConvContraction, QuantizedLayer):
     """2-D convolution whose kernels come from the temporal quantizer."""
 
     kind = "qconv"
@@ -395,9 +396,9 @@ class QuantConv2d(_ConvContraction, _QuantizedLayer):
         self.stride, self.padding = stride, padding
 
     # bench/tracer.py times the methods found in each class's own namespace
-    materialize = _QuantizedLayer.materialize
-    forward = _QuantizedLayer.forward
-    backward = _QuantizedLayer.backward
+    materialize = QuantizedLayer.materialize
+    forward = QuantizedLayer.forward
+    backward = QuantizedLayer.backward
 
 
 class BatchNorm(Layer):
@@ -575,11 +576,10 @@ class Flatten(Layer):
 
 @contextmanager
 def layer_errors(i: int, kind: str):
-    """Prefix a data or configuration error raised inside layer `i` with
-    the layer's index and kind."""
+    """Prefix an error raised inside layer `i` with the layer's index and kind."""
     try:
         yield
-    except (DataError, ConfigError) as exc:
+    except TawqError as exc:
         raise type(exc)(f"layer {i} ({kind}): {exc}") from exc
 
 

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError, refuse_unread
+from .errors import ConfigError, DataError, NumericError, ShapeError, refuse_unread, require
 
 # Weight elements per block of the recurrence and its reverse pass, so
 # that a block's (T, BLOCK) working set stays in L2 at the timestep counts
@@ -67,16 +67,9 @@ class QuantConfig:
     temporal: bool = True     # False -> memoryless ablation (WQ mode)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise ConfigError(f"lam must be in (0, 1), got {self.lam}")
-        if self.c_th <= 0.0:
-            raise ConfigError(f"c_th must be positive, got {self.c_th}")
-        if self.n_level < 1:
-            raise ConfigError(f"n_level must be >= 1, got {self.n_level}")
-        if self.timesteps < 1:
-            raise ConfigError(f"timesteps must be >= 1, got {self.timesteps}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        require(self, "be in (0, 1)", "lam")
+        require(self, "be positive", "c_th", "epsilon", "sg_scale")
+        require(self, "be >= 1", "n_level", "timesteps")
         if self.n_level > 1:
             refuse_unread(self, f"by the multi-bit emitter (n_level {self.n_level})",
                           "c_th", "sg_scale", "sg_chain_factor")
@@ -174,7 +167,7 @@ def normalize_stimulus(values: np.ndarray, epsilon: float) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ShapeError("cannot normalize an empty stimulus tensor")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     mu = values.mean()
     var = values.var()  # population variance, all axes

@@ -9,7 +9,7 @@ import numpy as np
 import yaml
 
 from .data import DatasetSpec
-from .errors import ConfigError
+from .errors import ConfigError, refuse_unread
 from .layers import (
     LIF,
     AvgPool2d,
@@ -21,23 +21,24 @@ from .layers import (
     Linear,
     Network,
     QuantConv2d,
+    QuantizedLayer,
     QuantLinear,
 )
 from .quantizer import QuantConfig
 from .trainer import TrainConfig
 
-_LAYER_FIELDS = {
-    "linear": {"kind", "in", "out", "bias"},
-    "qlinear": {"kind", "in", "out"},
-    "conv": {"kind", "in", "out", "kernel", "stride", "padding"},
-    "qconv": {"kind", "in", "out", "kernel", "stride", "padding"},
-    "lif": {"kind"},
-    "bn": {"kind", "channels"},
-    "pool": {"kind", "kernel"},
-    "flatten": {"kind"},
+# kind -> (layer class, required keys in constructor order, optional keys);
+# a left-out optional key takes the constructor's default
+_LAYERS = {
+    "linear": (Linear, ("in", "out"), ("bias",)),
+    "qlinear": (QuantLinear, ("in", "out"), ()),
+    "conv": (Conv2d, ("in", "out", "kernel"), ("stride", "padding")),
+    "qconv": (QuantConv2d, ("in", "out", "kernel"), ("stride", "padding")),
+    "lif": (LIF, (), ()),
+    "bn": (BatchNorm, ("channels",), ()),
+    "pool": (AvgPool2d, ("kernel",), ()),
+    "flatten": (Flatten, (), ()),
 }
-# the keys a layer may leave out; every other key of its kind is required
-_OPTIONAL_FIELDS = {"bias", "stride", "padding"}
 # the least value of each integer size a layer may carry
 _SIZE_MIN = {"in": 1, "out": 1, "channels": 1, "kernel": 1, "stride": 1, "padding": 0}
 # the value types a dataclass field's annotation admits; a bool is no number
@@ -109,10 +110,11 @@ def parse_runconfig(doc: dict) -> RunConfig:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError(f"network[{i}]: each layer needs a 'kind'")
         kind = spec["kind"]
-        if kind not in _LAYER_FIELDS:
+        if not isinstance(kind, str) or kind not in _LAYERS:  # a list is unhashable
             raise ConfigError(f"network[{i}].kind: unknown layer kind {kind!r}")
-        _check_keys(f"network[{i}]", spec, _LAYER_FIELDS[kind])
-        missing = _LAYER_FIELDS[kind] - _OPTIONAL_FIELDS - set(spec)
+        _, required, optional = _LAYERS[kind]
+        _check_keys(f"network[{i}]", spec, {"kind", *required, *optional})
+        missing = set(required) - set(spec)
         if missing:
             raise ConfigError(f"network[{i}]: missing key(s) {sorted(missing)}")
         for key, low in _SIZE_MIN.items():
@@ -173,7 +175,12 @@ def load_runconfig(path: str) -> RunConfig:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    return parse_runconfig(doc)
+    cfg = parse_runconfig(doc)
+    # refused here rather than on every parse: a checkpoint of a run made
+    # with --ablate-temporal echoes temporal false beside the document's lam
+    if not cfg.quant.temporal:
+        refuse_unread(cfg.quant, "by the memoryless quantizer (quant.temporal false)", "lam")
+    return cfg
 
 
 def build_network(cfg: RunConfig) -> Network:
@@ -185,35 +192,21 @@ def build_network(cfg: RunConfig) -> Network:
     unless it is the output head.
     """
     layers: list[Layer] = []
-    specs = cfg.network
-    for i, spec in enumerate(specs):
-        rng = np.random.default_rng((cfg.train.seed, i))
-        kind = spec["kind"]
-        if kind == "linear":
-            layers.append(Linear(spec["in"], spec["out"],
-                                 bias=spec.get("bias", True), rng=rng))
-        elif kind == "qlinear":
-            layers.append(QuantLinear(spec["in"], spec["out"], cfg.quant, rng=rng))
-        elif kind == "conv":
-            layers.append(Conv2d(spec["in"], spec["out"], spec["kernel"],
-                                 stride=spec.get("stride", 1),
-                                 padding=spec.get("padding", 0), rng=rng))
-        elif kind == "qconv":
-            layers.append(QuantConv2d(spec["in"], spec["out"], spec["kernel"],
-                                      cfg.quant, stride=spec.get("stride", 1),
-                                      padding=spec.get("padding", 0), rng=rng))
-        elif kind == "lif":
-            layers.append(LIF(cfg.lif))
-        elif kind == "bn":
-            layers.append(BatchNorm(spec["channels"]))
-        elif kind == "pool":
-            layers.append(AvgPool2d(spec["kernel"]))
-        elif kind == "flatten":
-            layers.append(Flatten())
-    for i, spec in enumerate(specs[:-1]):
-        if spec["kind"] in ("qlinear", "qconv"):
-            follow = [s["kind"] for s in specs[i + 1:i + 3]]
-            if follow and follow[0] != "lif" and not (
+    for i, spec in enumerate(cfg.network):
+        cls, required, optional = _LAYERS[spec["kind"]]
+        args = [spec[key] for key in required]
+        kwargs = {key: spec[key] for key in optional if key in spec}
+        if issubclass(cls, QuantizedLayer):
+            args.append(cfg.quant)
+        elif cls is LIF:
+            args.append(cfg.lif)
+        if issubclass(cls, (Linear, Conv2d, QuantizedLayer)):
+            kwargs["rng"] = np.random.default_rng((cfg.train.seed, i))
+        layers.append(cls(*args, **kwargs))
+    for i, layer in enumerate(layers[:-1]):
+        if isinstance(layer, QuantizedLayer):
+            follow = [later.kind for later in layers[i + 1:i + 3]]
+            if follow[0] != "lif" and not (
                     follow[0] == "bn" and len(follow) > 1 and follow[1] == "lif"):
                 raise ConfigError(
                     f"network[{i}]: quantized layer must feed a spiking "

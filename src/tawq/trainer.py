@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import EntropyReport, weight_entropy
-from .errors import ConfigError, DataError, NumericError, refuse_unread
-from .layers import Network
+from .errors import ConfigError, DataError, NumericError, refuse_unread, require
+from .layers import Network, QuantizedLayer
 from .quantizer import BLOCK, blocks
 
 OPTIMIZERS = ("sgd", "adamw")
@@ -37,27 +37,14 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        require(self, "be positive", "lr", "clip_norm", "adam_eps")
+        require(self, "be >= 0", "weight_decay", "seed")
+        require(self, "be >= 1", "epochs", "batch_size")
+        require(self, "lie in [0, 1)", "adam_beta1", "adam_beta2")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.lr_schedule not in SCHEDULES:
             raise ConfigError(f"lr_schedule must be one of {SCHEDULES}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.optimizer == "sgd":
             refuse_unread(self, "by optimizer sgd", "weight_decay", "adam_beta1",
                           "adam_beta2", "adam_eps")
@@ -206,7 +193,7 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> tuple[floa
 def mean_weight_entropy(net: Network) -> float:
     """Mean entropy of the quantized-weight stacks, 0.0 if none exist."""
     rows = [weight_entropy(layer.state.w_q) for layer in net.layers
-            if layer.kind in ("qlinear", "qconv") and layer.state is not None]
+            if isinstance(layer, QuantizedLayer) and layer.state is not None]
     return EntropyReport(rows).mean_entropy
 
 

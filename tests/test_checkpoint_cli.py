@@ -445,6 +445,59 @@ class TestCliTrainRefusals:
         assert main(["train", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    # Each value used to train with no effect, or to end in a traceback or a
+    # numeric error (exit 4) that named no field.
+    @pytest.mark.parametrize("section,key,value,rule", [
+        ("dataset", "test_fraction", float("nan"), "be finite"),
+        ("dataset", "test_fraction", 1.0, "be in (0, 1)"),
+        ("dataset", "noise", float("nan"), "be finite"),
+        ("dataset", "noise", -1, "be >= 0"),
+        ("quant", "c_th", float("nan"), "be finite"),
+        ("quant", "c_th", float("inf"), "be finite"),
+        ("quant", "epsilon", float("nan"), "be finite"),
+        ("quant", "epsilon", float("inf"), "be finite"),
+        ("quant", "sg_scale", float("nan"), "be finite"),
+        ("quant", "sg_scale", 0, "be positive"),
+        ("quant", "sg_scale", -4, "be positive"),
+        ("lif", "tau", float("nan"), "be finite"),
+        ("lif", "tau", float("inf"), "be finite"),
+        ("lif", "v_threshold", float("nan"), "be finite"),
+        ("lif", "v_reset", float("nan"), "be finite"),
+        ("lif", "sg_scale_neuron", float("nan"), "be finite"),
+        ("lif", "sg_scale_neuron", -1, "be positive"),
+        ("train", "lr", float("nan"), "be finite"),
+        ("train", "lr", float("inf"), "be finite"),
+        ("train", "clip_norm", float("nan"), "be finite"),
+        ("train", "clip_norm", float("inf"), "be finite"),
+    ], ids=str)
+    def test_float_out_of_range_exits_2(self, tmp_path, tiny_doc, capsys, section, key,
+                                        value, rule):
+        doc = copy.deepcopy(tiny_doc)
+        doc[section][key] = value
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {section}: {key} must {rule}, got {value}" in captured.err
+        assert captured.out == "" and not os.path.exists(out["metrics"])
+
+    def test_lam_refused_when_temporal_is_off(self, tmp_path, tiny_doc, capsys):
+        doc = copy.deepcopy(tiny_doc)
+        doc["quant"].update(temporal=False, lam=0.3)
+        path, _ = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 2
+        assert ("lam is not read by the memoryless quantizer (quant.temporal false); "
+                "got 0.3") in capsys.readouterr().err
+
+    def test_ablated_run_of_a_lam_document_reports(self, tmp_path, tiny_doc):
+        # the checkpoint echoes temporal false beside lam 0.3, and still loads
+        doc = copy.deepcopy(tiny_doc)
+        doc["quant"]["lam"] = 0.3
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path, "--ablate-temporal"]) == 0
+        echo = load_checkpoint(out["checkpoint"]).runconfig["quant"]
+        assert echo["temporal"] is False and echo["lam"] == 0.3
+        assert main(["report", out["checkpoint"]]) == 0
+
 
 @pytest.fixture(scope="module")
 def cli_artifacts(tmp_path_factory, tiny_doc):

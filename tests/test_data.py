@@ -162,6 +162,14 @@ class TestSplits:
         assert ds.train_x.shape[0] == 4
         assert np.isin(ds.train_x, (0.0, 1.0)).all()
 
+    def test_raster_sample_count_mismatch_rejected(self, tmp_path):
+        path = str(tmp_path / "grid.bin")
+        save_raster_grid(path, np.zeros((40, 4, 4), dtype=np.uint8),
+                         np.zeros(40, dtype=np.uint8))
+        spec = DatasetSpec(kind="raster-grid", path=path, timesteps=4, n_samples=999)
+        with pytest.raises(ConfigError, match=r"n_samples is 999, but .* holds 40 samples"):
+            build_dataset(spec)
+
     def test_raster_without_path_rejected(self):
         with pytest.raises(ConfigError):
             build_dataset(DatasetSpec(kind="raster-grid"))

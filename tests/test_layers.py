@@ -323,6 +323,14 @@ class TestNetwork:
         with pytest.raises(StateError, match=r"layer 0 \(qlinear\): no trace before"):
             net.traces()
 
+    def test_numeric_error_names_the_layer(self):
+        layer = QuantLinear(2, 2, QuantConfig())
+        layer.params["stimulus"] = np.full((2, 2), np.inf)
+        with pytest.raises(NumericError, match=r"^layer 0 \(qlinear\): non-finite "
+                                               r"normalized stimulus$"), \
+                np.errstate(invalid="ignore"):
+            Network([layer]).forward(np.ones((4, 3, 2)))
+
     def test_time_constant_input_mean_over_t(self):
         lin = Linear(2, 2, bias=False)
         net = Network([lin])

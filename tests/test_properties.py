@@ -29,15 +29,21 @@ def _document(network: list, timesteps: int = 4, batch_size: int = 16) -> dict:
                         "n_samples": 24}}
 
 
-# at most one out-of-range training or dataset size per document
-FAULTS = [None] * 8 + [("train", "epochs", 0), ("train", "batch_size", 0),
-                       ("dataset", "n_samples", 1), ("dataset", "n_samples", 0)]
+# float values that no config field accepts: each must exit 2 and name its field
+FLOAT_FAULTS = [("train", "lr", float("nan")), ("train", "clip_norm", float("inf")),
+                ("quant", "c_th", float("-inf")), ("quant", "sg_scale", 0.0),
+                ("lif", "sg_scale_neuron", -1.0), ("lif", "v_reset", float("nan")),
+                ("dataset", "noise", -1.0), ("dataset", "test_fraction", float("nan"))]
+# at most one out-of-range training or dataset size or float value per document
+FAULTS = [None] * 20 + [("train", "epochs", 0), ("train", "batch_size", 0),
+                        ("dataset", "n_samples", 1), ("dataset", "n_samples", 0),
+                        *FLOAT_FAULTS]
 
 
 @st.composite
-def documents(draw) -> dict:
+def documents(draw) -> tuple[dict, tuple | None]:
     """A temporal-XOR run whose layer widths usually chain from the
-    2-feature input, but may be zero or off by one."""
+    2-feature input, but may be zero or off by one, and its fault."""
     width, network = 2, []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["block", "linear", "qlinear", "bn", "lif",
@@ -64,8 +70,8 @@ def documents(draw) -> dict:
     fault = draw(st.sampled_from(FAULTS))
     if fault:
         section, key, value = fault
-        doc[section][key] = value
-    return doc
+        doc.setdefault(section, {})[key] = value
+    return doc, fault
 
 
 BLOCK = [{"kind": "qlinear", "in": 4, "out": 4}, {"kind": "bn", "channels": 4},
@@ -87,17 +93,23 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(documents())
-@example(SPIKING_INPUT)
-@example(GRADED_INPUT)
-def test_cli_never_raises_and_folded_agrees_or_refuses(doc):
+@example((SPIKING_INPUT, None))
+@example((GRADED_INPUT, None))
+def test_cli_never_raises_and_folded_agrees_or_refuses(case):
+    doc, fault = case
     with tempfile.TemporaryDirectory() as tmp:
         doc["output"] = {"checkpoint": os.path.join(tmp, "run.ckpt"),
                          "metrics": os.path.join(tmp, "metrics.jsonl")}
         config = os.path.join(tmp, "run.yaml")
         with open(config, "w") as fh:
             yaml.safe_dump(doc, fh)
-        code, _, _ = _run(["train", config])
+        code, _, err = _run(["train", config])
         assert code in (0, 2, 3, 4)
+        if fault in FLOAT_FAULTS:
+            # the network is checked first and may be refused before the field
+            section, key, _ = fault
+            assert code == 2 and (f"{section}: {key} must" in err
+                                  or re.search(r"network\[\d+\]", err)), err
         if code != 0:
             return
         inputs = os.path.join(tmp, "inputs.npz")
