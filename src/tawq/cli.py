@@ -118,12 +118,14 @@ def cmd_report(args) -> int:
 def _load_inputs(path: str) -> np.ndarray:
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         raise ConfigError(f"input file {path!r} is missing or empty")
+    # np.load leaks the handle it opens when a zip archive proves unreadable
     try:
-        npz = np.load(path)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise DataError(f"{path}: not an .npz archive")
-        with npz:
-            x = np.asarray(npz["inputs"], dtype=np.float64)
+        with open(path, "rb") as fh:
+            npz = np.load(fh)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise DataError(f"{path}: not an .npz archive")
+            with npz:
+                x = np.asarray(npz["inputs"], dtype=np.float64)
     except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: cannot read 'inputs' array: {exc}") from exc
     if x.ndim < 3:

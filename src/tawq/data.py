@@ -46,8 +46,10 @@ class DatasetSpec:
         require(self, "be >= 1", "n_samples", "n_classes", "n_features")
         require(self, "be >= 0", "seed", "noise")
         require(self, "be in (0, 1)", "test_fraction")
-        if self.timesteps < 2 and self.kind == "synthetic-temporal-xor":
-            raise ConfigError("temporal-xor needs at least 2 timesteps")
+        if self.kind == "synthetic-temporal-xor":
+            require(self, "lie in [0, 1]", "noise")  # a flip probability
+            if self.timesteps < 2:
+                raise ConfigError("temporal-xor needs at least 2 timesteps")
         refuse_unread(self, f"by dataset kind {self.kind!r}", *UNREAD[self.kind])
 
 
@@ -60,6 +62,8 @@ def gen_temporal_xor(n_samples: int, timesteps: int, noise: float,
     """
     if timesteps < 2:
         raise ConfigError("temporal-xor needs at least 2 timesteps")
+    if not 0 <= noise <= 1:
+        raise ConfigError(f"noise must lie in [0, 1], got {noise}")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(n_samples, 2))
     x = np.zeros((timesteps, n_samples, 2))

@@ -45,6 +45,7 @@ RULES = {
     "exceed 1": lambda x: x > 1,
     "be in (0, 1)": lambda x: 0 < x < 1,
     "lie in [0, 1)": lambda x: 0 <= x < 1,
+    "lie in [0, 1]": lambda x: 0 <= x <= 1,
     "be finite": lambda x: abs(x) < math.inf,
 }
 

@@ -112,24 +112,11 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self.cache: dict = {}
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                relaxed: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def trace(self) -> dict:
         """Analysis view of the last forward pass."""
         return {"kind": self.kind,
                 "input": self.cache.get("x"),
                 "output": self.cache.get("y")}
-
-
-def _kaiming_uniform(shape: tuple[int, ...], fan_in: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def _check_images(x: np.ndarray) -> None:
@@ -240,57 +227,75 @@ class _ConvContraction:
         return (gw.sum(axis=0) if w.ndim == 4 else gw).reshape(w.shape), gx
 
 
-class Linear(_LinearContraction, Layer):
-    """Plain float linear layer, y[t] = x[t] @ W.T + b."""
+class WeightedLayer(Layer):
+    """A layer with one trainable tensor, drawn Kaiming-uniform, that its
+    family's contraction applies to the input: y = contract(x, w) * scale
+    + bias.  A member gives w and its scale, or None (`_weight`), and takes
+    the gradient of w (`_weight_grad`); the bias, if any, is params["bias"]."""
 
-    kind = "linear"
-
-    def __init__(self, in_features: int, out_features: int, *,
-                 bias: bool = True, rng: np.random.Generator | None = None) -> None:
+    def __init__(self, name: str, shape: tuple[int, ...], fan_in: int,
+                 rng: np.random.Generator | None) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.params["weight"] = _kaiming_uniform((out_features, in_features),
-                                                 in_features, rng)
-        if bias:
-            self.params["bias"] = np.zeros(out_features)
+        bound = np.sqrt(6.0 / fan_in)
+        self.params[name] = (rng or np.random.default_rng(0)).uniform(
+            -bound, bound, size=shape)
+
+    def _weight(self, x: np.ndarray | None = None):
+        """The weight and scale to contract with: a forward passes its
+        input, the backward nothing."""
+        return self.params["weight"], None
+
+    def _weight_grad(self, gw: np.ndarray) -> None:
+        self.grads["weight"] = gw
 
     def forward(self, x, training=False, relaxed=False):
-        y = self._contract(x, self.params["weight"])
+        w, scale = self._weight(x)
+        y = self._contract(x, w)
+        if scale is not None:
+            y *= scale
         if "bias" in self.params:
             y += self.params["bias"]
         self.cache = {"x": x, "y": y}
         return y
 
     def backward(self, gout, input_grad=True):
-        self.grads["weight"], gx = self._contract_grads(
-            gout, self.cache["x"], self.params["weight"], None, input_grad)
+        w, scale = self._weight()
+        gw, gx = self._contract_grads(gout, self.cache["x"], w, scale, input_grad)
+        self._weight_grad(gw)
         if "bias" in self.params:
             self.grads["bias"] = gout.sum(axis=(0, 1))
         return gx
 
 
-class Conv2d(_ConvContraction, Layer):
+class Linear(_LinearContraction, WeightedLayer):
+    """Plain float linear layer, y[t] = x[t] @ W.T + b."""
+
+    kind = "linear"
+
+    def __init__(self, in_features: int, out_features: int, *,
+                 bias: bool = True, rng: np.random.Generator | None = None) -> None:
+        super().__init__("weight", (out_features, in_features), in_features, rng)
+        if bias:
+            self.params["bias"] = np.zeros(out_features)
+
+    # bench/tracer.py times the methods found in each class's own namespace
+    forward = WeightedLayer.forward
+    backward = WeightedLayer.backward
+
+
+class Conv2d(_ConvContraction, WeightedLayer):
     kind = "conv"
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
                  stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
+        super().__init__("weight", (out_channels, in_channels, kernel_size, kernel_size),
+                         in_channels * kernel_size * kernel_size, rng)
         self.stride, self.padding = stride, padding
-        fan_in = in_channels * kernel_size * kernel_size
-        self.params["weight"] = _kaiming_uniform(
-            (out_channels, in_channels, kernel_size, kernel_size), fan_in, rng)
 
-    def forward(self, x, training=False, relaxed=False):
-        y = self._contract(x, self.params["weight"])
-        self.cache = {"x": x, "y": y}
-        return y
-
-    def backward(self, gout, input_grad=True):
-        self.grads["weight"], gx = self._contract_grads(
-            gout, self.cache["x"], self.params["weight"], None, input_grad)
-        return gx
+    # bench/tracer.py times the methods found in each class's own namespace
+    forward = WeightedLayer.forward
+    backward = WeightedLayer.backward
 
     def trace(self):
         t = super().trace()
@@ -298,7 +303,7 @@ class Conv2d(_ConvContraction, Layer):
         return t
 
 
-class QuantizedLayer(Layer):
+class QuantizedLayer(WeightedLayer):
     """A weighted layer whose weight carries a time axis.
 
     The trainable parameter is the stimulus tensor; each forward pass
@@ -310,10 +315,8 @@ class QuantizedLayer(Layer):
 
     def __init__(self, shape: tuple[int, ...], fan_in: int, quant: QuantConfig,
                  rng: np.random.Generator | None) -> None:
-        super().__init__()
+        super().__init__("stimulus", shape, fan_in, rng)
         self.quant = quant
-        self.params["stimulus"] = _kaiming_uniform(
-            shape, fan_in, rng or np.random.default_rng(0))
         self.state: QuantizerState | None = None
         self.alpha: np.ndarray | None = None
         self._quantized_stimulus: np.ndarray | None = None  # the state's source
@@ -336,29 +339,24 @@ class QuantizedLayer(Layer):
         self.alpha = compute_scaling_all(self.state)
         self._quantized_stimulus = np.array(stimulus, dtype=np.float64)
 
-    def _scale(self, ndim: int) -> np.ndarray:
-        """alpha (T, C_o) shaped to broadcast against a (T, B, C_o, ...) array."""
-        return self.alpha.reshape(self.alpha.shape[0], 1, -1, *(1,) * (ndim - 3))
-
-    def forward(self, x, training=False, relaxed=False):
-        if x.shape[0] != self.quant.timesteps:
-            raise ShapeError(f"expected {self.quant.timesteps} timesteps, "
-                             f"got input with {x.shape[0]}")
-        self.materialize()
-        y = self._contract(x, self.state.w_q)
-        y *= self._scale(y.ndim)
-        self.cache = {"x": x, "y": y}
-        return y
-
-    def backward(self, gout, input_grad=True):
-        if self.state is None:
+    def _weight(self, x=None):
+        """The (T, C_o, ...) weight stack, materialized for a forward, and
+        alpha (T, C_o) shaped to broadcast against the (T, B, C_o, ...)
+        output, which has as many axes as the stack."""
+        if x is not None:
+            if x.shape[0] != self.quant.timesteps:
+                raise ShapeError(f"expected {self.quant.timesteps} timesteps, "
+                                 f"got input with {x.shape[0]}")
+            self.materialize()
+        elif self.state is None:
             raise StateError("backward called before forward")
-        g_wq, gx = self._contract_grads(gout, self.cache["x"], self.state.w_q,
-                                        self._scale(gout.ndim), input_grad)
+        w_q = self.state.w_q
+        return w_q, self.alpha.reshape(self.alpha.shape[0], 1, -1, *(1,) * (w_q.ndim - 3))
+
+    def _weight_grad(self, g_wq):
         g_inorm = tawq_backward(g_wq, self.state)
         self.grads["stimulus"] = normalize_backward(
             g_inorm, self.state.i_norm, self.params["stimulus"], self.quant.epsilon)
-        return gx
 
     def trace(self):
         if self.state is None:
@@ -379,8 +377,8 @@ class QuantLinear(_LinearContraction, QuantizedLayer):
 
     # bench/tracer.py times the methods found in each class's own namespace
     materialize = QuantizedLayer.materialize
-    forward = QuantizedLayer.forward
-    backward = QuantizedLayer.backward
+    forward = WeightedLayer.forward
+    backward = WeightedLayer.backward
 
 
 class QuantConv2d(_ConvContraction, QuantizedLayer):
@@ -397,8 +395,8 @@ class QuantConv2d(_ConvContraction, QuantizedLayer):
 
     # bench/tracer.py times the methods found in each class's own namespace
     materialize = QuantizedLayer.materialize
-    forward = QuantizedLayer.forward
-    backward = QuantizedLayer.backward
+    forward = WeightedLayer.forward
+    backward = WeightedLayer.backward
 
 
 class BatchNorm(Layer):

@@ -23,6 +23,7 @@ from .layers import (
     QuantConv2d,
     QuantizedLayer,
     QuantLinear,
+    WeightedLayer,
 )
 from .quantizer import QuantConfig
 from .trainer import TrainConfig
@@ -189,8 +190,13 @@ def build_network(cfg: RunConfig) -> Network:
     Each layer gets a seed derived from the training seed and its index so
     initialization is reproducible layer by layer.  Every quantized layer
     must be followed (possibly after a bn) by a spiking nonlinearity
-    unless it is the output head.
+    unless it is the output head.  A network with no quantized layer
+    refuses every non-default quant field but timesteps, which it never
+    reads; `tawq train --ablate-temporal` sets one of them.
     """
+    if not any(issubclass(_LAYERS[spec["kind"]][0], QuantizedLayer) for spec in cfg.network):
+        refuse_unread(cfg.quant, "by a network with no qlinear or qconv layer",
+                      *(f.name for f in dataclasses.fields(cfg.quant) if f.name != "timesteps"))
     layers: list[Layer] = []
     for i, spec in enumerate(cfg.network):
         cls, required, optional = _LAYERS[spec["kind"]]
@@ -200,7 +206,7 @@ def build_network(cfg: RunConfig) -> Network:
             args.append(cfg.quant)
         elif cls is LIF:
             args.append(cfg.lif)
-        if issubclass(cls, (Linear, Conv2d, QuantizedLayer)):
+        if issubclass(cls, WeightedLayer):
             kwargs["rng"] = np.random.default_rng((cfg.train.seed, i))
         layers.append(cls(*args, **kwargs))
     for i, layer in enumerate(layers[:-1]):

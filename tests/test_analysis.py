@@ -60,9 +60,10 @@ class TestEntropy:
         with pytest.raises(ShapeError):
             weight_entropy(np.array([]))
 
-    def test_report_requires_quantized_layer(self):
-        with pytest.raises(DataError):
-            entropy_report([{"kind": "linear"}])
+    def test_report_of_full_precision_net_is_empty(self):
+        # a float baseline has no weight stacks: no rows, and mean 0.0
+        report = entropy_report([{"kind": "linear"}])
+        assert report.rows == [] and report.mean_entropy == 0.0
 
 
 def _linear_trace(kind, x, y, w_q=None, weight_shape=None):

@@ -11,6 +11,7 @@ import os
 import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestCheckpointRoundTrip:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, ckpt)
         save_checkpoint(p2, load_checkpoint(p1))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_network_restores_exactly(self, trained, tmp_path):
         net, ds, _, cfg = trained
@@ -87,9 +88,9 @@ class TestCheckpointRoundTrip:
         net, _, _, cfg = trained
         path = str(tmp_path / "a.ckpt")
         save_checkpoint(path, checkpoint_from_network(net, cfg))
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(DataError, match="checksum"):
             load_checkpoint(path)
 
@@ -277,7 +278,7 @@ class TestCliTrain:
         path, out = _write_config(tmp_path, tiny_doc)
         assert main(["train", path]) == 0
         assert os.path.exists(out["checkpoint"])
-        lines = open(out["metrics"]).read().strip().split("\n")
+        lines = Path(out["metrics"]).read_text().strip().split("\n")
         assert len(lines) == 2 * 3  # train + test per epoch
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "split", "loss", "accuracy",
@@ -288,9 +289,9 @@ class TestCliTrain:
     def test_metrics_log_deterministic(self, tmp_path, tiny_doc):
         p1, o1 = _write_config(tmp_path, tiny_doc, "a.yaml")
         main(["train", p1])
-        first = open(o1["metrics"], "rb").read()
+        first = Path(o1["metrics"]).read_bytes()
         main(["train", p1])
-        assert open(o1["metrics"], "rb").read() == first
+        assert Path(o1["metrics"]).read_bytes() == first
 
     def test_golden_final_loss(self, trained):
         _, _, metrics, _ = trained
@@ -322,6 +323,13 @@ def _edit_layer(i, key, value):
 
 def _insert_layer(i, spec):
     return lambda doc: doc["network"].insert(i, spec)
+
+
+def _full_precision(doc):
+    """A copy of `doc` whose quantized head is a float linear layer."""
+    doc = copy.deepcopy(doc)
+    doc["network"][-1]["kind"] = "linear"
+    return doc
 
 
 class TestCliTrainRefusals:
@@ -452,6 +460,7 @@ class TestCliTrainRefusals:
         ("dataset", "test_fraction", 1.0, "be in (0, 1)"),
         ("dataset", "noise", float("nan"), "be finite"),
         ("dataset", "noise", -1, "be >= 0"),
+        ("dataset", "noise", 2, "lie in [0, 1]"),
         ("quant", "c_th", float("nan"), "be finite"),
         ("quant", "c_th", float("inf"), "be finite"),
         ("quant", "epsilon", float("nan"), "be finite"),
@@ -488,6 +497,38 @@ class TestCliTrainRefusals:
         assert ("lam is not read by the memoryless quantizer (quant.temporal false); "
                 "got 0.3") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,noise", [("synthetic-temporal-xor", 1.0),
+                                            ("synthetic-rate-patterns", 2.0)])
+    def test_noise_bound_follows_the_dataset_kind(self, tmp_path, tiny_doc, kind, noise):
+        # an XOR flip probability stops at 1; a rate pattern's Gaussian spread does not
+        doc = copy.deepcopy(tiny_doc)
+        doc["dataset"].update(kind=kind, noise=noise)
+        path, _ = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 0
+
+    # Each value used to train a net with no qlinear or qconv to the same
+    # metrics log as the default.
+    @pytest.mark.parametrize("key,value", [
+        ("lam", 0.3), ("c_th", 0.4), ("sg_scale", 2.0), ("epsilon", 1e-4),
+        ("n_level", 2), ("sg_chain_factor", True), ("temporal", False)])
+    def test_quant_field_refused_without_quantized_layer(self, tmp_path, tiny_doc, capsys,
+                                                         key, value):
+        doc = _full_precision(tiny_doc)
+        doc["quant"][key] = value
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 2
+        assert (f"{key} is not read by a network with no qlinear or qconv layer; "
+                f"got {value!r}") in capsys.readouterr().err
+        assert not os.path.exists(out["metrics"])
+
+    def test_ablate_temporal_refused_without_quantized_layer(self, tmp_path, tiny_doc,
+                                                             capsys):
+        path, out = _write_config(tmp_path, _full_precision(tiny_doc))
+        assert main(["train", path, "--ablate-temporal"]) == 2
+        assert ("temporal is not read by a network with no qlinear or qconv layer; "
+                "got False") in capsys.readouterr().err
+        assert not os.path.exists(out["metrics"])
+
     def test_ablated_run_of_a_lam_document_reports(self, tmp_path, tiny_doc):
         # the checkpoint echoes temporal false beside lam 0.3, and still loads
         doc = copy.deepcopy(tiny_doc)
@@ -519,8 +560,19 @@ class TestCliReportInferFold:
         assert main(["report", cli_artifacts["ckpt"], "--json", jpath]) == 0
         text = capsys.readouterr().out
         assert "entropy" in text and "E_total" in text
-        sections = [json.loads(l)["section"] for l in open(jpath)]
+        sections = [json.loads(l)["section"] for l in Path(jpath).read_text().splitlines()]
         assert set(sections) == {"entropy", "energy", "hardware", "firing"}
+
+    def test_report_of_full_precision_checkpoint(self, tmp_path, tiny_doc, capsys):
+        # the float baseline reports its energy, with an empty entropy section
+        path, out = _write_config(tmp_path, _full_precision(tiny_doc))
+        assert main(["train", path]) == 0
+        jpath = str(tmp_path / "report.jsonl")
+        assert main(["report", out["checkpoint"], "--json", jpath]) == 0
+        assert "E_total" in capsys.readouterr().out
+        records = {r["section"]: r for r in map(json.loads, Path(jpath).read_text().splitlines())}
+        assert records["entropy"]["layers"] == [] and records["entropy"]["mean"] == 0.0
+        assert records["energy"]["e_total_pj"] > 0
 
     def test_report_missing_tensor_exits_3(self, cli_artifacts, capsys):
         ckpt = load_checkpoint(cli_artifacts["ckpt"])
@@ -532,9 +584,9 @@ class TestCliReportInferFold:
 
     def test_report_corrupt_checkpoint_exits_3(self, cli_artifacts, capsys):
         bad = str(cli_artifacts["tmp"] / "bad.ckpt")
-        blob = bytearray(open(cli_artifacts["ckpt"], "rb").read())
+        blob = bytearray(Path(cli_artifacts["ckpt"]).read_bytes())
         blob[-10] ^= 0x55
-        open(bad, "wb").write(bytes(blob))
+        Path(bad).write_bytes(bytes(blob))
         assert main(["report", bad]) == 3
         assert "checksum" in capsys.readouterr().err
 
@@ -565,7 +617,7 @@ class TestCliReportInferFold:
         base = ["infer", cli_artifacts["ckpt"], cli_artifacts["inputs"]]
         assert main(base + ["--out", out1]) == 0
         assert main(base + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_infer_empty_input_exits_2(self, cli_artifacts, capsys):
         empty = str(cli_artifacts["tmp"] / "empty.npz")

@@ -57,6 +57,11 @@ class TestTemporalXor:
         with pytest.raises(ConfigError):
             gen_temporal_xor(10, 1, 0.0, seed=0)
 
+    def test_flip_probability_above_one_rejected(self):
+        # noise flips each entry with that probability; above 1 it would act as 1
+        with pytest.raises(ConfigError, match=r"noise must lie in \[0, 1\], got 2.0"):
+            gen_temporal_xor(10, 4, 2.0, seed=0)
+
 
 class TestRatePatterns:
     def test_shapes_and_determinism(self):
@@ -130,7 +135,8 @@ class TestRasterGrid:
         path = str(tmp_path / "grid.bin")
         save_raster_grid(path, rng.integers(0, 2, (4, 3, 3)).astype(np.uint8),
                          np.zeros(4, dtype=np.uint8))
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         with open(path, "wb") as fh:
             fh.write(blob[:-3])
         with pytest.raises(DataError):

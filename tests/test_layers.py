@@ -528,7 +528,7 @@ class TestConvContractionExact:
         gout = rng.standard_normal(y.shape)
         gx = layer.backward(gout)
         if quantized:
-            st, scale = layer.state, layer._scale(y.ndim)
+            st, scale = layer.state, layer._weight()[1]
             _, g_wq, want_gx = ref_conv(x, gout * scale, st.w_q, stride, padding)
             want_gw = normalize_backward(tawq_backward(g_wq, st), st.i_norm,
                                          layer.params["stimulus"], st.cfg.epsilon)
@@ -552,7 +552,7 @@ class TestConvContractionExact:
         gout = rng.standard_normal(layer.forward(x).shape)
         gx = layer.backward(gout)
         st = layer.state
-        g_wq, want_gx = layer._contract_grads(gout * layer._scale(gout.ndim), x, st.w_q,
+        g_wq, want_gx = layer._contract_grads(gout * layer._weight()[1], x, st.w_q,
                                               None, True)
         want_gw = normalize_backward(tawq_backward(g_wq, st), st.i_norm,
                                      layer.params["stimulus"], st.cfg.epsilon)
