@@ -11,6 +11,17 @@ length u64, raw payload.  The trailing CRC covers everything before it.
 A reader refuses an unknown tag and a payload whose length does not
 match its dims.
 The header JSON carries the run-configuration echo and a metrics summary.
+
+A save converts every payload (an int64 array as int64, any other array
+as float64, a 0-d value with dims (1,)) before it opens the file, so a
+tensor that cannot be stored leaves an existing file untouched.  It then
+truncates the file and rewrites it in place, handing each large payload
+to the file as it is and joining the heads and small payloads between
+them into one buffer.  A restore draws no initial weights: it restores
+every parameter, recomputes each quantized layer's weights from its
+stimulus, and checks a stored ternary stack by decoding its codes and
+comparing them with those weights.  The checked stacks become the
+state's `QuantizerState.stored`, so nothing packs them again.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import numpy as np
 from .errors import DataError, StateError
 from .layers import BatchNorm, Network, QuantizedLayer
 from .runconfig import RunConfig, build_network, parse_runconfig
-from .quantizer import PackedTernaryTensor
+from .quantizer import PackedTernaryTensor, unpack_ternary
 
 MAGIC = b"TAWQ"
 VERSION = 1
@@ -41,23 +52,14 @@ class Checkpoint:
     tensors: dict[str, np.ndarray | PackedTernaryTensor] = field(default_factory=dict)
 
 
-def _tensor_bytes(name: str, value) -> bytes:
+def _payload(value) -> tuple[int, tuple[int, ...], memoryview]:
     if isinstance(value, PackedTernaryTensor):
-        tag, dims, payload = TAG_PACKED2, value.shape, value.codes
-    else:
-        arr = np.ascontiguousarray(value)
-        if arr.dtype == np.int64:
-            tag = TAG_I64
-        else:
-            arr = arr.astype(np.float64)
-            tag = TAG_F64
-        dims, payload = arr.shape, arr.tobytes()
-    name_b = name.encode()
-    head = struct.pack("<H", len(name_b)) + name_b
-    head += struct.pack("<BB", tag, len(dims))
-    head += struct.pack(f"<{len(dims)}I", *dims)
-    head += struct.pack("<Q", len(payload))
-    return head + payload
+        return TAG_PACKED2, value.shape, memoryview(value.codes)
+    arr = np.ascontiguousarray(value)  # a 0-d value gets dims (1,)
+    if arr.dtype != np.int64:
+        arr = arr.astype(np.float64, copy=False)
+    tag = TAG_I64 if arr.dtype == np.int64 else TAG_F64
+    return tag, arr.shape, memoryview(arr.reshape(-1).view(np.uint8))
 
 
 def _read_tensor(blob: memoryview, off: int):
@@ -90,13 +92,23 @@ def _read_tensor(blob: memoryview, off: int):
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     header = json.dumps({"runconfig": ckpt.runconfig, "metrics": ckpt.metrics},
                         sort_keys=True).encode()
-    parts = [MAGIC, struct.pack("<H", VERSION), struct.pack("<I", len(header)), header,
-             struct.pack("<I", len(ckpt.tensors))]
-    parts += [_tensor_bytes(name, value) for name, value in ckpt.tensors.items()]
-    body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+    # heads and payloads under 64 KiB are joined in one buffer between larger payloads
+    parts = [bytearray(MAGIC + struct.pack("<HI", VERSION, len(header)) + header
+                       + struct.pack("<I", len(ckpt.tensors)))]
+    for name, value in ckpt.tensors.items():
+        tag, dims, payload = _payload(value)
+        name_b = name.encode()
+        parts[-1] += struct.pack(f"<H{len(name_b)}sBB{len(dims)}IQ", len(name_b), name_b,
+                                 tag, len(dims), *dims, payload.nbytes)
+        if payload.nbytes < 1 << 16:
+            parts[-1] += payload
+        else:
+            parts += [payload, bytearray()]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    with open(path, "wb") as fh:  # truncated and rewritten in place
+        fh.writelines([*parts, struct.pack("<I", crc)])
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -156,19 +168,37 @@ def _stored(ckpt: Checkpoint, key: str):
     return ckpt.tensors[key]
 
 
+def _encodes(stored, w: np.ndarray) -> bool:
+    """Whether `stored` is 2-bit packed codes that decode to the ternary weights `w`."""
+    try:
+        return (isinstance(stored, PackedTernaryTensor)
+                and np.array_equal(unpack_ternary(stored), w))
+    except DataError:  # a wrong byte count, an invalid code or a set padding bit
+        return False
+
+
 def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
-    """Rebuild the network: restore parameters and buffers, then check that
-    every tensor, quantized weights included, is stored as the writer would."""
+    """Rebuild the network without drawing initial weights, restore its
+    parameters and buffers, and check that every tensor is stored as the
+    writer would; checked ternary stacks become the state's `stored`."""
     cfg = parse_runconfig(ckpt.runconfig)
-    net = build_network(cfg)
+    net = build_network(cfg, draw=False)
     for i, layer in enumerate(net.layers):
         for pname in layer.params:
             layer.params[pname] = np.asarray(_stored(ckpt, f"{i}.{pname}"))
         if isinstance(layer, BatchNorm):
             layer.running_mean = np.asarray(_stored(ckpt, f"{i}.running_mean"))
             layer.running_var = np.asarray(_stored(ckpt, f"{i}.running_var"))
+        if isinstance(layer, QuantizedLayer) and layer.quant.n_level == 1:
+            layer.materialize()
+            keys = [f"{i}.w_q.{t}" for t in range(layer.quant.timesteps)]
+            stacks = tuple(_stored(ckpt, key) for key in keys)
+            for key, stack, w in zip(keys, stacks, layer.state.w_q):
+                if not _encodes(stack, w):
+                    raise DataError(f"checkpoint tensor {key} disagrees with the stimulus")
+            layer.state.stored = stacks
     for key, value in _tensors(net):
-        stored = _stored(ckpt, key)  # restored parameters and buffers are `value`
-        if stored is not value and _tensor_bytes(key, stored) != _tensor_bytes(key, value):
+        stored = _stored(ckpt, key)  # restored tensors and adopted stacks are `value`
+        if stored is not value and _payload(stored) != _payload(value):
             raise DataError(f"checkpoint tensor {key} disagrees with the stimulus")
     return net, cfg

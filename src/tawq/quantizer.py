@@ -82,10 +82,9 @@ class QuantConfig:
 
 CODE_INVALID = 0b11
 
-# Byte -> the values of its 4 lanes, lane 0 in the low bits; the invalid
-# code 0b11 decodes to the sentinel 2.
-_INVALID_VALUE = 2
-_BYTE_VALUES = np.array([0, 1, -1, _INVALID_VALUE], dtype=np.int8)[
+# Byte -> the int64 values of its 4 lanes, lane 0 in the low bits; the
+# decoder refuses the invalid code 0b11 before it looks a byte up.
+_BYTE_VALUES = np.array([0, 1, -1, 0], dtype=np.int64)[
     np.arange(256)[:, None] >> np.arange(0, 8, 2) & 0b11]
 
 
@@ -132,12 +131,12 @@ def unpack_ternary(packed: PackedTernaryTensor) -> np.ndarray:
     if raw.size != (packed.size + 3) // 4:
         raise DataError(f"packed payload holds {4 * raw.size} codes, "
                         f"shape {packed.shape} needs {packed.size}")
-    values = np.take(_BYTE_VALUES, raw, axis=0).ravel()
-    if np.any(values == _INVALID_VALUE):
+    if np.any(raw & (raw >> 1) & 0b01010101):  # a lane with both bits set
         raise DataError("invalid 0b11 code in packed ternary payload")
+    values = np.take(_BYTE_VALUES, raw, axis=0).ravel()
     if np.any(values[packed.size:]):
         raise DataError("set padding bits in packed ternary payload")
-    return values[:packed.size].astype(np.int64).reshape(packed.shape)
+    return values[:packed.size].reshape(packed.shape)
 
 
 @dataclass
@@ -156,7 +155,9 @@ class QuantizerState:
     @cached_property
     def stored(self) -> tuple:
         """Each timestep's weights as stored, made once: 2-bit packed if
-        ternary, else int64.  A state is replaced, never updated."""
+        ternary, else int64.  A state is replaced, never updated.  A
+        checkpoint load decodes the stored ternary codes to check them
+        against `w_q`, then sets this to them, so they are not packed again."""
         if self.cfg.n_level == 1:
             return tuple(pack_ternary(w) for w in self.w_q)
         return tuple(w.astype(np.int64) for w in self.w_q)

@@ -184,15 +184,26 @@ def load_runconfig(path: str) -> RunConfig:
     return cfg
 
 
-def build_network(cfg: RunConfig) -> Network:
+class _Undrawn:
+    """A weighted layer's generator when its weight will be restored: the
+    weight starts as zeros, and nothing is drawn."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
+def build_network(cfg: RunConfig, draw: bool = True) -> Network:
     """Instantiate layers from the declarative topology.
 
     Each layer gets a seed derived from the training seed and its index so
-    initialization is reproducible layer by layer.  Every quantized layer
-    must be followed (possibly after a bn) by a spiking nonlinearity
-    unless it is the output head.  A network with no quantized layer
-    refuses every non-default quant field but timesteps, which it never
-    reads; `tawq train --ablate-temporal` sets one of them.
+    initialization is reproducible layer by layer.  With `draw` false no
+    weight is drawn and each starts as zeros, for a caller that restores
+    every parameter.  Every quantized layer must be followed (possibly
+    after a bn) by a spiking nonlinearity unless it is the output head.
+    A network with no quantized layer refuses every non-default quant
+    field but timesteps, which it never reads; `tawq train
+    --ablate-temporal` sets one of them.
     """
     if not any(issubclass(_LAYERS[spec["kind"]][0], QuantizedLayer) for spec in cfg.network):
         refuse_unread(cfg.quant, "by a network with no qlinear or qconv layer",
@@ -207,7 +218,7 @@ def build_network(cfg: RunConfig) -> Network:
         elif cls is LIF:
             args.append(cfg.lif)
         if issubclass(cls, WeightedLayer):
-            kwargs["rng"] = np.random.default_rng((cfg.train.seed, i))
+            kwargs["rng"] = np.random.default_rng((cfg.train.seed, i)) if draw else _Undrawn
         layers.append(cls(*args, **kwargs))
     for i, layer in enumerate(layers[:-1]):
         if isinstance(layer, QuantizedLayer):

@@ -79,27 +79,34 @@ def test_fold_plan_packed_is_a_list(tmp_path):
 
 
 def test_one_deploy_cycle_packs_each_state_once(tmp_path, monkeypatch):
-    # save -> load -> rebuild -> fold -> rewrite: the saved net's state and
-    # the rebuilt net's state each pack their T stacks once, and neither the
-    # fold nor the rewrite packs again
-    calls = []
+    # save -> load -> rebuild -> fold -> rewrite: the saved net's state packs
+    # its T stacks once; the rebuild decodes each stored stack once to check
+    # it and adopts it, so neither the rebuild, the fold nor the rewrite packs
+    calls = {pack_ternary: [], unpack_ternary: []}
 
-    def counting(w):
-        calls.append(w)
-        return pack_ternary(w)
+    def counting(fn):
+        def wrapper(arg):
+            calls[fn].append(arg)
+            return fn(arg)
+        return wrapper
 
     for name, module in list(sys.modules.items()):
         if name == "tawq" or name.startswith("tawq."):
             for attr, value in list(vars(module).items()):
-                if value is pack_ternary:
-                    monkeypatch.setattr(module, attr, counting)
+                if value is pack_ternary or value is unpack_ternary:
+                    monkeypatch.setattr(module, attr, counting(value))
     cfg = parse_runconfig(three_layer_document())
     path = str(tmp_path / "run.ckpt")
     save_checkpoint(path, checkpoint_from_network(build_network(cfg), cfg))
-    net, cfg = network_from_checkpoint(load_checkpoint(path))
+    assert not calls[unpack_ternary]
+    ckpt = load_checkpoint(path)
+    net, cfg = network_from_checkpoint(ckpt)
+    stacks = [ckpt.tensors[f"3.w_q.{t}"] for t in range(cfg.quant.timesteps)]
+    assert [id(p) for p in calls[unpack_ternary]] == [id(p) for p in stacks]
     fold_network(net)
     save_checkpoint(str(tmp_path / "rewrite.ckpt"), checkpoint_from_network(net, cfg))
-    assert len(calls) == 2 * cfg.quant.timesteps == 8
+    assert len(calls[pack_ternary]) == cfg.quant.timesteps == 4
+    assert len(calls[unpack_ternary]) == cfg.quant.timesteps
 
 
 def _tawq_calls(path: pathlib.Path):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import conv_document, run_document
+from conftest import conv_document, run_document, three_layer_document
 from tawq.analysis import count_sops, entropy_report
 from tawq.checkpoint import (
     Checkpoint,
@@ -219,6 +219,101 @@ class TestCraftedCheckpoints:
             path.write_bytes(_with_crc(body[:cut]))
             with pytest.raises(DataError):
                 load_checkpoint(str(path))
+
+
+def _documented_file(ckpt: Checkpoint) -> bytes:
+    """`ckpt` encoded from the layout in the README, tensor by tensor."""
+    header = json.dumps({"runconfig": ckpt.runconfig, "metrics": ckpt.metrics},
+                        sort_keys=True).encode("utf-8")
+    body = (b"TAWQ" + struct.pack("<H", 1) + struct.pack("<I", len(header)) + header
+            + struct.pack("<I", len(ckpt.tensors)))
+    for name, value in ckpt.tensors.items():
+        if isinstance(value, PackedTernaryTensor):
+            tag, dims, payload = 2, value.shape, value.codes
+        else:
+            arr = np.asarray(value)
+            tag = 1 if arr.dtype == np.int64 else 0
+            dims = arr.shape or (1,)
+            payload = arr.astype("<i8" if tag else "<f8").tobytes(order="C")
+        name_b = name.encode("utf-8")
+        body += struct.pack("<H", len(name_b)) + name_b + struct.pack("<BB", tag, len(dims))
+        body += b"".join(struct.pack("<I", d) for d in dims)
+        body += struct.pack("<Q", len(payload)) + payload
+    return _with_crc(body)
+
+
+class TestWriter:
+    """The writer streams large payloads and joins the rest, and still
+    writes the documented layout byte for byte."""
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        grid = np.arange(24.0).reshape(4, 6)
+        tensors = {
+            "f64": np.array([1.5, -0.0, np.inf]),
+            "i64": np.array([[3, -4]], dtype=np.int64),
+            "packed": pack_ternary(np.array([[1, 0, -1], [0, 1, 1]])),
+            "strided": grid[:, ::2],
+            "transposed": grid.T,
+            "f32": np.array([0.1, 2.5], dtype=np.float32),
+            "scalar": np.float64(2.5),
+            "scalar-i64": np.array(7, dtype=np.int64),
+            "empty": np.empty((0, 3)),
+            "big-f64": np.linspace(-1.0, 1.0, 20_000),  # large enough to stream
+            "tail": np.ones(2),
+            "big-packed": pack_ternary(np.resize([1, 0, -1, 1, 1], 300_001)),
+            "big-i64": np.arange(9_000, dtype=np.int64),
+        }
+        ckpt = Checkpoint(runconfig={"b": [1, 2], "a": "é"}, metrics={"loss": 0.25},
+                          tensors=tensors)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(str(path), ckpt)
+        assert path.read_bytes() == _documented_file(ckpt)
+
+    def test_conv_network_bytes_follow_the_documented_layout(self, tmp_path):
+        cfg = parse_runconfig(conv_document())
+        ckpt = checkpoint_from_network(build_network(cfg), cfg, {"epochs": 0})
+        path = tmp_path / "conv.ckpt"
+        save_checkpoint(str(path), ckpt)
+        assert path.read_bytes() == _documented_file(ckpt)
+
+    def test_unconvertible_tensor_raises_before_the_file_opens(self, tmp_path,
+                                                               monkeypatch):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(str(path), Checkpoint({}, {}, {"x": np.arange(3.0)}))
+        before = path.read_bytes()
+        bad = Checkpoint({}, {}, {"big": np.zeros(20_000), "bad": np.array(["x"])})
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("the file was opened")
+
+        monkeypatch.setattr("tawq.checkpoint.open", no_open, raising=False)
+        with pytest.raises(ValueError, match="could not convert"):
+            save_checkpoint(str(path), bad)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="could not convert"):
+            save_checkpoint(str(path), bad)
+        assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("document", [conv_document, three_layer_document],
+                         ids=["conv", "three-layer"])
+def test_rebuild_draws_no_weights(monkeypatch, document):
+    # every parameter is restored, so the rebuild has nothing to draw
+    cfg = parse_runconfig(document())
+    ckpt = checkpoint_from_network(build_network(cfg), cfg)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a weight was drawn")
+
+    monkeypatch.setattr("tawq.runconfig.np.random.default_rng", no_draw)
+    net, _ = network_from_checkpoint(ckpt)
+    again = checkpoint_from_network(net, cfg).tensors
+    assert again.keys() == ckpt.tensors.keys()
+    for key, value in ckpt.tensors.items():
+        if isinstance(value, PackedTernaryTensor):
+            assert again[key] is value  # the checked stack is adopted
+        else:
+            assert np.array_equal(again[key], value)
 
 
 class TestConvNetwork:
