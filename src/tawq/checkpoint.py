@@ -189,6 +189,10 @@ def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
         if isinstance(layer, BatchNorm):
             layer.running_mean = np.asarray(_stored(ckpt, f"{i}.running_mean"))
             layer.running_var = np.asarray(_stored(ckpt, f"{i}.running_var"))
+            if not (np.isfinite(layer.running_mean).all() and np.isfinite(layer.running_var).all()
+                    and (layer.running_var + layer.eps > 0).all()):
+                raise DataError(f"layer {i} (bn): running statistics must be finite, "
+                                "with running_var + eps positive")
         if isinstance(layer, QuantizedLayer) and layer.quant.n_level == 1:
             layer.materialize()
             keys = [f"{i}.w_q.{t}" for t in range(layer.quant.timesteps)]

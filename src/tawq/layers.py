@@ -1,14 +1,15 @@
 """Spiking network layers evaluated over a leading time axis.
 
-Every layer consumes and produces arrays shaped (T, B, ...) and caches
-whatever its backward pass needs.  Quantized layers draw their integer
-weights from the temporal quantizer on each forward pass, and reuse the
-weights they hold while the stimulus equals, by value, the one those
-weights were made from under the same config.  A convolution runs one
-BLAS product per timestep over the whole batch.  The LIF neuron scales
-its input by 1/tau and runs `lif_charge`, the one membrane update over
-time, which the folded runtime runs too.  Both LIF time loops run all T
-steps over one `quantizer.BLOCK` of neurons before the next.
+Every layer consumes and produces arrays shaped (T, B, ...).  Its
+`forward` caches whatever its backward pass needs; its `infer` is the eval
+forward with no cache, and may overwrite its input.  Quantized layers draw
+their integer weights from the temporal quantizer on each forward pass,
+and reuse the weights they hold while the stimulus equals, by value, the
+one those weights were made from under the same config.  A convolution
+runs one BLAS product per timestep over the whole batch.  The LIF neuron
+scales its input by 1/tau and runs `lif_charge`, the one membrane update
+over time, which the folded runtime runs too.  Both LIF time loops run all
+T steps over one `quantizer.BLOCK` of neurons before the next.
 
 A "relaxed" evaluation mode replaces the hard spike with its surrogate
 sigmoid so the whole forward becomes differentiable; it exists solely to
@@ -16,8 +17,9 @@ validate analytic gradients against finite differences.
 
 The elementwise kernels of BatchNorm, LIF and AvgPool2d run in place on
 buffers they allocate themselves, one numpy operation per step of the
-formula and no temporary per operator.  They never write into their
-inputs or into an array another layer holds in its cache.  Each performs
+formula and no temporary per operator; `infer` of BatchNorm and LIF runs
+them in place on its input instead.  `forward` never writes into its
+input or into an array another layer holds in its cache.  Each performs
 the same floating-point operations, in the same order, as the plain
 formula that tests/test_layers.py pins, so its results are equal to it
 under np.array_equal (only the sign of a zero or of a NaN may differ).
@@ -111,6 +113,12 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.cache: dict = {}
+
+    def forward(self, x, training=False, relaxed=False):
+        """`infer`, which a member defines, plus the cache."""
+        y = self.infer(x)
+        self.cache = {"x": x, "y": y}
+        return y
 
     def trace(self) -> dict:
         """Analysis view of the last forward pass."""
@@ -248,14 +256,13 @@ class WeightedLayer(Layer):
     def _weight_grad(self, gw: np.ndarray) -> None:
         self.grads["weight"] = gw
 
-    def forward(self, x, training=False, relaxed=False):
+    def infer(self, x):
         w, scale = self._weight(x)
         y = self._contract(x, w)
         if scale is not None:
             y *= scale
         if "bias" in self.params:
             y += self.params["bias"]
-        self.cache = {"x": x, "y": y}
         return y
 
     def backward(self, gout, input_grad=True):
@@ -279,7 +286,7 @@ class Linear(_LinearContraction, WeightedLayer):
             self.params["bias"] = np.zeros(out_features)
 
     # bench/tracer.py times the methods found in each class's own namespace
-    forward = WeightedLayer.forward
+    forward = Layer.forward
     backward = WeightedLayer.backward
 
 
@@ -294,7 +301,7 @@ class Conv2d(_ConvContraction, WeightedLayer):
         self.stride, self.padding = stride, padding
 
     # bench/tracer.py times the methods found in each class's own namespace
-    forward = WeightedLayer.forward
+    forward = Layer.forward
     backward = WeightedLayer.backward
 
     def trace(self):
@@ -377,7 +384,7 @@ class QuantLinear(_LinearContraction, QuantizedLayer):
 
     # bench/tracer.py times the methods found in each class's own namespace
     materialize = QuantizedLayer.materialize
-    forward = WeightedLayer.forward
+    forward = Layer.forward
     backward = WeightedLayer.backward
 
 
@@ -395,7 +402,7 @@ class QuantConv2d(_ConvContraction, QuantizedLayer):
 
     # bench/tracer.py times the methods found in each class's own namespace
     materialize = QuantizedLayer.materialize
-    forward = WeightedLayer.forward
+    forward = Layer.forward
     backward = WeightedLayer.backward
 
 
@@ -423,12 +430,22 @@ class BatchNorm(Layer):
         return tuple(i for i in range(x.ndim) if i != 2)
 
     def _cshape(self, x):
-        return (1, 1, self.channels) + (1,) * (x.ndim - 3)
-
-    def forward(self, x, training=False, relaxed=False):
         if x.ndim < 3 or x.shape[2] != self.channels:
             raise ShapeError(f"expected {self.channels} channels on axis 2, "
                              f"got input shape {x.shape}")
+        return (1, 1, self.channels) + (1,) * (x.ndim - 3)
+
+    def _scale_shift(self, xhat, y, var):
+        """The affine after centring: xhat /= sqrt(var + eps) in place, then
+        y = xhat * gamma + beta (y may be xhat); returns the std."""
+        cs = self._cshape(xhat)
+        std = np.sqrt(var + self.eps)
+        xhat /= std.reshape(cs)
+        np.multiply(xhat, self.params["gamma"].reshape(cs), out=y)
+        y += self.params["beta"].reshape(cs)
+        return std
+
+    def forward(self, x, training=False, relaxed=False):
         axes, cs = self._axes(x), self._cshape(x)
         if training:
             mean = x.mean(axis=axes)
@@ -438,16 +455,18 @@ class BatchNorm(Layer):
             var = y.sum(axis=axes) / (x.size // x.shape[2])
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean, var = self.running_mean, self.running_var
-            xhat = x - mean.reshape(cs)
+        else:  # the running-statistics affine of `infer`, into buffers of its own
+            var = self.running_var
+            xhat = x - self.running_mean.reshape(cs)
             y = np.empty_like(xhat)
-        std = np.sqrt(var + self.eps)
-        xhat /= std.reshape(cs)
-        np.multiply(xhat, self.params["gamma"].reshape(cs), out=y)
-        y += self.params["beta"].reshape(cs)
+        std = self._scale_shift(xhat, y, var)
         self.cache = {"x": x, "y": y, "xhat": xhat, "std": std, "training": training}
         return y
+
+    def infer(self, x):
+        x -= self.running_mean.reshape(self._cshape(x))
+        self._scale_shift(x, x, self.running_var)
+        return x
 
     def backward(self, gout, input_grad=True):
         xhat, std = self.cache["xhat"], self.cache["std"]
@@ -489,6 +508,10 @@ class LIF(Layer):
         self.cache = {"x": x, "y": ss, "u": us}
         return ss
 
+    def infer(self, x):
+        x /= self.cfg.tau  # x is left holding the membrane
+        return lif_charge(x, self.cfg)
+
     def backward(self, gout):
         cfg, k = self.cfg, self.cfg.sg_scale_neuron
         decay = 1.0 - 1.0 / cfg.tau
@@ -525,7 +548,9 @@ class AvgPool2d(Layer):
         super().__init__()
         self.kernel_size = kernel_size
 
-    def forward(self, x, training=False, relaxed=False):
+    forward = Layer.forward  # bench/tracer.py times the class's own namespace
+
+    def infer(self, x):
         k = self.kernel_size
         _check_images(x)
         T, B, C, H, W = x.shape
@@ -548,7 +573,6 @@ class AvgPool2d(Layer):
                 if i:
                     y += row
             y /= k * k
-        self.cache = {"x": x, "y": y}
         return y
 
     def backward(self, gout):
@@ -562,14 +586,13 @@ class AvgPool2d(Layer):
 
 class Flatten(Layer):
     kind = "flatten"
+    forward = Layer.forward  # bench/tracer.py times the class's own namespace
 
-    def forward(self, x, training=False, relaxed=False):
-        y = x.reshape(*x.shape[:2], -1)
-        self.cache = {"x": x, "y": y, "shape": x.shape}
-        return y
+    def infer(self, x):
+        return x.reshape(*x.shape[:2], -1)
 
     def backward(self, gout):
-        return gout.reshape(self.cache["shape"])
+        return gout.reshape(self.cache["x"].shape)
 
 
 @contextmanager

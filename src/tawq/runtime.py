@@ -1,13 +1,17 @@
 """Deployment-style inference.
 
 A folded block takes its 2-bit packed weights from the quantizer state
-(`QuantizerState.stored`).  The accumulate of binary spikes is one float32
-BLAS product with a packed tensor's decoded matrix, exact while the fan-in
-stays below 2^24; a larger fan-in is refused.  The per-channel
-scale and the batch-norm affine are folded into the LIF charging path: a
-folded block accumulates every timestep, then charges through the
-training layer's own `layers.lif_charge`.  `FoldedBlock.replaces` names
-the layers a block stands for, and is the one statement of the fold rule.
+(`QuantizerState.stored`).  Its one kernel, `ac_only_matmul(packed,
+spikes)`, takes the T packed tensors and the (T, B, C_i) spikes, and runs
+one float32 BLAS product per timestep with each tensor's decoded matrix,
+exact while the fan-in stays below 2^24; a larger fan-in is refused.  The
+per-channel scale and the batch-norm affine are folded into the LIF
+charging path: a block charges straight from the accumulate, through the
+training layer's own `layers.lif_charge`.  Float layers run through their
+cache-free `infer`, which may overwrite an input that folded inference
+owns but never the caller's, so every layer's cache stays as it was.
+`FoldedBlock.replaces` names the layers a block stands for, and is the
+one statement of the fold rule.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .layers import LifConfig, Network, layer_errors, lif_charge
+from .layers import LIF, BatchNorm, Flatten, LifConfig, Network, layer_errors, lif_charge
 # the codec stays importable here: callers pack, unpack and trace it as runtime.*
 from .quantizer import CODE_INVALID, PackedTernaryTensor, pack_ternary, unpack_ternary
 
@@ -26,27 +30,34 @@ from .quantizer import CODE_INVALID, PackedTernaryTensor, pack_ternary, unpack_t
 MAX_FAN_IN = 1 << 24
 
 
-def ac_only_matmul(packed: PackedTernaryTensor, spikes: np.ndarray) -> np.ndarray:
-    """Accumulate-only product: out[b, c] = (#matches at +1) - (#matches at -1).
+def ac_only_matmul(packed: list[PackedTernaryTensor], spikes: np.ndarray) -> np.ndarray:
+    """Accumulate-only product: out[t, b, c] = (#matches at +1) - (#matches
+    at -1) of spikes[t, b] against row c of packed[t].
 
-    ``packed`` holds a (C_o, C_i) weight matrix; ``spikes`` is a binary
-    (B, C_i) array.  The matrix is decoded once per packed tensor; the
-    accumulate is one float32 BLAS product of {0, 1} spikes with
-    {-1, 0, +1} weights, whose sums are exact integers while
-    C_i < `MAX_FAN_IN` (2^24).  A larger fan-in is refused.
+    ``packed`` holds T (C_o, C_i) matrices, each decoded once per packed
+    tensor; ``spikes`` is a binary (T, B, C_i) array, checked and cast once.
+    Each timestep is one float32 BLAS product into one (T, B, C_o) float32
+    result, whose sums are exact integers while C_i < `MAX_FAN_IN` (2^24).
+    A larger fan-in is refused.
     """
-    if len(packed.shape) != 2:
-        raise ShapeError(f"expected a packed matrix, got shape {packed.shape}")
-    if packed.shape[1] >= MAX_FAN_IN:
-        raise ShapeError(f"fan-in {packed.shape[1]} is not below 2^24, where "
-                         "float32 accumulation stops being exact")
     s = np.asarray(spikes)
+    if s.ndim != 3 or not packed or s.shape[0] != len(packed):
+        raise ShapeError(f"expected {len(packed)} timesteps, got input with shape {s.shape}")
+    for p in packed:
+        if len(p.shape) != 2:
+            raise ShapeError(f"expected a packed matrix, got shape {p.shape}")
+        if p.shape[1] >= MAX_FAN_IN:
+            raise ShapeError(f"fan-in {p.shape[1]} is not below 2^24, where "
+                             "float32 accumulation stops being exact")
+        if p.shape != (packed[0].shape[0], s.shape[2]):
+            raise ShapeError(f"spike width {s.shape[2]} does not fit weight shape {p.shape}")
     if not ((s == 0) | (s == 1)).all():
         raise DataError("spikes must be binary")
-    w = packed.matrix
-    if s.shape[-1] != w.shape[1]:
-        raise ShapeError(f"spike width {s.shape[-1]} != weight width {w.shape[1]}")
-    return (s.astype(np.float32) @ w.T).astype(np.int64)
+    s32 = s.astype(np.float32)
+    out = np.empty((*s.shape[:2], packed[0].shape[0]), dtype=np.float32)
+    for t, p in enumerate(packed):
+        np.matmul(s32[t], p.matrix.T, out=out[t])
+    return out
 
 
 def fold_parameters(alpha: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -117,23 +128,22 @@ def folded_forward(plan: list, x: np.ndarray,
     the layer they came from, as `Network.forward`'s do.
     """
     h = np.asarray(x, dtype=np.float64)
+    if plan and isinstance(plan[0], (BatchNorm, LIF, Flatten)):
+        h = h.copy()  # their infer writes into the caller's x, or passes on a view of it
     membranes = []
     i = 0  # index of the item's first layer in the unfolded network
     for item in plan:
         if isinstance(item, FoldedBlock):
             with layer_errors(i, item.replaces[0]):
-                if h.shape[0] != len(item.packed):
-                    raise ShapeError(f"expected {len(item.packed)} timesteps, "
-                                     f"got input with {h.shape[0]}")
-                x_q = np.stack([ac_only_matmul(p, h[t]) for t, p in enumerate(item.packed)])
-            trace = item.rho[:, None, :] * x_q
+                acc = ac_only_matmul(item.packed, h)
+            trace = np.multiply(acc, item.rho[:, None, :], dtype=np.float64)
             trace += item.delta  # the charging current; lif_charge turns it into U
             h = lif_charge(trace, item.lif)
             membranes.append(trace)
             i += len(item.replaces)
         else:
             with layer_errors(i, item.kind):
-                h = item.forward(h, training=False)
+                h = item.infer(h)
             i += 1
     logits = h.mean(axis=0)
     if record_membranes:

@@ -211,7 +211,7 @@ def test_criterion_7_ac_kernels_and_codec():
         b = int(rng.integers(1, 5))
         w = rng.integers(-1, 2, size=(c_o, c_i)).astype(float)
         s = (rng.random((b, c_i)) < 0.5).astype(float)
-        got = ac_only_matmul(pack_ternary(w), s)
+        got = ac_only_matmul([pack_ternary(w)], s[None])[0]
         kernel_ok &= np.array_equal(got, (s @ w.T).astype(np.int64))
     codec_ok = True
     for _ in range(1000):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import three_layer_document
-from tawq import trainer
+from tawq import runtime, trainer
 from tawq.checkpoint import (
     checkpoint_from_network,
     load_checkpoint,
@@ -107,6 +107,46 @@ def test_one_deploy_cycle_packs_each_state_once(tmp_path, monkeypatch):
     save_checkpoint(str(tmp_path / "rewrite.ckpt"), checkpoint_from_network(net, cfg))
     assert len(calls[pack_ternary]) == cfg.quant.timesteps == 4
     assert len(calls[unpack_ternary]) == cfg.quant.timesteps
+
+
+def _bench_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports the tracer by name
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("network", ["bench-mlp", "three-layer"])
+def test_folded_blocks_and_accumulates_per_block(monkeypatch, network):
+    # workloads.folded_blocks pairs each folded block with the layers it
+    # replaced: _count_accumulates reads `.state` of the first, and
+    # check_folded_batch a recorded membrane against the LIF's cache
+    workloads = _bench_workloads(monkeypatch)
+    if network == "bench-mlp":
+        doc = workloads.run_document(workloads.MLP, 128, 64, 1)
+    else:
+        doc = three_layer_document()
+    cfg = parse_runconfig(doc)
+    net = build_network(cfg)
+    plan = fold_network(net)
+    blocks = workloads.folded_blocks(plan, net.layers)
+    assert len(blocks) == sum(isinstance(item, FoldedBlock) for item in plan) == 1
+    for first, lif in blocks:
+        assert getattr(net.layers[first], "state", None) is not None
+        assert net.layers[lif].kind == "lif"
+    calls = []
+    original = runtime.ac_only_matmul
+
+    def spy(packed, spikes):
+        calls.append(len(packed))
+        return original(packed, spikes)
+
+    # the tracer times the kernel by replacing the module global
+    monkeypatch.setattr(runtime, "ac_only_matmul", spy)
+    x = build_dataset(cfg.dataset).test_x
+    batches = [x[:, :8], x[:, 8:16]]
+    for xb in batches:
+        _, membranes = runtime.folded_forward(plan, xb, record_membranes=True)
+        assert len(membranes) == len(blocks)
+    assert calls == [cfg.quant.timesteps] * len(blocks) * len(batches)
 
 
 def _tawq_calls(path: pathlib.Path):

@@ -951,6 +951,55 @@ class TestFoldCommandWithBlock:
             "float layers: 0 (linear), 1 (bn), 2 (lif), 6 (linear)\n")
 
 
+@pytest.fixture(scope="module")
+def three_layer_artifacts(tmp_path_factory):
+    from tawq.data import build_dataset
+    tmp = tmp_path_factory.mktemp("three")
+    doc = three_layer_document(epochs=2)
+    path, out = _write_config(tmp, doc)
+    assert main(["train", path]) == 0
+    inputs = str(tmp / "inputs.npz")
+    np.savez(inputs, inputs=build_dataset(parse_runconfig(doc).dataset).test_x)
+    return {"tmp": tmp, "ckpt": out["checkpoint"], "inputs": inputs}
+
+
+class TestBnStatisticsRefused:
+    """Stored BN statistics that would make inference NaN are refused by the
+    reader, in either inference mode, for the BN of the float input block
+    (layer 1) and of the quantized block (layer 4)."""
+
+    @pytest.mark.parametrize("mode", ["--folded", "--unfolded"])
+    @pytest.mark.parametrize("layer", [1, 4], ids=["float-block", "quantized-block"])
+    @pytest.mark.parametrize("buffer,value", [
+        ("running_var", -1.0), ("running_var", -1e-5), ("running_var", np.inf),
+        ("running_var", np.nan), ("running_mean", np.nan), ("running_mean", -np.inf),
+    ], ids=["negative-var", "var-at-minus-eps", "infinite-var", "nan-var", "nan-mean",
+            "infinite-mean"])
+    def test_infer_exits_3_naming_the_layer(self, three_layer_artifacts, capsys, mode,
+                                            layer, buffer, value):
+        ckpt = load_checkpoint(three_layer_artifacts["ckpt"])
+        ckpt.tensors[f"{layer}.{buffer}"][3] = value
+        path = str(three_layer_artifacts["tmp"] / "bad_stats.ckpt")
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        assert main(["infer", path, three_layer_artifacts["inputs"], mode]) == 3
+        err = capsys.readouterr().err
+        assert f"layer {layer} (bn): running statistics must be finite" in err, err
+
+    def test_variance_just_above_minus_eps_accepted(self, three_layer_artifacts, capsys):
+        ckpt = load_checkpoint(three_layer_artifacts["ckpt"])
+        ckpt.tensors["4.running_var"][3] = -0.5e-5
+        path = str(three_layer_artifacts["tmp"] / "small_var.ckpt")
+        save_checkpoint(path, ckpt)
+        network_from_checkpoint(load_checkpoint(path))
+        args = ["infer", path, three_layer_artifacts["inputs"]]
+        capsys.readouterr()
+        assert main(args + ["--folded"]) == 0
+        folded = capsys.readouterr().out
+        assert main(args + ["--unfolded"]) == 0
+        assert folded == capsys.readouterr().out
+
+
 class TestMultibitCheckpoint:
     def test_folded_and_unfolded_predictions_agree(self, tmp_path, capsys):
         from conftest import three_layer_document

@@ -693,3 +693,54 @@ class TestInPlaceKernelsExact:
         x = np.random.default_rng(34).standard_normal((2, 3, 4, 6, 6)).transpose(0, 1, 2, 4, 3)
         want_y, _ = ref_avg_pool(x, np.zeros((2, 3, 4, 3, 3)), 2)
         assert np.array_equal(AvgPool2d(2).forward(x), want_y)
+
+
+def _infer_case(kind: str):
+    """A layer of `kind` with non-trivial parameters and statistics, and an
+    input for it."""
+    rng = np.random.default_rng(36)
+    quant = QuantConfig(timesteps=4)
+    layer, shape = {
+        "linear": (Linear(6, 5, rng=rng), (4, 3, 6)),
+        "qlinear": (QuantLinear(6, 5, quant, rng=rng), (4, 3, 6)),
+        "conv": (Conv2d(2, 3, 3, padding=1, rng=rng), (4, 3, 2, 5, 5)),
+        "qconv": (QuantConv2d(2, 3, 3, quant, stride=2, rng=rng), (4, 3, 2, 5, 5)),
+        "bn-3d": (BatchNorm(6), (4, 3, 6)),
+        "bn-5d": (BatchNorm(2), (4, 3, 2, 4, 4)),
+        "lif": (LIF(LifConfig(tau=3.0, v_reset=-0.2)), (4, 3, 6)),
+        "pool": (AvgPool2d(2), (4, 3, 2, 4, 6)),
+        "flatten": (Flatten(), (4, 3, 2, 4, 4)),
+    }[kind]
+    if isinstance(layer, BatchNorm):
+        c = layer.channels
+        layer.params.update(gamma=rng.uniform(0.5, 2.0, c), beta=rng.uniform(-1.0, 1.0, c))
+        layer.running_mean, layer.running_var = rng.uniform(-1.0, 1.0, c), rng.uniform(0.5, 2.0, c)
+    return layer, rng.standard_normal(shape) * 2 + 0.5
+
+
+INFER_KINDS = ["linear", "qlinear", "conv", "qconv", "bn-3d", "bn-5d", "lif", "pool", "flatten"]
+
+
+class TestInfer:
+    """`infer` is the eval forward without a cache: the same output, bit for
+    bit, from an input it may overwrite, and every cache left as it was."""
+
+    @pytest.mark.parametrize("kind", INFER_KINDS)
+    def test_equals_eval_forward(self, kind):
+        layer, x = _infer_case(kind)
+        owned = x.copy()
+        got = layer.infer(owned)
+        assert np.array_equal(got, layer.forward(x, training=False))
+        if kind == "lif":  # the input it owned is left holding the membrane
+            assert np.array_equal(owned, layer.cache["u"])
+
+    @pytest.mark.parametrize("kind", INFER_KINDS)
+    def test_leaves_the_cache(self, kind):
+        layer, x = _infer_case(kind)
+        layer.forward(x, training=False)
+        cache, items = layer.cache, dict(layer.cache)
+        snapshot = {k: np.copy(v) for k, v in items.items() if isinstance(v, np.ndarray)}
+        layer.infer(x[:, :2].copy())
+        assert layer.cache is cache and cache.keys() == items.keys()
+        assert all(cache[k] is v for k, v in items.items())
+        assert all(np.array_equal(cache[k], v) for k, v in snapshot.items())

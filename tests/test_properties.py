@@ -82,6 +82,12 @@ HEAD = {"kind": "linear", "in": 4, "out": 2}
 SPIKING_INPUT = _document([INPUT_LAYER, {"kind": "bn", "channels": 4}, {"kind": "lif"},
                            *BLOCK, HEAD])
 GRADED_INPUT = _document([INPUT_LAYER, *BLOCK, HEAD])
+# float layers that folded inference runs in place, before and after a block
+INPUT_BLOCK = [{"kind": "qlinear", "in": 2, "out": 4}, *BLOCK[1:]]
+LIF_FIRST = _document([{"kind": "lif"}, *INPUT_BLOCK, HEAD])
+BN_FIRST = _document([{"kind": "bn", "channels": 2}, {"kind": "lif"}, *INPUT_BLOCK, HEAD])
+FLOAT_AFTER_BLOCK = _document([*INPUT_BLOCK, {"kind": "linear", "in": 4, "out": 4},
+                               {"kind": "bn", "channels": 4}, {"kind": "lif"}, HEAD])
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -95,6 +101,9 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 @given(documents())
 @example((SPIKING_INPUT, None))
 @example((GRADED_INPUT, None))
+@example((LIF_FIRST, None))
+@example((BN_FIRST, None))
+@example((FLOAT_AFTER_BLOCK, None))
 def test_cli_never_raises_and_folded_agrees_or_refuses(case):
     doc, fault = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import run_document, three_layer_document
 from tawq.errors import ConfigError, DataError, ShapeError
-from tawq.layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear
+from tawq.layers import LIF, BatchNorm, Flatten, LifConfig, Linear, Network, QuantLinear
 from tawq.quantizer import QuantConfig
 from tawq.runconfig import build_network, parse_runconfig
 from tawq.runtime import (
@@ -54,18 +54,18 @@ class TestTernaryCodec:
 class TestAcOnlyMatmul:
     def test_count_difference(self):
         packed = pack_ternary(np.array([[1, 1, -1]]))
-        out = ac_only_matmul(packed, np.array([[1, 1, 1]]))
-        assert out[0, 0] == 1
+        out = ac_only_matmul([packed], np.array([[[1, 1, 1]]]))
+        assert out[0, 0, 0] == 1
 
     def test_zero_spikes(self):
         packed = pack_ternary(np.array([[1, -1, 0, 1]]))
-        assert not ac_only_matmul(packed, np.zeros((3, 4))).any()
+        assert not ac_only_matmul([packed], np.zeros((1, 3, 4))).any()
 
     def test_matches_float_oracle_64_wide(self):
         rng = np.random.default_rng(43)
         w = rng.integers(-1, 2, size=(5, 64)).astype(float)
         s = (rng.random((7, 64)) < 0.4).astype(float)
-        got = ac_only_matmul(pack_ternary(w), s)
+        got = ac_only_matmul([pack_ternary(w)], s[None])[0]
         assert np.array_equal(got, (s @ w.T).astype(np.int64))
 
     def test_matches_float_oracle_random_shapes(self):
@@ -76,27 +76,111 @@ class TestAcOnlyMatmul:
             b = int(rng.integers(1, 5))
             w = rng.integers(-1, 2, size=(c_o, c_i)).astype(float)
             s = (rng.random((b, c_i)) < 0.5).astype(float)
-            got = ac_only_matmul(pack_ternary(w), s)
+            got = ac_only_matmul([pack_ternary(w)], s[None])[0]
             assert np.array_equal(got, (s @ w.T).astype(np.int64))
 
     def test_nonbinary_spikes_rejected(self):
         packed = pack_ternary(np.array([[1, 0]]))
         with pytest.raises(DataError):
-            ac_only_matmul(packed, np.array([[0.5, 1.0]]))
+            ac_only_matmul([packed], np.array([[[0.5, 1.0]]]))
 
     def test_width_mismatch_rejected(self):
         packed = pack_ternary(np.array([[1, 0]]))
         with pytest.raises(ShapeError):
-            ac_only_matmul(packed, np.ones((1, 3)))
+            ac_only_matmul([packed], np.ones((1, 1, 3)))
 
     def test_non_matrix_rejected(self):
         with pytest.raises(ShapeError, match="expected a packed matrix"):
-            ac_only_matmul(pack_ternary(np.zeros((2, 2, 2))), np.zeros((1, 2)))
+            ac_only_matmul([pack_ternary(np.zeros((2, 2, 2)))], np.zeros((1, 1, 2)))
 
     def test_fan_in_beyond_float32_exactness_rejected(self):
         # refused from the shape alone, before the (empty) payload is decoded
         with pytest.raises(ShapeError, match="2\\^24"):
-            ac_only_matmul(PackedTernaryTensor(b"", (1, 1 << 24)), np.zeros((1, 1)))
+            ac_only_matmul([PackedTernaryTensor(b"", (1, 1 << 24))], np.zeros((1, 1, 1)))
+
+
+class TestAcOnlyMatmulOverTime:
+    """One call accumulates every timestep of a block, each against its own
+    matrix; through `folded_forward` each refusal names the block's layer."""
+
+    def test_equals_int64_oracle_per_timestep(self):
+        rng = np.random.default_rng(46)
+        w = rng.integers(-1, 2, size=(4, 7, 33))
+        s = (rng.random((4, 5, 33)) < 0.4).astype(np.float64)
+        assert all(not np.array_equal(w[0], w[t]) for t in range(1, 4))
+        got = ac_only_matmul([pack_ternary(w[t]) for t in range(4)], s)
+        want = np.stack([s[t].astype(np.int64) @ w[t].T for t in range(4)])
+        assert got.dtype == np.float32 and got.shape == (4, 5, 7)
+        assert np.array_equal(got, want)
+
+    @staticmethod
+    def _plan(rng):
+        net = Network([QuantLinear(6, 8, QuantConfig(timesteps=4), rng=rng), BatchNorm(8),
+                       LIF(), Linear(8, 2, rng=rng)])
+        return fold_network(net)
+
+    def test_graded_spikes_refused(self):
+        rng = np.random.default_rng(47)
+        x = (rng.random((4, 5, 6)) < 0.5) * 1.0
+        x[2, 3, 1] = 0.5
+        with pytest.raises(DataError, match=r"layer 0 \(qlinear\): spikes must be binary"):
+            folded_forward(self._plan(rng), x)
+
+    def test_packed_count_unlike_timesteps_refused(self):
+        rng = np.random.default_rng(48)
+        plan = self._plan(rng)
+        del plan[0].packed[-1]
+        with pytest.raises(ShapeError, match=r"layer 0 \(qlinear\): expected 3 timesteps"):
+            folded_forward(plan, np.zeros((4, 5, 6)))
+
+    def test_width_mismatch_refused(self):
+        rng = np.random.default_rng(49)
+        with pytest.raises(ShapeError, match=r"layer 0 \(qlinear\): spike width 5"):
+            folded_forward(self._plan(rng), np.zeros((4, 3, 5)))
+
+
+def _leading_float_net(first: str):
+    """A net whose folded plan starts with float layers that `infer` runs in
+    place, then a foldable block and a float head, with a graded input."""
+    rng = np.random.default_rng(50)
+    quant = QuantConfig(timesteps=4)
+    lead = {"bn": [BatchNorm(6), LIF()], "lif": [LIF()],
+            "flatten": [Flatten(), BatchNorm(6), LIF()]}[first]
+    net = Network([*lead, QuantLinear(6, 8, quant, rng=rng), BatchNorm(8), LIF(),
+                   Linear(8, 2, rng=rng)])
+    shape = (4, 5, 6, 1, 1) if first == "flatten" else (4, 5, 6)
+    x = rng.standard_normal(shape) * 2 + 1
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            layer.running_mean = rng.uniform(-1.0, 1.0, layer.channels)
+            layer.running_var = rng.uniform(0.5, 2.0, layer.channels)
+    return net, x
+
+
+class TestFoldedForwardOwnsItsBuffers:
+    @pytest.mark.parametrize("first", ["bn", "lif", "flatten"])
+    def test_caller_input_unchanged(self, first):
+        net, x = _leading_float_net(first)
+        x0 = x.copy()
+        plan = fold_network(net)
+        assert sum(isinstance(item, FoldedBlock) for item in plan) == 1
+        logits, membranes = folded_forward(plan, x, record_membranes=True)
+        assert np.array_equal(x, x0)
+        unfolded = net.forward(x, training=False)
+        lif = len(net.layers) - 2
+        assert np.max(np.abs(membranes[0] - net.layers[lif].cache["u"])) <= 1e-12
+        assert np.array_equal(logits.argmax(axis=1), unfolded.argmax(axis=1))
+
+    @pytest.mark.parametrize("first", ["bn", "lif", "flatten"])
+    def test_layer_caches_left_as_they_were(self, first):
+        net, x = _leading_float_net(first)
+        plan = fold_network(net)
+        net.forward(x[:, :2], training=False)
+        caches = [(layer.cache, dict(layer.cache)) for layer in net.layers]
+        folded_forward(plan, x)
+        for layer, (cache, items) in zip(net.layers, caches):
+            assert layer.cache is cache
+            assert all(cache[k] is v for k, v in items.items()) and cache.keys() == items.keys()
 
 
 class TestFoldParameters:
@@ -280,9 +364,9 @@ class TestDecodeOnceKernel:
         s = (rng.random((128, fan_in)) < 0.2).astype(np.float64)
         s[0] = 1.0  # one all-ones row: sums reach the row sums of w
         w[0] = 1    # and one all-+1 weight row: a sum equals the fan-in
-        got = ac_only_matmul(pack_ternary(w), s)
+        got = ac_only_matmul([pack_ternary(w)], s[None])[0]
         want = s.astype(np.int64) @ w.astype(np.int64).T
-        assert got.dtype == np.int64
+        assert got.dtype == np.float32  # exact integers, charged without a cast
         assert np.array_equal(got, want)
         assert got[0, 0] == fan_in
 
