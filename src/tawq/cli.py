@@ -34,8 +34,9 @@ from .checkpoint import (
 )
 from .data import build_dataset, save_raster_grid
 from .errors import ConfigError, DataError, NumericError
+from .layers import Network
 from .runconfig import build_network, load_runconfig
-from .runtime import FoldedBlock, fold_network, folded_forward
+from .runtime import FoldedBlock, fold_network
 from .trainer import train
 
 
@@ -139,14 +140,11 @@ def _fold_summary(plan: list) -> str:
     """Name the folded blocks and the float layers of a fold plan by their
     indices in the unfolded network."""
     folded, floats = [], []
-    i = 0
-    for item in plan:
+    for idx, item in Network(plan).walk():
         if isinstance(item, FoldedBlock):
-            folded.append(f"{i}-{i + len(item.replaces) - 1} ({', '.join(item.replaces)})")
-            i += len(item.replaces)
+            folded.append(f"{idx[0]}-{idx[-1]} ({', '.join(item.replaces)})")
         else:
-            floats.append(f"{i} ({item.kind})")
-            i += 1
+            floats.append(f"{idx[0]} ({item.kind})")
     return (f"folded blocks: {', '.join(folded) or 'none'}; "
             f"float layers: {', '.join(floats) or 'none'}")
 
@@ -155,19 +153,15 @@ def cmd_infer(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     net, cfg = network_from_checkpoint(ckpt)
     x = _load_inputs(args.input)
+    plan = fold_network(net) if args.folded else net.layers
+    preds = "".join(f"{int(p)}\n" for p in Network(plan).infer(x).argmax(axis=1))
     if args.folded:
-        plan = fold_network(net)
-        logits = folded_forward(plan, x)
         print(_fold_summary(plan), file=sys.stderr)
-    else:
-        logits = net.forward(x, training=False)
-    preds = logits.argmax(axis=1)
-    out = "\n".join(str(int(p)) for p in preds)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+            fh.write(preds)
     else:
-        print(out)
+        sys.stdout.write(preds)
     return 0
 
 

@@ -2,14 +2,18 @@
 
 Every layer consumes and produces arrays shaped (T, B, ...).  Its
 `forward` caches whatever its backward pass needs; its `infer` is the eval
-forward with no cache, and may overwrite its input.  Quantized layers draw
-their integer weights from the temporal quantizer on each forward pass,
-and reuse the weights they hold while the stimulus equals, by value, the
-one those weights were made from under the same config.  A convolution
-runs one BLAS product per timestep over the whole batch.  The LIF neuron
-scales its input by 1/tau and runs `lif_charge`, the one membrane update
-over time, which the folded runtime runs too.  Both LIF time loops run all
-T steps over one `quantizer.BLOCK` of neurons before the next.
+forward with no cache, and may overwrite its input.  `Network.infer`, the
+one cache-free interpreter, runs a network's own layers or a fold plan,
+whose folded blocks (`runtime.FoldedBlock`) are layers standing for
+several (`Layer.replaces`) at the indices that `Network.walk` gives.
+Quantized layers draw their integer weights from the temporal quantizer
+on each forward pass, and reuse the weights they hold while the stimulus
+equals, by value, the one those weights were made from under the same
+config.  A convolution runs one BLAS product per timestep over the whole
+batch.  The LIF neuron scales its input by 1/tau and runs `lif_charge`,
+the one membrane update over time, which a folded block runs too.  Both
+LIF time loops run all T steps over one `quantizer.BLOCK` of neurons
+before the next.
 
 A "relaxed" evaluation mode replaces the hard spike with its surrogate
 sigmoid so the whole forward becomes differentiable; it exists solely to
@@ -27,7 +31,6 @@ under np.array_equal (only the sign of a zero or of a NaN may differ).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +116,8 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.cache: dict = {}
+
+    replaces = property(lambda self: (self.kind,))  # kinds of the unfolded layers it stands for
 
     def forward(self, x, training=False, relaxed=False):
         """`infer`, which a member defines, plus the cache."""
@@ -595,33 +600,49 @@ class Flatten(Layer):
         return gout.reshape(self.cache["x"].shape)
 
 
-@contextmanager
-def layer_errors(i: int, kind: str):
-    """Prefix an error raised inside layer `i` with the layer's index and kind."""
-    try:
-        yield
-    except TawqError as exc:
-        raise type(exc)(f"layer {i} ({kind}): {exc}") from exc
-
-
 class Network:
     """Feed-forward stack evaluated over T timesteps.
 
     The readout is the mean over time of the last layer's pre-activations;
-    `forward` returns those logits and retains per-layer traces.
+    `forward` returns those logits and retains per-layer traces, and
+    `infer`, which runs a folded plan too, returns them without a cache.
     """
 
     def __init__(self, layers: list[Layer]) -> None:
         self.layers = layers
 
+    def walk(self):
+        """Each layer with the range of indices, in the unfolded network,
+        of the layers it stands for: its own, or a folded block's."""
+        i = 0
+        for layer in self.layers:
+            yield range(i, i + len(layer.replaces)), layer
+            i += len(layer.replaces)
+
+    def _run(self, h, step):
+        """h passed through step(layer, h) of each layer in turn; an error
+        is prefixed with the index and kind of the layer that raised it."""
+        for idx, layer in self.walk():
+            try:
+                h = step(layer, h)
+            except TawqError as exc:
+                raise type(exc)(f"layer {idx[0]} ({layer.replaces[0]}): {exc}") from exc
+        return h
+
     def forward(self, x: np.ndarray, training: bool = False,
                 relaxed: bool = False) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
-        for i, layer in enumerate(self.layers):
-            with layer_errors(i, layer.kind):
-                h = layer.forward(h, training=training, relaxed=relaxed)
+        h = self._run(np.asarray(x, dtype=np.float64),
+                      lambda layer, h: layer.forward(h, training=training, relaxed=relaxed))
         self._timesteps = h.shape[0]
         return h.mean(axis=0)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The eval logits.  The caller's `x` is never written, and only a
+        folded block keeps a cache: its membrane."""
+        h = np.asarray(x, dtype=np.float64)
+        if self.layers and isinstance(self.layers[0], (BatchNorm, LIF, Flatten)):
+            h = h.copy()  # their infer writes into the caller's x, or passes on a view of it
+        return self._run(h, lambda layer, h: layer.infer(h)).mean(axis=0)
 
     def backward(self, glogits: np.ndarray) -> None:
         """Backpropagate the logits' gradient, leaving each parameter's
@@ -636,11 +657,7 @@ class Network:
             self.layers[0].backward(g, input_grad=False)
 
     def traces(self) -> list[dict]:
-        traces = []
-        for i, layer in enumerate(self.layers):
-            with layer_errors(i, layer.kind):
-                traces.append(layer.trace())
-        return traces
+        return self._run([], lambda layer, traces: traces + [layer.trace()])
 
     def named_params(self):
         for i, layer in enumerate(self.layers):

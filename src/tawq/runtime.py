@@ -1,27 +1,25 @@
 """Deployment-style inference.
 
-A folded block takes its 2-bit packed weights from the quantizer state
-(`QuantizerState.stored`).  Its one kernel, `ac_only_matmul(packed,
-spikes)`, takes the T packed tensors and the (T, B, C_i) spikes, and runs
-one float32 BLAS product per timestep with each tensor's decoded matrix,
-exact while the fan-in stays below 2^24; a larger fan-in is refused.  The
-per-channel scale and the batch-norm affine are folded into the LIF
-charging path: a block charges straight from the accumulate, through the
-training layer's own `layers.lif_charge`.  Float layers run through their
-cache-free `infer`, which may overwrite an input that folded inference
-owns but never the caller's, so every layer's cache stays as it was.
-`FoldedBlock.replaces` names the layers a block stands for, and is the
-one statement of the fold rule.
+A folded block is a `layers.Layer` that takes its 2-bit packed weights
+from the quantizer state (`QuantizerState.stored`).  Its one kernel,
+`ac_only_matmul(packed, spikes)`, takes the T packed tensors and the
+(T, B, C_i) spikes, and runs one float32 BLAS product per timestep with
+each tensor's decoded matrix, exact while the fan-in stays below 2^24; a
+larger fan-in is refused.  The per-channel scale and the batch-norm
+affine are folded into the LIF charging path: a block charges straight
+from the accumulate, through the training layer's own `layers.lif_charge`.
+A fold plan runs through `layers.Network.infer`, the interpreter that
+`tawq infer --unfolded` runs a network's own layers through;
+`folded_forward` is a thin wrapper over it.  `FoldedBlock.replaces` names
+the layers a block stands for, and is the one statement of the fold rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .layers import LIF, BatchNorm, Flatten, LifConfig, Network, layer_errors, lif_charge
+from .layers import Layer, LifConfig, Network, lif_charge
 # the codec stays importable here: callers pack, unpack and trace it as runtime.*
 from .quantizer import CODE_INVALID, PackedTernaryTensor, pack_ternary, unpack_ternary
 
@@ -41,8 +39,10 @@ def ac_only_matmul(packed: list[PackedTernaryTensor], spikes: np.ndarray) -> np.
     A larger fan-in is refused.
     """
     s = np.asarray(spikes)
-    if s.ndim != 3 or not packed or s.shape[0] != len(packed):
-        raise ShapeError(f"expected {len(packed)} timesteps, got input with shape {s.shape}")
+    if s.ndim != 3:
+        raise ShapeError(f"expected a (T, B, C_i) input, got shape {s.shape}")
+    if not packed or s.shape[0] != len(packed):
+        raise ShapeError(f"expected {len(packed)} timesteps, got input with {s.shape[0]}")
     for p in packed:
         if len(p.shape) != 2:
             raise ShapeError(f"expected a packed matrix, got shape {p.shape}")
@@ -76,18 +76,25 @@ def fold_parameters(alpha: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return rho, delta
 
 
-@dataclass
-class FoldedBlock:
-    """One quantized-linear + BN + LIF block prepared for inference.  It
+class FoldedBlock(Layer):
+    """One quantized-linear + BN + LIF block prepared for inference, from
+    T packed (C_o, C_i) matrices, rho (T, C_o) and delta (C_o,).  It
     charges U[t] = rho[t] * X_q[t] + delta + (1 - 1/tau) U[t-1], where X_q
-    is the integer accumulate and U[t-1] the membrane after reset."""
+    is the integer accumulate and U[t-1] the membrane after reset, and
+    keeps the U of its last input in cache["u"]."""
 
-    replaces = ("qlinear", "bn", "lif")  # kinds of the layers it stands for; not a field
+    replaces = ("qlinear", "bn", "lif")  # kinds of the layers it stands for
 
-    packed: list[PackedTernaryTensor]  # one matrix per timestep
-    rho: np.ndarray    # (T, C_o)
-    delta: np.ndarray  # (C_o,)
-    lif: LifConfig
+    def __init__(self, packed: list[PackedTernaryTensor], rho: np.ndarray,
+                 delta: np.ndarray, lif: LifConfig) -> None:
+        super().__init__()
+        self.packed, self.rho, self.delta, self.lif = packed, rho, delta, lif
+
+    def infer(self, x):
+        u = np.multiply(ac_only_matmul(self.packed, x), self.rho[:, None, :], dtype=np.float64)
+        u += self.delta  # the charging current; lif_charge turns it into U
+        self.cache = {"u": u}
+        return lif_charge(u, self.lif)
 
 
 def fold_network(net: Network) -> list:
@@ -121,31 +128,10 @@ def fold_network(net: Network) -> list:
 
 def folded_forward(plan: list, x: np.ndarray,
                    record_membranes: bool = False) -> np.ndarray | tuple:
-    """Run the folded plan; returns mean-over-time logits.
-
-    With `record_membranes` the per-block membrane traces are returned as
-    well, for equivalence checks against the unfolded path.  Errors name
-    the layer they came from, as `Network.forward`'s do.
-    """
-    h = np.asarray(x, dtype=np.float64)
-    if plan and isinstance(plan[0], (BatchNorm, LIF, Flatten)):
-        h = h.copy()  # their infer writes into the caller's x, or passes on a view of it
-    membranes = []
-    i = 0  # index of the item's first layer in the unfolded network
-    for item in plan:
-        if isinstance(item, FoldedBlock):
-            with layer_errors(i, item.replaces[0]):
-                acc = ac_only_matmul(item.packed, h)
-            trace = np.multiply(acc, item.rho[:, None, :], dtype=np.float64)
-            trace += item.delta  # the charging current; lif_charge turns it into U
-            h = lif_charge(trace, item.lif)
-            membranes.append(trace)
-            i += len(item.replaces)
-        else:
-            with layer_errors(i, item.kind):
-                h = item.infer(h)
-            i += 1
-    logits = h.mean(axis=0)
+    """Run the folded plan through `Network.infer`; returns mean-over-time
+    logits, and with `record_membranes` the blocks' membrane traces as
+    well, for equivalence checks against the unfolded path."""
+    logits = Network(plan).infer(x)
     if record_membranes:
-        return logits, membranes
+        return logits, [item.cache["u"] for item in plan if isinstance(item, FoldedBlock)]
     return logits

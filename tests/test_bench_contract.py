@@ -29,6 +29,7 @@ from tawq.checkpoint import (
     save_checkpoint,
 )
 from tawq.data import build_dataset
+from tawq.layers import Layer
 from tawq.runconfig import build_network, parse_runconfig
 from tawq.runtime import FoldedBlock, fold_network, pack_ternary, unpack_ternary
 
@@ -76,6 +77,20 @@ def test_fold_plan_packed_is_a_list(tmp_path):
     assert blocks[0].packed[0] is not stored[0]
     save_checkpoint(str(after), checkpoint_from_network(net, cfg))
     assert after.read_bytes() == before.read_bytes()
+
+
+def test_folded_plan_items_are_layers_apart_from_the_net():
+    # workloads.folded_blocks counts a plan item that is not one of the
+    # net's layers as a folded block, and selftest.check_corrupted_plan
+    # corrupts the `packed` list of the first item that has one
+    net = build_network(parse_runconfig(three_layer_document()))
+    plan = fold_network(net)
+    assert sum(isinstance(item, FoldedBlock) for item in plan) == 1
+    for item in plan:
+        assert isinstance(item, Layer)
+        folded = isinstance(item, FoldedBlock)
+        assert any(item is layer for layer in net.layers) != folded
+        assert isinstance(getattr(item, "packed", None), list) == folded
 
 
 def test_one_deploy_cycle_packs_each_state_once(tmp_path, monkeypatch):

@@ -963,6 +963,31 @@ def three_layer_artifacts(tmp_path_factory):
     return {"tmp": tmp, "ckpt": out["checkpoint"], "inputs": inputs}
 
 
+class TestInferModesAlike:
+    def test_wrong_timestep_count_same_stderr(self, three_layer_artifacts, capsys):
+        with np.load(three_layer_artifacts["inputs"]) as npz:
+            x = npz["inputs"]
+        seven = str(three_layer_artifacts["tmp"] / "seven.npz")
+        np.savez(seven, inputs=np.concatenate([x, x[:3]]))
+        errs = []
+        for mode in ("--folded", "--unfolded"):
+            assert main(["infer", three_layer_artifacts["ckpt"], seven, mode]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            "data error: layer 3 (qlinear): expected 4 timesteps, got input with 7\n")
+
+    @pytest.mark.parametrize("mode", ["--folded", "--unfolded"])
+    def test_zero_samples_write_nothing(self, three_layer_artifacts, capsys, mode):
+        none = str(three_layer_artifacts["tmp"] / "none.npz")
+        np.savez(none, inputs=np.zeros((4, 0, 2)))
+        args = ["infer", three_layer_artifacts["ckpt"], none, mode]
+        assert main(args) == 0
+        assert capsys.readouterr().out == ""
+        preds = three_layer_artifacts["tmp"] / f"none{mode}.txt"
+        assert main(args + ["--out", str(preds)]) == 0
+        assert preds.read_bytes() == b""
+
+
 class TestBnStatisticsRefused:
     """Stored BN statistics that would make inference NaN are refused by the
     reader, in either inference mode, for the BN of the float input block

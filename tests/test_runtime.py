@@ -93,6 +93,22 @@ class TestAcOnlyMatmul:
         with pytest.raises(ShapeError, match="expected a packed matrix"):
             ac_only_matmul([pack_ternary(np.zeros((2, 2, 2)))], np.zeros((1, 1, 2)))
 
+    def test_wrong_rank_gets_its_own_message(self):
+        packed = [pack_ternary(np.array([[1, 0]]))] * 4
+        with pytest.raises(ShapeError, match=r"expected a \(T, B, C_i\) input, "
+                                             r"got shape \(4, 1, 2, 1\)"):
+            ac_only_matmul(packed, np.zeros((4, 1, 2, 1)))
+
+    def test_timestep_message_is_the_quantized_layers(self):
+        # the folded block and the layer it replaces refuse a wrong T alike
+        q = QuantLinear(2, 1, QuantConfig(timesteps=4), rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError) as unfolded:
+            q.infer(np.zeros((7, 1, 2)))
+        with pytest.raises(ShapeError) as folded:
+            ac_only_matmul([pack_ternary(np.array([[1, 0]]))] * 4, np.zeros((7, 1, 2)))
+        assert str(folded.value) == str(unfolded.value) == (
+            "expected 4 timesteps, got input with 7")
+
     def test_fan_in_beyond_float32_exactness_rejected(self):
         # refused from the shape alone, before the (empty) payload is decoded
         with pytest.raises(ShapeError, match="2\\^24"):
@@ -138,6 +154,17 @@ class TestAcOnlyMatmulOverTime:
         with pytest.raises(ShapeError, match=r"layer 0 \(qlinear\): spike width 5"):
             folded_forward(self._plan(rng), np.zeros((4, 3, 5)))
 
+    @pytest.mark.parametrize("run", [folded_forward, lambda plan, x: Network(plan).infer(x)],
+                             ids=["folded_forward", "Network.infer"])
+    def test_float_layer_after_a_block_names_its_unfolded_index(self, run):
+        rng = np.random.default_rng(51)
+        plan = self._plan(rng)
+        plan[-1] = Linear(9, 2, rng=rng)
+        x = (rng.random((4, 5, 6)) < 0.5) * 1.0
+        with pytest.raises(ShapeError,
+                           match=r"layer 3 \(linear\): input width 8 != weight width 9"):
+            run(plan, x)
+
 
 def _leading_float_net(first: str):
     """A net whose folded plan starts with float layers that `infer` runs in
@@ -170,6 +197,16 @@ class TestFoldedForwardOwnsItsBuffers:
         lif = len(net.layers) - 2
         assert np.max(np.abs(membranes[0] - net.layers[lif].cache["u"])) <= 1e-12
         assert np.array_equal(logits.argmax(axis=1), unfolded.argmax(axis=1))
+
+    @pytest.mark.parametrize("first", ["bn", "lif", "flatten"])
+    def test_unfolded_plan_leaves_input_and_equals_forward(self, first):
+        # `tawq infer --unfolded` runs the network's own layers through
+        # the same cache-free interpreter as a folded plan
+        net, x = _leading_float_net(first)
+        x0 = x.copy()
+        logits = Network(net.layers).infer(x)
+        assert np.array_equal(x, x0)
+        assert np.array_equal(logits, net.forward(x, training=False))
 
     @pytest.mark.parametrize("first", ["bn", "lif", "flatten"])
     def test_layer_caches_left_as_they_were(self, first):
