@@ -18,10 +18,11 @@ tensor that cannot be stored leaves an existing file untouched.  It then
 truncates the file and rewrites it in place, handing each large payload
 to the file as it is and joining the heads and small payloads between
 them into one buffer.  A restore draws no initial weights: it restores
-every parameter, recomputes each quantized layer's weights from its
-stimulus, and checks a stored ternary stack by decoding its codes and
-comparing them with those weights.  The checked stacks become the
-state's `QuantizerState.stored`, so nothing packs them again.
+every parameter and recomputes each quantized layer's weights from its
+stimulus.  A layer's stored ternary stacks that all decode to those
+weights become its `QuantizerState.stored`, so nothing packs them again.
+One walk over the tensors the writer would write (`_tensors`) then
+refuses a missing tensor, one unlike the writer's, and any other.
 """
 
 from __future__ import annotations
@@ -168,19 +169,18 @@ def _stored(ckpt: Checkpoint, key: str):
     return ckpt.tensors[key]
 
 
-def _encodes(stored, w: np.ndarray) -> bool:
-    """Whether `stored` is 2-bit packed codes that decode to the ternary weights `w`."""
+def _encodes(stack, w: np.ndarray) -> bool:
+    """Whether `stack` is 2-bit packed codes that decode to the ternary weights `w`."""
     try:
-        return (isinstance(stored, PackedTernaryTensor)
-                and np.array_equal(unpack_ternary(stored), w))
+        return isinstance(stack, PackedTernaryTensor) and np.array_equal(unpack_ternary(stack), w)
     except DataError:  # a wrong byte count, an invalid code or a set padding bit
         return False
 
 
 def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
     """Rebuild the network without drawing initial weights, restore its
-    parameters and buffers, and check that every tensor is stored as the
-    writer would; checked ternary stacks become the state's `stored`."""
+    parameters and buffers, and check that the tensors are exactly those
+    the writer would write; checked ternary stacks become the state's `stored`."""
     cfg = parse_runconfig(ckpt.runconfig)
     net = build_network(cfg, draw=False)
     for i, layer in enumerate(net.layers):
@@ -195,14 +195,14 @@ def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
                                 "with running_var + eps positive")
         if isinstance(layer, QuantizedLayer) and layer.quant.n_level == 1:
             layer.materialize()
-            keys = [f"{i}.w_q.{t}" for t in range(layer.quant.timesteps)]
-            stacks = tuple(_stored(ckpt, key) for key in keys)
-            for key, stack, w in zip(keys, stacks, layer.state.w_q):
-                if not _encodes(stack, w):
-                    raise DataError(f"checkpoint tensor {key} disagrees with the stimulus")
-            layer.state.stored = stacks
-    for key, value in _tensors(net):
-        stored = _stored(ckpt, key)  # restored tensors and adopted stacks are `value`
-        if stored is not value and _payload(stored) != _payload(value):
+            stacks = tuple(ckpt.tensors.get(f"{i}.w_q.{t}") for t in range(layer.quant.timesteps))
+            if all(map(_encodes, stacks, layer.state.w_q)):
+                layer.state.stored = stacks  # else the walk packs the weights and refuses
+    written = dict(_tensors(net))  # restored tensors and adopted stacks are the file's own
+    for key in {**written, **ckpt.tensors}:  # the writer's order, then others in file order
+        if key not in written:
+            raise DataError(f"checkpoint tensor {key} is not one the network stores")
+        stored = _stored(ckpt, key)
+        if stored is not written[key] and _payload(stored) != _payload(written[key]):
             raise DataError(f"checkpoint tensor {key} disagrees with the stimulus")
     return net, cfg

@@ -127,9 +127,9 @@ class Layer:
 
     def trace(self) -> dict:
         """Analysis view of the last forward pass."""
-        return {"kind": self.kind,
-                "input": self.cache.get("x"),
-                "output": self.cache.get("y")}
+        if "x" not in self.cache:
+            raise StateError("no trace before a forward pass")
+        return {"kind": self.kind, "input": self.cache["x"], "output": self.cache["y"]}
 
 
 def _check_images(x: np.ndarray) -> None:
@@ -371,8 +371,6 @@ class QuantizedLayer(WeightedLayer):
             g_inorm, self.state.i_norm, self.params["stimulus"], self.quant.epsilon)
 
     def trace(self):
-        if self.state is None:
-            raise StateError("no trace before a forward pass")
         t = super().trace()
         t.update(alpha=self.alpha, w_q=self.state.w_q, n_level=self.quant.n_level)
         return t

@@ -1,5 +1,6 @@
 """Declarative run configuration: a strict-schema YAML/JSON document that
-fully determines a training or inference run."""
+fully determines a training or inference run.  `_SECTIONS` lists its
+dataclass sections once, for the parser, `TOP_KEYS` and `RunConfig.to_dict`."""
 
 from __future__ import annotations
 
@@ -86,18 +87,14 @@ class RunConfig:
     metrics_path: str = "metrics.jsonl"
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "quant": dataclasses.asdict(self.quant),
-            "train": dataclasses.asdict(self.train),
-            "lif": dataclasses.asdict(self.lif),
-            "dataset": dataclasses.asdict(self.dataset),
-            "output": {"checkpoint": self.checkpoint_path,
-                       "metrics": self.metrics_path},
-        }
+        return {"network": self.network,
+                **{name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS},
+                "output": {"checkpoint": self.checkpoint_path, "metrics": self.metrics_path}}
 
 
-TOP_KEYS = {"network", "quant", "train", "lif", "dataset", "output"}
+# the document's dataclass sections, in the order a parse checks them
+_SECTIONS = {"quant": QuantConfig, "train": TrainConfig, "lif": LifConfig, "dataset": DatasetSpec}
+TOP_KEYS = {"network", *_SECTIONS, "output"}
 
 
 def parse_runconfig(doc: dict) -> RunConfig:
@@ -125,16 +122,15 @@ def parse_runconfig(doc: dict) -> RunConfig:
         if "bias" in spec and type(spec["bias"]) is not bool:
             raise ConfigError(f"network[{i}].bias: must be true or false, "
                               f"got {spec['bias']!r}")
-    # field renames between the document and the dataclasses
-    quant_doc = _section(doc, "quant")
-    if "lambda" in quant_doc:
-        if "lam" in quant_doc:
-            raise ConfigError("quant: give 'lambda' or 'lam', not both")
-        quant_doc["lam"] = quant_doc.pop("lambda")
-    quant = _build_dataclass(QuantConfig, quant_doc, "quant")
-    train = _build_dataclass(TrainConfig, _section(doc, "train"), "train")
-    lif = _build_dataclass(LifConfig, _section(doc, "lif"), "lif")
-    dataset = _build_dataclass(DatasetSpec, _section(doc, "dataset"), "dataset")
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        fields = _section(doc, name)
+        if name == "quant" and "lambda" in fields:  # the document's name for lam
+            if "lam" in fields:
+                raise ConfigError("quant: give 'lambda' or 'lam', not both")
+            fields["lam"] = fields.pop("lambda")
+        sections[name] = _build_dataclass(cls, fields, name)
+    quant, dataset = sections["quant"], sections["dataset"]
     out = _section(doc, "output")
     _check_keys("output", out, {"checkpoint", "metrics"})
     for key, path in out.items():
@@ -145,8 +141,7 @@ def parse_runconfig(doc: dict) -> RunConfig:
             f"dataset.timesteps ({dataset.timesteps}) must equal "
             f"quant.timesteps ({quant.timesteps})")
     paths = {f"{key}_path": path for key, path in out.items()}  # absent: the field default
-    return RunConfig(network=doc["network"], quant=quant, train=train, lif=lif,
-                     dataset=dataset, **paths)
+    return RunConfig(network=doc["network"], **sections, **paths)
 
 
 def default_xor_document(hidden: int = 24, quantized: bool = True,

@@ -142,6 +142,43 @@ class TestCheckpointRoundTrip:
         assert main(["report", path]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layer_first", [False, True],
+                             ids=["extra-stack", "extra-layer-first-in-file"])
+    def test_tensor_the_writer_would_not_write_refused(self, tmp_path, capsys, layer_first):
+        from conftest import three_layer_document
+        cfg = parse_runconfig(three_layer_document())
+        ckpt = checkpoint_from_network(build_network(cfg), cfg)
+        # a fifth stack of the T = 4 layer, after the writer's tensors
+        ckpt.tensors["3.w_q.7"] = ckpt.tensors["3.w_q.0"]
+        extra = "3.w_q.7"
+        if layer_first:  # and a layer the net lacks, before them
+            ckpt.tensors = {"9.weight": np.zeros((2, 16)), **ckpt.tensors}
+            extra = "9.weight"
+        message = f"checkpoint tensor {extra} is not one the network stores"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            network_from_checkpoint(ckpt)
+        path = str(tmp_path / "extra.ckpt")
+        save_checkpoint(path, ckpt)
+        assert main(["report", path]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_disagreeing_and_missing_stacks_refused(self, tmp_path, capsys):
+        # the walk refuses the first bad tensor in the writer's order
+        from conftest import three_layer_document
+        cfg = parse_runconfig(three_layer_document())
+        ckpt = checkpoint_from_network(build_network(cfg), cfg)
+        w = unpack_ternary(ckpt.tensors["3.w_q.0"])
+        w.flat[np.flatnonzero(w)[0]] *= -1
+        ckpt.tensors["3.w_q.0"] = pack_ternary(w)
+        del ckpt.tensors["3.w_q.2"]
+        message = "checkpoint tensor 3.w_q.0 disagrees with the stimulus"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            network_from_checkpoint(ckpt)
+        path = str(tmp_path / "two_bad.ckpt")
+        save_checkpoint(path, ckpt)
+        assert main(["report", path]) == 3
+        assert message in capsys.readouterr().err
+
     def test_snapshot_follows_stimulus_update(self):
         # a stimulus replaced after the last forward pass, as an optimizer
         # step does, must not leave the older weights in the checkpoint

@@ -2,6 +2,7 @@
 dataclasses and the layer table that `build_network` builds from."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tawq.data import DatasetSpec
 from tawq.errors import ConfigError, require
 from tawq.layers import LIF, AvgPool2d, BatchNorm, Conv2d, Flatten, Linear, LifConfig, QuantConv2d
 from tawq.quantizer import QuantConfig
-from tawq.runconfig import build_network, parse_runconfig
+from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 from tawq.trainer import TrainConfig
 
 FLOAT_FIELDS = [(cls, f.name) for cls in (QuantConfig, LifConfig, TrainConfig, DatasetSpec)
@@ -69,3 +70,16 @@ def test_conv_document_builds_its_layers_from_the_table():
             assert np.array_equal(got.params[name], want.params[name])
         for attr in ("stride", "padding", "kernel_size", "channels", "quant", "cfg"):
             assert getattr(got, attr, None) == getattr(want, attr, None)
+
+
+@pytest.mark.parametrize("sections,message", [
+    ({"quant": {"c_th": -1}, "dataset": [1]}, "quant: c_th must be positive, got -1"),
+    ({"train": 5, "lif": {"tau": 0.5}}, "train: must be a mapping, got 5"),
+], ids=["field-before-later-mapping", "mapping-before-later-field"])
+def test_sections_checked_in_order_each_mapping_just_before_its_fields(sections, message):
+    # quant, train, lif, dataset: a section's mapping check, then its fields,
+    # then the next section's
+    doc = default_xor_document()
+    doc.update(sections)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_runconfig(doc)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import run_document, three_layer_document
-from tawq.errors import ConfigError, DataError, ShapeError
+from tawq.errors import ConfigError, DataError, ShapeError, StateError
 from tawq.layers import LIF, BatchNorm, Flatten, LifConfig, Linear, Network, QuantLinear
 from tawq.quantizer import QuantConfig
-from tawq.runconfig import build_network, parse_runconfig
+from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 from tawq.runtime import (
     FoldedBlock,
     PackedTernaryTensor,
@@ -333,6 +333,28 @@ class TestFoldedForward:
             assert np.allclose(membranes[0][t, 0], want, atol=1e-12)
 
 
+class TestTracesNeedAForwardPass:
+    """A layer traces only its last forward pass; one with none behind it
+    refuses, so the analysis never reads a trace without input or output."""
+
+    def test_fold_plan_refuses_at_its_block(self, trained):
+        _, ds = trained
+        x = ds.test_x[:, :8]
+        net = build_network(parse_runconfig(three_layer_document()))
+        net.forward(x)
+        plan = Network(fold_network(net))
+        plan.infer(x)
+        with pytest.raises(StateError,
+                           match=r"^layer 3 \(qlinear\): no trace before a forward pass$"):
+            plan.traces()
+
+    def test_unrun_float_network_refuses_at_layer_0(self):
+        net = build_network(parse_runconfig(default_xor_document(quantized=False)))
+        with pytest.raises(StateError,
+                           match=r"^layer 0 \(linear\): no trace before a forward pass$"):
+            net.traces()
+
+
 class TestDecodeOnceKernel:
     """A packed tensor is decoded on first use and the decoded matrix is
     kept on that tensor, so a corrupted replacement is still decoded."""
@@ -427,9 +449,12 @@ class TestDecodeOnceKernel:
         with pytest.raises(ShapeError, match=r"layer 3 \(qlinear\): expected 4 timesteps"):
             folded_forward(plan, ds.test_x[:3, :10])
 
-    def test_pack_matches_reference_encoding(self):
+    @pytest.mark.parametrize("shape", [(37, 11), (4, 9), (5, 5), (2, 3, 7), (), (4, 32, 16, 3, 3)],
+                             ids=["size-mod4-3", "size-mod4-0", "size-mod4-1", "size-mod4-2",
+                                  "0-d", "conv-stack"])
+    def test_pack_matches_reference_encoding(self, shape):
         rng = np.random.default_rng(45)
-        w = rng.integers(-1, 2, size=(37, 11)).astype(float)
+        w = rng.integers(-1, 2, size=shape).astype(float)
         flat = w.ravel()
         codes = np.where(flat > 0, 0b01, np.where(flat < 0, 0b10, 0b00))
         codes = np.concatenate([codes, np.zeros(-flat.size % 4, dtype=codes.dtype)])
