@@ -86,13 +86,9 @@ def cmd_report(args) -> int:
     machine = {
         "entropy": {"mean": ent.mean_entropy,
                     "layers": [dataclasses.asdict(r) for r in ent.rows]},
-        "energy": {"e_mac_pj": energy.e_mac_pj, "e_ac_pj": energy.e_ac_pj,
-                   "e_total_pj": energy.e_total_pj,
-                   "layers": [dataclasses.asdict(l) for l in energy.layers]},
-        "hardware": {"weight_read": hw.weight_read,
-                     "activation_read": hw.activation_read,
-                     "write": hw.write, "total": hw.total},
-        "firing": {"mean_rate": firing.mean_rate, "rates": firing.rates},
+        "energy": dataclasses.asdict(energy),
+        "hardware": {**dataclasses.asdict(hw), "total": hw.total},
+        "firing": dataclasses.asdict(firing),
     }
     if args.json:
         with open(args.json, "w") as fh:

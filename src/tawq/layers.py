@@ -15,10 +15,6 @@ the one membrane update over time, which a folded block runs too.  Both
 LIF time loops run all T steps over one `quantizer.BLOCK` of neurons
 before the next.
 
-A "relaxed" evaluation mode replaces the hard spike with its surrogate
-sigmoid so the whole forward becomes differentiable; it exists solely to
-validate analytic gradients against finite differences.
-
 The elementwise kernels of BatchNorm, LIF and AvgPool2d run in place on
 buffers they allocate themselves, one numpy operation per step of the
 formula and no temporary per operator; `infer` of BatchNorm and LIF runs
@@ -40,7 +36,6 @@ from .quantizer import (
     BLOCK,
     QuantConfig,
     QuantizerState,
-    _sigmoid,
     _sigmoid_deriv,
     blocks,
     compute_scaling_all,
@@ -66,14 +61,13 @@ class LifConfig:
             raise ConfigError("v_threshold must exceed v_reset")
 
 
-def lif_charge(us: np.ndarray, cfg: LifConfig, relaxed: bool = False) -> np.ndarray:
+def lif_charge(us: np.ndarray, cfg: LifConfig) -> np.ndarray:
     """Run the hard-reset LIF neuron over the leading time axis; returns the spikes.
 
     `us[t]` holds step t's scaled input current and is overwritten in place
     with the membrane before reset, U[t] = us[t] + (1 - 1/tau) * u, where u
     is the membrane after step t-1's reset.  A spike fires when
-    U[t] >= v_threshold (relaxed: the surrogate sigmoid of U[t] - v_threshold),
-    and the membrane resets to v_reset * s + U[t] * (1 - s).
+    U[t] >= v_threshold, and the membrane resets to v_reset * s + U[t] * (1 - s).
     """
     decay = 1.0 - 1.0 / cfg.tau
     T, size = us.shape[0], int(np.prod(us.shape[1:]))
@@ -88,11 +82,8 @@ def lif_charge(us: np.ndarray, cfg: LifConfig, relaxed: bool = False) -> np.ndar
             ut, st = flat_u[t, blk], flat_s[t, blk]
             u *= decay
             ut += u
-            if relaxed:
-                st[...] = _sigmoid(cfg.sg_scale_neuron * (ut - cfg.v_threshold))
-            else:
-                np.greater_equal(ut, cfg.v_threshold, out=fired)
-                st[...] = fired
+            np.greater_equal(ut, cfg.v_threshold, out=fired)
+            st[...] = fired
             # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first
             # term is v_reset itself (s >= 0), which saves a pass and a buffer
             np.subtract(1.0, st, out=u)
@@ -119,7 +110,7 @@ class Layer:
 
     replaces = property(lambda self: (self.kind,))  # kinds of the unfolded layers it stands for
 
-    def forward(self, x, training=False, relaxed=False):
+    def forward(self, x, training=False):
         """`infer`, which a member defines, plus the cache."""
         y = self.infer(x)
         self.cache = {"x": x, "y": y}
@@ -448,7 +439,7 @@ class BatchNorm(Layer):
         y += self.params["beta"].reshape(cs)
         return std
 
-    def forward(self, x, training=False, relaxed=False):
+    def forward(self, x, training=False):
         axes, cs = self._axes(x), self._cshape(x)
         if training:
             mean = x.mean(axis=axes)
@@ -505,9 +496,9 @@ class LIF(Layer):
         super().__init__()
         self.cfg = cfg or LifConfig()
 
-    def forward(self, x, training=False, relaxed=False):
+    def forward(self, x, training=False):
         us = x / self.cfg.tau  # lif_charge turns us[t] into the membrane U[t]
-        ss = lif_charge(us, self.cfg, relaxed)
+        ss = lif_charge(us, self.cfg)
         self.cache = {"x": x, "y": ss, "u": us}
         return ss
 
@@ -627,10 +618,9 @@ class Network:
                 raise type(exc)(f"layer {idx[0]} ({layer.replaces[0]}): {exc}") from exc
         return h
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                relaxed: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         h = self._run(np.asarray(x, dtype=np.float64),
-                      lambda layer, h: layer.forward(h, training=training, relaxed=relaxed))
+                      lambda layer, h: layer.forward(h, training=training))
         self._timesteps = h.shape[0]
         return h.mean(axis=0)
 

@@ -281,12 +281,8 @@ def _surrogate_into(g: np.ndarray, c_s: np.ndarray, cfg: QuantConfig,
         g *= k
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _sigmoid_deriv(z: np.ndarray, k: float, scratch: np.ndarray) -> np.ndarray:
-    """Overwrite ``z`` with s * (1 - s), s = `_sigmoid`(k * z), and return it.
+    """Overwrite ``z`` with s * (1 - s), s = 1 / (1 + exp(-k z)), and return it.
 
     ``scratch`` is a buffer of z's shape; both are float64 arrays the
     caller owns.  Scaling by -k negates k * z exactly.

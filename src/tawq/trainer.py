@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import EntropyReport, weight_entropy
+from .analysis import entropy_report
 from .errors import ConfigError, DataError, NumericError, refuse_unread, require
-from .layers import Network, QuantizedLayer
+from .layers import Network
 from .quantizer import BLOCK, blocks
 
 OPTIMIZERS = ("sgd", "adamw")
@@ -191,10 +191,9 @@ def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> tuple[floa
 
 
 def mean_weight_entropy(net: Network) -> float:
-    """Mean entropy of the quantized-weight stacks, 0.0 if none exist."""
-    rows = [weight_entropy(layer.state.w_q) for layer in net.layers
-            if isinstance(layer, QuantizedLayer) and layer.state is not None]
-    return EntropyReport(rows).mean_entropy
+    """Mean entropy of the quantized-weight stacks of the last forward
+    pass, 0.0 if none exist."""
+    return entropy_report(net.traces()).mean_entropy
 
 
 def train(net: Network, train_set: tuple[np.ndarray, np.ndarray],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from tawq.data import DatasetSpec, build_dataset
+from tawq.layers import LIF
 from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 from tawq.trainer import train
 
@@ -58,3 +59,32 @@ def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     """n points drawn uniformly from the 2-simplex."""
     e = rng.exponential(size=(n, 3))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def lif_formula(x, cfg, relaxed):
+    """The LIF forward as its plain formula over time: the spikes, hard or
+    (relaxed) the surrogate sigmoid of U[t] - v_threshold, and the
+    membranes U[t] before reset."""
+    decay, k = 1.0 - 1.0 / cfg.tau, cfg.sg_scale_neuron
+    u = np.zeros(x.shape[1:])
+    us, ss = np.empty_like(x), np.empty_like(x)
+    for t in range(x.shape[0]):
+        u = decay * u + x[t] / cfg.tau
+        if relaxed:
+            s = 1.0 / (1.0 + np.exp(-(k * (u - cfg.v_threshold))))
+        else:
+            s = (u >= cfg.v_threshold).astype(np.float64)
+        us[t], ss[t] = u, s
+        u = cfg.v_reset * s + u * (1.0 - s)
+    return ss, us
+
+
+class RelaxedLIF(LIF):
+    """A LIF whose spike is the surrogate sigmoid, so the forward is smooth
+    and finite differences can check the gradient.  It caches what
+    `LIF.backward` reads, so that backward is the library's own."""
+
+    def forward(self, x, training=False):
+        ss, us = lif_formula(x, self.cfg, relaxed=True)
+        self.cache = {"x": x, "y": ss, "u": us}
+        return ss

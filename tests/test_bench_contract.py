@@ -3,7 +3,8 @@
 `bench/tracer.py` replaces tawq's functions and layer methods by name; a
 rename or a method that moves into a base class breaks the traced run.
 Every call the bench scripts make of a tawq module function must bind to
-that function's signature, so a removed or renamed parameter fails here.
+that function's signature, and every `.forward` call to `Network.forward`'s,
+so a removed or renamed parameter fails here.
 The host-speed hook and the tracer patch `trainer.clip_and_step`, so
 `train` must call it through the module global, once per step; the
 tracer's materialize counter tells a changed stimulus by object identity,
@@ -16,6 +17,7 @@ import importlib.util
 import inspect
 import pathlib
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from tawq.checkpoint import (
     save_checkpoint,
 )
 from tawq.data import build_dataset
-from tawq.layers import Layer
+from tawq.layers import Layer, Network
 from tawq.runconfig import build_network, parse_runconfig
 from tawq.runtime import FoldedBlock, fold_network, pack_ternary, unpack_ternary
 
@@ -164,6 +166,18 @@ def test_folded_blocks_and_accumulates_per_block(monkeypatch, network):
     assert calls == [cfg.quant.timesteps] * len(blocks) * len(batches)
 
 
+def _calls(tree: ast.AST):
+    """(call node, callee, positional args, keyword args) of every call in
+    `tree`; a call through one of DEFERRING stands for the call it defers."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args, keywords = node.func, node.args, node.keywords
+        if isinstance(fn, ast.Attribute) and fn.attr in DEFERRING and args:
+            fn, args, keywords = args[0], args[1:], []
+        yield node, fn, args, keywords
+
+
 def _tawq_calls(path: pathlib.Path):
     """(name, function, call node, positional args, keyword args) of every
     call in a bench script of a module it imports from tawq, made directly
@@ -172,24 +186,29 @@ def _tawq_calls(path: pathlib.Path):
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "tawq"
                for alias in node.names}
+    for node, fn, args, keywords in _calls(tree):
+        if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+                and fn.value.id in modules):
+            module = importlib.import_module(f"tawq.{fn.value.id}")
+            yield f"{fn.value.id}.{fn.attr}", getattr(module, fn.attr, None), node, args, keywords
 
-    def target(expr):
-        if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
-                and expr.value.id in modules):
-            return f"{expr.value.id}.{expr.attr}"
-        return None
 
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name, args, keywords = target(node.func), node.args, node.keywords
-        if (name is None and isinstance(node.func, ast.Attribute)
-                and node.func.attr in DEFERRING and args):
-            name, args, keywords = target(args[0]), args[1:], []
-        if name is not None:
-            mod_name, attr = name.split(".")
-            fn = getattr(importlib.import_module(f"tawq.{mod_name}"), attr, None)
-            yield name, fn, node, args, keywords
+def _forward_calls(source: str):
+    """(call node, positional args, keyword args) of every `<name>.forward`
+    call in `source`, made directly or through one of DEFERRING."""
+    for node, fn, args, keywords in _calls(ast.parse(source)):
+        if (isinstance(fn, ast.Attribute) and fn.attr == "forward"
+                and isinstance(fn.value, ast.Name)):
+            yield node, args, keywords
+
+
+def _bind(fn, where: str, args, keywords) -> None:
+    """Bind a call's argument nodes to `fn`'s signature; a method's call
+    passes None for the instance."""
+    try:
+        inspect.signature(fn).bind(*args, **{k.arg: k.value for k in keywords})
+    except TypeError as exc:
+        raise AssertionError(f"{where}: {exc}") from None
 
 
 def test_bench_calls_bind_to_tawq_signatures():
@@ -200,14 +219,32 @@ def test_bench_calls_bind_to_tawq_signatures():
             assert callable(fn), where
             assert not any(isinstance(a, ast.Starred) for a in args), where
             assert all(k.arg is not None for k in keywords), where
-            try:
-                inspect.signature(fn).bind(*args, **{k.arg: k.value for k in keywords})
-            except TypeError as exc:
-                raise AssertionError(f"{where}: {exc}") from None
+            _bind(fn, where, args, keywords)
             seen.add(name)
     # direct and deferred calls are both found
     assert {"analysis.energy_hardware", "trainer.train", "runtime.folded_forward",
             "runtime.unpack_ternary"} <= seen, seen
+
+
+def test_bench_forward_calls_bind_to_network_forward():
+    seen = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node, args, keywords in _forward_calls(path.read_text()):
+            _bind(Network.forward, f"{path.name}:{node.lineno}", [None, *args], keywords)
+            seen.add(ast.unparse(node))
+    assert {"net.forward(xb, training=False)", "net.forward(xb, training=True)",
+            "self._try(net.forward, xb, False)"} <= seen, seen
+
+
+def test_every_layer_forward_takes_what_network_forward_passes():
+    layers = importlib.import_module("tawq.layers")
+    classes = [cls for cls in vars(layers).values()
+               if isinstance(cls, type) and issubclass(cls, Layer)] + [FoldedBlock]
+    calls = list(_forward_calls(textwrap.dedent(inspect.getsource(Network.forward))))
+    assert len(calls) == 1 and calls[0][2], calls  # layer.forward(h, training=...)
+    _, args, keywords = calls[0]
+    for cls in classes:
+        _bind(cls.forward, cls.__name__, [None, *args], keywords)
 
 
 def _train_spied(monkeypatch, optimizer: str):

@@ -4,13 +4,14 @@ Two independent oracles anchor the quantizer gradient: a literal
 sum-over-paths expansion of the recurrence derivative (products of
 per-step partials, written directly from the chain rule rather than as
 reverse accumulation), and central finite differences through a relaxed
-forward where the hard spike is replaced by its surrogate sigmoid.
+forward, in which `tests/conftest.py::RelaxedLIF` replaces the hard spike
+by its surrogate sigmoid and keeps the library's `LIF.backward`.
 """
 
 import numpy as np
 import pytest
 
-from conftest import conv_document
+from conftest import RelaxedLIF, conv_document
 from tawq.errors import ConfigError, NumericError, ShapeError
 from tawq.layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear
 from tawq.quantizer import (
@@ -143,20 +144,23 @@ def _relaxed_net(seed: int = 0):
     return Network([
         Linear(3, 8, rng=rngs[0]),
         BatchNorm(8),
-        LIF(LifConfig()),
+        RelaxedLIF(LifConfig()),
         QuantLinear(8, 4, quant, rng=rngs[1]),
         BatchNorm(4),
-        LIF(LifConfig()),
+        RelaxedLIF(LifConfig()),
         Linear(4, 2, rng=rngs[2]),
     ])
 
 
 def _relaxed_conv_net():
-    return build_network(parse_runconfig(conv_document()))
+    net = build_network(parse_runconfig(conv_document()))
+    net.layers = [RelaxedLIF(layer.cfg) if isinstance(layer, LIF) else layer
+                  for layer in net.layers]
+    return net
 
 
 def _relaxed_loss(net, x, y):
-    logits = net.forward(x, training=True, relaxed=True)
+    logits = net.forward(x, training=True)
     loss, grad = softmax_cross_entropy(logits, y)
     return loss, grad
 
@@ -314,9 +318,9 @@ class TestManualChainRule:
         lif_cfg = LifConfig()
         lin = Linear(2, 2, bias=False)
         lin.params["weight"] = np.array([[0.8, -0.4], [0.2, 0.6]])
-        net = Network([lin, LIF(lif_cfg)])
+        net = Network([lin, RelaxedLIF(lif_cfg)])
         x = np.array([[[1.0, 1.0]]])  # (T=1, B=1, 2)
-        net.forward(x, relaxed=True)
+        net.forward(x)
         net.backward(np.ones((1, 2)))
 
         u = x[0, 0] @ lin.params["weight"].T / lif_cfg.tau

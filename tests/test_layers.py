@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import RelaxedLIF, lif_formula
 from tawq.errors import ConfigError, NumericError, ShapeError, StateError
 from tawq.layers import (
     LIF,
@@ -602,16 +603,7 @@ def ref_batchnorm(x, gout, gamma, beta, running_mean, running_var, training,
 def ref_lif(x, gout, cfg, relaxed):
     decay, k = 1.0 - 1.0 / cfg.tau, cfg.sg_scale_neuron
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
-    u = np.zeros(x.shape[1:])
-    us, ss = np.empty_like(x), np.empty_like(x)
-    for t in range(x.shape[0]):
-        u = decay * u + x[t] / cfg.tau
-        if relaxed:
-            s = sig(k * (u - cfg.v_threshold))
-        else:
-            s = (u >= cfg.v_threshold).astype(np.float64)
-        us[t], ss[t] = u, s
-        u = cfg.v_reset * s + u * (1.0 - s)
+    ss, us = lif_formula(x, cfg, relaxed)
     gx = np.empty_like(gout)
     gu_carry = np.zeros(gout.shape[1:])
     for t in range(x.shape[0] - 1, -1, -1):
@@ -669,10 +661,23 @@ class TestInPlaceKernelsExact:
         lif = LIF(cfg)
         want_s, want_u, want_gx = ref_lif(x, gout, cfg, relaxed)
         x0, g0 = x.copy(), gout.copy()
-        assert np.array_equal(lif.forward(x, relaxed=relaxed), want_s)
-        assert np.array_equal(lif.cache["u"], want_u)
+        if relaxed:  # the kernel fires hard spikes; its backward runs on graded ones
+            lif.cache = {"x": x, "y": want_s, "u": want_u}
+        else:
+            assert np.array_equal(lif.forward(x), want_s)
+            assert np.array_equal(lif.cache["u"], want_u)
         assert np.array_equal(lif.backward(gout), want_gx)
         assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+
+    def test_relaxed_lif_is_ref_lif(self):
+        # the smooth LIF the finite differences run through
+        cfg = LifConfig(tau=3.0, v_threshold=0.7, v_reset=-0.2, sg_scale_neuron=2.5)
+        x = np.random.default_rng(35).standard_normal((5, 6, 4)) * 2 + 0.5
+        want_s, want_u, _ = ref_lif(x, np.zeros(x.shape), cfg, relaxed=True)
+        lif = RelaxedLIF(cfg)
+        y = lif.forward(x)
+        assert np.array_equal(y, want_s) and np.array_equal(lif.cache["u"], want_u)
+        assert lif.cache["x"] is x and lif.cache["y"] is y
 
     @pytest.mark.parametrize("k,hw", [(2, (8, 6)), (3, (9, 12)),
                                       (2, (4, 2)), (3, (3, 3)), (8, (16, 16))])
