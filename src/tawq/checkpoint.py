@@ -19,10 +19,9 @@ truncates the file and rewrites it in place, handing each large payload
 to the file as it is and joining the heads and small payloads between
 them into one buffer.  A restore draws no initial weights: it restores
 every parameter and recomputes each quantized layer's weights from its
-stimulus.  A layer's stored ternary stacks that all decode to those
-weights become its `QuantizerState.stored`, so nothing packs them again.
-One walk over the tensors the writer would write (`_tensors`) then
-refuses a missing tensor, one unlike the writer's, and any other.
+stimulus.  One walk over the tensors the writer would write
+(`_tensors`) then refuses a missing tensor, one unlike the writer's, and
+any other.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import DataError, StateError
 from .layers import BatchNorm, Network, QuantizedLayer
 from .runconfig import RunConfig, build_network, parse_runconfig
-from .quantizer import PackedTernaryTensor, unpack_ternary
+from .quantizer import PackedTernaryTensor
 
 MAGIC = b"TAWQ"
 VERSION = 1
@@ -169,18 +168,10 @@ def _stored(ckpt: Checkpoint, key: str):
     return ckpt.tensors[key]
 
 
-def _encodes(stack, w: np.ndarray) -> bool:
-    """Whether `stack` is 2-bit packed codes that decode to the ternary weights `w`."""
-    try:
-        return isinstance(stack, PackedTernaryTensor) and np.array_equal(unpack_ternary(stack), w)
-    except DataError:  # a wrong byte count, an invalid code or a set padding bit
-        return False
-
-
 def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
     """Rebuild the network without drawing initial weights, restore its
     parameters and buffers, and check that the tensors are exactly those
-    the writer would write; checked ternary stacks become the state's `stored`."""
+    the writer would write."""
     cfg = parse_runconfig(ckpt.runconfig)
     net = build_network(cfg, draw=False)
     for i, layer in enumerate(net.layers):
@@ -193,12 +184,7 @@ def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
                     and (layer.running_var + layer.eps > 0).all()):
                 raise DataError(f"layer {i} (bn): running statistics must be finite, "
                                 "with running_var + eps positive")
-        if isinstance(layer, QuantizedLayer) and layer.quant.n_level == 1:
-            layer.materialize()
-            stacks = tuple(ckpt.tensors.get(f"{i}.w_q.{t}") for t in range(layer.quant.timesteps))
-            if all(map(_encodes, stacks, layer.state.w_q)):
-                layer.state.stored = stacks  # else the walk packs the weights and refuses
-    written = dict(_tensors(net))  # restored tensors and adopted stacks are the file's own
+    written = dict(_tensors(net))  # restored tensors are the file's own
     for key in {**written, **ckpt.tensors}:  # the writer's order, then others in file order
         if key not in written:
             raise DataError(f"checkpoint tensor {key} is not one the network stores")

@@ -172,7 +172,8 @@ def cmd_fold(args) -> int:
     for j, b in enumerate(blocks):
         arrays[f"block{j}.rho"] = b.rho
         arrays[f"block{j}.delta"] = b.delta
-    np.savez(args.out, **arrays)
+    with open(args.out, "wb") as fh:  # a path without .npz would get it appended
+        np.savez(fh, **arrays)
     print(_fold_summary(plan), file=sys.stderr)
     print(f"folded {len(blocks)} block(s) -> {args.out}")
     return 0
@@ -187,11 +188,12 @@ def cmd_gen_data(args) -> int:
         if side * side != features:
             raise DataError(f"--raster needs a square feature count, "
                             f"got {features} features")
-        pixels = (ds.train_x.mean(axis=0).reshape(n, side, side) * 255)
-        save_raster_grid(args.out, pixels.astype(np.uint8), ds.train_y)
+        save_raster_grid(args.out, ds.train_x.mean(axis=0).reshape(n, side, side) * 255,
+                         ds.train_y)
     else:
-        np.savez(args.out, train_inputs=ds.train_x, train_labels=ds.train_y,
-                 test_inputs=ds.test_x, test_labels=ds.test_y)
+        with open(args.out, "wb") as fh:
+            np.savez(fh, train_inputs=ds.train_x, train_labels=ds.train_y,
+                     test_inputs=ds.test_x, test_labels=ds.test_y)
     print(f"wrote {args.out}")
     return 0
 

@@ -113,13 +113,16 @@ def latency_encode(x: np.ndarray, timesteps: int) -> np.ndarray:
 
 
 def save_raster_grid(path: str, pixels: np.ndarray, labels: np.ndarray) -> None:
-    """Headered binary: magic, n/h/w dims, u8 pixels, u8 labels."""
-    pixels = np.asarray(pixels)
-    labels = np.asarray(labels)
+    """Headered binary: magic, n/h/w dims, u8 pixels, u8 labels (fractions truncated)."""
+    pixels, labels = np.asarray(pixels), np.asarray(labels)
     if pixels.ndim != 3:
         raise DataError(f"pixels must be (N, H, W), got shape {pixels.shape}")
     if labels.shape[0] != pixels.shape[0]:
         raise DataError("label count does not match sample count")
+    for name, values in (("pixel", pixels), ("label", labels)):
+        bad = ~((values >= 0) & (values <= 255))  # NaN compares false
+        if bad.any():
+            raise DataError(f"{name} {values[bad][0].item()!r} does not fit a byte (0..255)")
     n, h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(RASTER_MAGIC)

@@ -153,9 +153,7 @@ class QuantizerState:
     @cached_property
     def stored(self) -> tuple:
         """Each timestep's weights as stored, made once: 2-bit packed if
-        ternary, else int64.  A state is replaced, never updated.  A
-        checkpoint load decodes the stored ternary codes to check them
-        against `w_q`, then sets this to them, so they are not packed again."""
+        ternary, else int64.  A state is replaced, never updated."""
         if self.cfg.n_level == 1:
             return tuple(pack_ternary(w) for w in self.w_q)
         return tuple(w.astype(np.int64) for w in self.w_q)

@@ -21,6 +21,7 @@ from conftest import conv_document, run_document, three_layer_document
 from tawq.analysis import count_sops, entropy_report
 from tawq.checkpoint import (
     Checkpoint,
+    _payload,
     checkpoint_from_network,
     load_checkpoint,
     network_from_checkpoint,
@@ -348,7 +349,7 @@ def test_rebuild_draws_no_weights(monkeypatch, document):
     assert again.keys() == ckpt.tensors.keys()
     for key, value in ckpt.tensors.items():
         if isinstance(value, PackedTernaryTensor):
-            assert again[key] is value  # the checked stack is adopted
+            assert _payload(again[key]) == _payload(value)  # tag, shape and codes
         else:
             assert np.array_equal(again[key], value)
 
@@ -807,6 +808,14 @@ class TestCliReportInferFold:
             assert {"train_inputs", "train_labels",
                     "test_inputs", "test_labels"} <= set(npz.files)
 
+    def test_gen_data_writes_exactly_out(self, cli_artifacts, capsys):
+        out = cli_artifacts["tmp"] / "data.bin"
+        assert main(["gen-data", cli_artifacts["config"], "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert not out.with_name("data.bin.npz").exists()
+        with np.load(out) as npz:
+            assert "train_inputs" in npz.files
+
 
 def test_every_error_maps_to_an_exit_code():
     classes = [c for c in vars(errors).values()
@@ -923,6 +932,20 @@ class TestCliRunFlagsAndDatasets:
         capsys.readouterr()
         return out, parse_runconfig(doc)
 
+    def test_gen_data_raster_refuses_label_past_a_byte(self, tmp_path, tiny_doc, capsys):
+        # 300 classes: a label of 256 or more would wrap in the u8 label field
+        from tawq.data import build_dataset
+        doc = dict(tiny_doc, dataset={"kind": "synthetic-rate-patterns", "n_samples": 600,
+                                      "timesteps": 4, "n_classes": 300, "n_features": 16})
+        path, _ = _write_config(tmp_path, doc)
+        out = tmp_path / "grid.bin"
+        labels = build_dataset(parse_runconfig(doc).dataset).train_y
+        first = labels[labels > 255][0]
+        assert main(["gen-data", path, "--raster", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: label {first} does not fit a byte (0..255)\n")
+        assert not out.exists()
+
     def test_gen_data_raster_reads_back(self, raster):
         from tawq.data import build_dataset
         out, cfg = raster
@@ -958,6 +981,14 @@ class TestFoldCommandWithBlock:
         capsys.readouterr()
         with np.load(folded) as npz:
             assert "block0.rho" in npz.files and "block0.delta" in npz.files
+            assert npz["block0.rho"].shape == (4, 16)
+
+    def test_fold_writes_exactly_out(self, three_layer_artifacts, capsys):
+        out = three_layer_artifacts["tmp"] / "folded.bin"
+        assert main(["fold", three_layer_artifacts["ckpt"], "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"folded 1 block(s) -> {out}\n"
+        assert not out.with_name("folded.bin.npz").exists()
+        with np.load(out) as npz:
             assert npz["block0.rho"].shape == (4, 16)
 
     def test_fold_reports_fold_plan(self, tmp_path, capsys):

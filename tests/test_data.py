@@ -113,16 +113,28 @@ class TestRasterGrid:
         assert np.array_equal(p2, pixels)
         assert np.array_equal(l2, labels)
 
-    @pytest.mark.parametrize("pixel_shape,n_labels,message", [
-        ((4, 9), 4, "pixels must be \\(N, H, W\\)"),
-        ((4, 3, 3), 3, "label count does not match"),
-    ], ids=["flat-pixels", "label-count"])
-    def test_malformed_grid_not_written(self, tmp_path, pixel_shape, n_labels, message):
+    @pytest.mark.parametrize("pixels,labels,message", [
+        (np.zeros((4, 9), dtype=np.uint8), np.zeros(4, dtype=np.uint8),
+         "pixels must be \\(N, H, W\\)"),
+        (np.zeros((4, 3, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8),
+         "label count does not match"),
+        (np.zeros((3, 1, 1)), np.array([1, 256, -1]), "label 256 does not fit a byte"),
+        (np.zeros((2, 1, 1)), np.array([-1, 256]), "label -1 does not fit a byte"),
+        (np.array([[[7.0, 255.5, -3.0]]]), np.zeros(1), "pixel 255.5 does not fit"),
+        (np.array([[[7.0, np.nan]]]), np.zeros(1), "pixel nan does not fit"),
+    ], ids=["flat-pixels", "label-count", "label-256", "label-minus-1", "pixel-past-255",
+            "pixel-nan"])
+    def test_malformed_grid_not_written(self, tmp_path, pixels, labels, message):
         path = tmp_path / "grid.bin"
         with pytest.raises(DataError, match=message):
-            save_raster_grid(str(path), np.zeros(pixel_shape, dtype=np.uint8),
-                             np.zeros(n_labels, dtype=np.uint8))
+            save_raster_grid(str(path), pixels, labels)
         assert not path.exists()
+
+    def test_fractional_pixels_truncate(self, tmp_path):
+        path = str(tmp_path / "grid.bin")
+        save_raster_grid(path, np.array([[[0.9, 254.99, 255.0]]]), np.array([3]))
+        pixels, labels = load_raster_grid(path)
+        assert pixels.tolist() == [[[0, 254, 255]]] and labels.tolist() == [3]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
