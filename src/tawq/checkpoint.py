@@ -15,19 +15,23 @@ The header JSON carries the run-configuration echo and a metrics summary.
 A save converts every payload (an int64 array as int64, any other array
 as float64, a 0-d value with dims (1,)) before it opens the file, so a
 tensor that cannot be stored leaves an existing file untouched.  It then
-truncates the file and rewrites it in place, handing each large payload
-to the file as it is and joining the heads and small payloads between
-them into one buffer.  A restore draws no initial weights: it restores
-every parameter and recomputes each quantized layer's weights from its
-stimulus.  One walk over the tensors the writer would write
-(`_tensors`) then refuses a missing tensor, one unlike the writer's, and
-any other.
+writes over the old bytes, handing each large payload to the file as it
+is and joining the heads and small payloads between them into one
+buffer, and cuts the file to length; truncating to zero first would make
+ext4 write the whole file back at close.  Without an fsync, a crashed or
+interrupted save leaves the old file, the new one, or a mix the CRC
+refuses; writers of files without a checksum truncate as they open.  A
+restore draws no initial weights: it restores every parameter and
+recomputes each quantized layer's weights from its stimulus.  One walk
+over the tensors the writer would write (`_tensors`) then refuses a
+missing tensor, one unlike the writer's, and any other.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -60,6 +64,13 @@ def _payload(value) -> tuple[int, tuple[int, ...], memoryview]:
         arr = arr.astype(np.float64, copy=False)
     tag = TAG_I64 if arr.dtype == np.int64 else TAG_F64
     return tag, arr.shape, memoryview(arr.reshape(-1).view(np.uint8))
+
+
+def _same(a, b) -> bool:
+    """Whether `a` and `b` store as the same tag, dims and payload bytes."""
+    (tag, dims, data), (tag_b, dims_b, data_b) = _payload(a), _payload(b)
+    return (tag, dims) == (tag_b, dims_b) and np.array_equal(
+        np.frombuffer(data, np.uint8), np.frombuffer(data_b, np.uint8))
 
 
 def _read_tensor(blob: memoryview, off: int):
@@ -107,8 +118,13 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    with open(path, "wb") as fh:  # truncated and rewritten in place
+    end = sum(map(len, parts)) + 4
+    # written over the old bytes (no O_TRUNC), then cut if the old file was longer;
+    # a device or pipe reports no length and is not cut
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
         fh.writelines([*parts, struct.pack("<I", crc)])
+        if os.fstat(fh.fileno()).st_size > end:
+            fh.truncate()
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -189,6 +205,6 @@ def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
         if key not in written:
             raise DataError(f"checkpoint tensor {key} is not one the network stores")
         stored = _stored(ckpt, key)
-        if stored is not written[key] and _payload(stored) != _payload(written[key]):
+        if stored is not written[key] and not _same(stored, written[key]):
             raise DataError(f"checkpoint tensor {key} disagrees with the stimulus")
     return net, cfg

@@ -88,3 +88,36 @@ class RelaxedLIF(LIF):
         ss, us = lif_formula(x, self.cfg, relaxed=True)
         self.cache = {"x": x, "y": ss, "u": us}
         return ss
+
+
+class WriteSpy:
+    """Stands in for the file the checkpoint writer opens: `before(i)` runs
+    before the i-th part is handed to the file, however it is handed."""
+
+    def __init__(self, fh, before):
+        self.fh, self.before, self.parts = fh, before, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, part):
+        self.before(self.parts)
+        self.parts += 1
+        return self.fh.write(part)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def spy_writes(monkeypatch, before) -> None:
+    def spying_open(*args, **kwargs):
+        return WriteSpy(open(*args, **kwargs), before)
+
+    monkeypatch.setattr("tawq.checkpoint.open", spying_open, raising=False)

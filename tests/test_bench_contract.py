@@ -22,7 +22,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from conftest import three_layer_document
+from conftest import WriteSpy, three_layer_document
 from tawq import runtime, trainer
 from tawq.checkpoint import (
     checkpoint_from_network,
@@ -128,6 +128,33 @@ def test_one_deploy_cycle_packs_each_state_once(tmp_path, monkeypatch):
 def _bench_workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # workloads imports the tracer by name
     return importlib.import_module("workloads")
+
+
+class _Uncut(WriteSpy):
+    """The writer's file with its final cut to length left out."""
+
+    def truncate(self, *size):
+        pass
+
+
+def test_rewrite_gate_over_a_longer_file(monkeypatch, tmp_path):
+    # rewrite.ckpt already holds a longer file: the rewrite must leave exactly
+    # the loaded checkpoint's bytes, and a stale tail must trip the gate
+    workloads = _bench_workloads(monkeypatch)
+    wl = workloads.Workload("mlp-deploy", 1, 0.0, str(tmp_path), smoke=True)
+    wl._setup_once()
+    stale = wl.fixture + b"\xff" * 4096
+    rewrite = pathlib.Path(wl.rewrite_path)
+    rewrite.write_bytes(stale)
+    net = wl._ready_op()[0]
+    assert wl._rewrite_op(net), wl.failures
+    assert rewrite.read_bytes() == wl.fixture
+    rewrite.write_bytes(stale)
+    monkeypatch.setattr("tawq.checkpoint.open",
+                        lambda *a, **k: _Uncut(open(*a, **k), lambda i: None), raising=False)
+    assert not wl._rewrite_op(net)
+    assert wl.failures == [
+        "checkpoint rewrite: rewritten checkpoint differs from the one loaded"]
 
 
 @pytest.mark.parametrize("network", ["bench-mlp", "three-layer"])

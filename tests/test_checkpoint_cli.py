@@ -6,6 +6,7 @@ unreadable file, 3 data, 4 numeric.
 """
 
 import copy
+import errno
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import conv_document, run_document, three_layer_document
+from conftest import conv_document, run_document, spy_writes, three_layer_document
 from tawq.analysis import count_sops, entropy_report
 from tawq.checkpoint import (
     Checkpoint,
@@ -280,31 +281,78 @@ def _documented_file(ckpt: Checkpoint) -> bytes:
     return _with_crc(body)
 
 
+def _layout_checkpoint() -> Checkpoint:
+    """One tensor of each kind and layout the writer meets."""
+    grid = np.arange(24.0).reshape(4, 6)
+    tensors = {
+        "f64": np.array([1.5, -0.0, np.inf]),
+        "i64": np.array([[3, -4]], dtype=np.int64),
+        "packed": pack_ternary(np.array([[1, 0, -1], [0, 1, 1]])),
+        "strided": grid[:, ::2],
+        "transposed": grid.T,
+        "f32": np.array([0.1, 2.5], dtype=np.float32),
+        "scalar": np.float64(2.5),
+        "scalar-i64": np.array(7, dtype=np.int64),
+        "empty": np.empty((0, 3)),
+        "big-f64": np.linspace(-1.0, 1.0, 20_000),  # large enough to stream
+        "tail": np.ones(2),
+        "big-packed": pack_ternary(np.resize([1, 0, -1, 1, 1], 300_001)),
+        "big-i64": np.arange(9_000, dtype=np.int64),
+    }
+    return Checkpoint(runconfig={"b": [1, 2], "a": "é"}, metrics={"loss": 0.25},
+                      tensors=tensors)
+
+
+def _longer_layout_checkpoint() -> Checkpoint:
+    ckpt = _layout_checkpoint()
+    ckpt.tensors["extra"] = np.arange(5_000.0)
+    return ckpt
+
+
 class TestWriter:
-    """The writer streams large payloads and joins the rest, and still
-    writes the documented layout byte for byte."""
+    """The writer streams large payloads and joins the rest, writes over
+    the old bytes and cuts the file to length, and still writes the
+    documented layout byte for byte."""
 
     def test_bytes_follow_the_documented_layout(self, tmp_path):
-        grid = np.arange(24.0).reshape(4, 6)
-        tensors = {
-            "f64": np.array([1.5, -0.0, np.inf]),
-            "i64": np.array([[3, -4]], dtype=np.int64),
-            "packed": pack_ternary(np.array([[1, 0, -1], [0, 1, 1]])),
-            "strided": grid[:, ::2],
-            "transposed": grid.T,
-            "f32": np.array([0.1, 2.5], dtype=np.float32),
-            "scalar": np.float64(2.5),
-            "scalar-i64": np.array(7, dtype=np.int64),
-            "empty": np.empty((0, 3)),
-            "big-f64": np.linspace(-1.0, 1.0, 20_000),  # large enough to stream
-            "tail": np.ones(2),
-            "big-packed": pack_ternary(np.resize([1, 0, -1, 1, 1], 300_001)),
-            "big-i64": np.arange(9_000, dtype=np.int64),
-        }
-        ckpt = Checkpoint(runconfig={"b": [1, 2], "a": "é"}, metrics={"loss": 0.25},
-                          tensors=tensors)
-        path = tmp_path / "a.ckpt"
+        ckpt = _layout_checkpoint()
+        path = tmp_path / "a.ckpt"  # a new path
         save_checkpoint(str(path), ckpt)
+        assert path.read_bytes() == _documented_file(ckpt)
+
+    @pytest.mark.parametrize("prior", ["longer", "same-size"])
+    def test_save_over_an_existing_file(self, tmp_path, prior):
+        ckpt = _layout_checkpoint()
+        want = _documented_file(ckpt)
+        path = tmp_path / "a.ckpt"
+        if prior == "longer":
+            save_checkpoint(str(path), _longer_layout_checkpoint())
+            assert path.stat().st_size > len(want)
+        else:
+            path.write_bytes(want[::-1])
+        save_checkpoint(str(path), ckpt)
+        assert path.read_bytes() == want
+
+    def test_save_to_a_device(self):
+        # a device has no length to cut; the save writes to it as to a file
+        save_checkpoint(os.devnull, _layout_checkpoint())
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        save_checkpoint(str(tmp_path / "a.ckpt"), _layout_checkpoint())
+        with open(tmp_path / "b.ckpt", "wb"):
+            pass
+        assert (tmp_path / "a.ckpt").stat().st_mode == (tmp_path / "b.ckpt").stat().st_mode
+
+    def test_old_bytes_stay_until_the_first_part_is_written(self, tmp_path, monkeypatch):
+        # the save writes over the old file; it never truncates it to zero first
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(str(path), _longer_layout_checkpoint())
+        old = path.read_bytes()
+        on_disk = []
+        spy_writes(monkeypatch, lambda i: i or on_disk.append(path.read_bytes()))
+        ckpt = _layout_checkpoint()
+        save_checkpoint(str(path), ckpt)
+        assert len(on_disk) == 1 and on_disk[0] == old
         assert path.read_bytes() == _documented_file(ckpt)
 
     def test_conv_network_bytes_follow_the_documented_layout(self, tmp_path):
@@ -325,6 +373,10 @@ class TestWriter:
             raise AssertionError("the file was opened")
 
         monkeypatch.setattr("tawq.checkpoint.open", no_open, raising=False)
+        monkeypatch.setattr(os, "open", no_open)
+        # the patches catch the call that opens the file
+        with pytest.raises(AssertionError, match="the file was opened"):
+            save_checkpoint(str(path), Checkpoint({}, {}, {"y": np.ones(2)}))
         with pytest.raises(ValueError, match="could not convert"):
             save_checkpoint(str(path), bad)
         monkeypatch.undo()
@@ -418,6 +470,38 @@ class TestCliTrain:
                                "entropy_mean", "grad_norm"}
         summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert summary["ablate_temporal"] is False
+
+    def test_interrupted_save_leaves_a_file_every_reader_refuses(
+            self, tmp_path, tiny_doc, capsys, monkeypatch):
+        # the save fails after its first part, over a longer checkpoint: the
+        # file is neither the old network nor the new one, and the CRC says so
+        wide = default_xor_document(hidden=16)
+        wide["train"], wide["dataset"] = tiny_doc["train"], tiny_doc["dataset"]
+        path, out = _write_config(tmp_path, wide)
+        assert main(["train", path]) == 0
+        old = Path(out["checkpoint"]).read_bytes()
+
+        def fail_after_the_first_part(i):
+            if i:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        spy_writes(monkeypatch, fail_after_the_first_part)
+        path, out = _write_config(tmp_path, tiny_doc)
+        capsys.readouterr()
+        assert main(["train", path]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        monkeypatch.undo()
+        blob = Path(out["checkpoint"]).read_bytes()
+        assert len(blob) == len(old) and blob != old
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_checkpoint(out["checkpoint"])
+        from tawq.data import build_dataset
+        inputs = str(tmp_path / "inputs.npz")
+        np.savez(inputs, inputs=build_dataset(parse_runconfig(tiny_doc).dataset).test_x)
+        assert main(["report", out["checkpoint"]]) == 3
+        assert "checksum mismatch" in capsys.readouterr().err
+        assert main(["infer", out["checkpoint"], inputs]) == 3
+        assert "checksum mismatch" in capsys.readouterr().err
 
     def test_metrics_log_deterministic(self, tmp_path, tiny_doc):
         p1, o1 = _write_config(tmp_path, tiny_doc, "a.yaml")
