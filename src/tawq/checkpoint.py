@@ -21,7 +21,8 @@ buffer, and cuts the file to length; truncating to zero first would make
 ext4 write the whole file back at close.  Without an fsync, a crashed or
 interrupted save leaves the old file, the new one, or a mix the CRC
 refuses; writers of files without a checksum truncate as they open.  A
-restore draws no initial weights: it restores every parameter and
+restore draws no initial weights: it restores every parameter and BN
+buffer, refusing one not stored as float64 with the network's dims, and
 recomputes each quantized layer's weights from its stimulus.  One walk
 over the tensors the writer would write (`_tensors`) then refuses a
 missing tensor, one unlike the writer's, and any other.
@@ -178,10 +179,14 @@ def checkpoint_from_network(net: Network, cfg: RunConfig,
                       tensors=dict(_tensors(net)))
 
 
-def _stored(ckpt: Checkpoint, key: str):
+def _stored(ckpt: Checkpoint, key: str, like: np.ndarray | None = None):
+    """The tensor stored under `key`; with `like`, it must store as `like` does."""
     if key not in ckpt.tensors:
         raise StateError(f"checkpoint missing tensor {key}")
-    return ckpt.tensors[key]
+    value = ckpt.tensors[key]
+    if like is not None and _payload(value)[:2] != _payload(like)[:2]:
+        raise DataError(f"checkpoint tensor {key} is not float64 with dims {like.shape}")
+    return value
 
 
 def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
@@ -192,10 +197,10 @@ def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
     net = build_network(cfg, draw=False)
     for i, layer in enumerate(net.layers):
         for pname in layer.params:
-            layer.params[pname] = np.asarray(_stored(ckpt, f"{i}.{pname}"))
+            layer.params[pname] = _stored(ckpt, f"{i}.{pname}", layer.params[pname])
         if isinstance(layer, BatchNorm):
-            layer.running_mean = np.asarray(_stored(ckpt, f"{i}.running_mean"))
-            layer.running_var = np.asarray(_stored(ckpt, f"{i}.running_var"))
+            layer.running_mean = _stored(ckpt, f"{i}.running_mean", layer.running_mean)
+            layer.running_var = _stored(ckpt, f"{i}.running_var", layer.running_var)
             if not (np.isfinite(layer.running_mean).all() and np.isfinite(layer.running_var).all()
                     and (layer.running_var + layer.eps > 0).all()):
                 raise DataError(f"layer {i} (bn): running statistics must be finite, "

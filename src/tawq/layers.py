@@ -281,10 +281,6 @@ class Linear(_LinearContraction, WeightedLayer):
         if bias:
             self.params["bias"] = np.zeros(out_features)
 
-    # bench/tracer.py times the methods found in each class's own namespace
-    forward = Layer.forward
-    backward = WeightedLayer.backward
-
 
 class Conv2d(_ConvContraction, WeightedLayer):
     kind = "conv"
@@ -295,10 +291,6 @@ class Conv2d(_ConvContraction, WeightedLayer):
         super().__init__("weight", (out_channels, in_channels, kernel_size, kernel_size),
                          in_channels * kernel_size * kernel_size, rng)
         self.stride, self.padding = stride, padding
-
-    # bench/tracer.py times the methods found in each class's own namespace
-    forward = Layer.forward
-    backward = WeightedLayer.backward
 
     def trace(self):
         t = super().trace()
@@ -376,11 +368,6 @@ class QuantLinear(_LinearContraction, QuantizedLayer):
                  rng: np.random.Generator | None = None) -> None:
         super().__init__((out_features, in_features), in_features, quant, rng)
 
-    # bench/tracer.py times the methods found in each class's own namespace
-    materialize = QuantizedLayer.materialize
-    forward = Layer.forward
-    backward = WeightedLayer.backward
-
 
 class QuantConv2d(_ConvContraction, QuantizedLayer):
     """2-D convolution whose kernels come from the temporal quantizer."""
@@ -393,11 +380,6 @@ class QuantConv2d(_ConvContraction, QuantizedLayer):
         super().__init__((out_channels, in_channels, kernel_size, kernel_size),
                          in_channels * kernel_size * kernel_size, quant, rng)
         self.stride, self.padding = stride, padding
-
-    # bench/tracer.py times the methods found in each class's own namespace
-    materialize = QuantizedLayer.materialize
-    forward = Layer.forward
-    backward = WeightedLayer.backward
 
 
 class BatchNorm(Layer):
@@ -542,8 +524,6 @@ class AvgPool2d(Layer):
         super().__init__()
         self.kernel_size = kernel_size
 
-    forward = Layer.forward  # bench/tracer.py times the class's own namespace
-
     def infer(self, x):
         k = self.kernel_size
         _check_images(x)
@@ -580,13 +560,20 @@ class AvgPool2d(Layer):
 
 class Flatten(Layer):
     kind = "flatten"
-    forward = Layer.forward  # bench/tracer.py times the class's own namespace
 
     def infer(self, x):
         return x.reshape(*x.shape[:2], -1)
 
     def backward(self, gout):
         return gout.reshape(self.cache["x"].shape)
+
+
+# bench/tracer.py times only the methods found in a class's own namespace
+for _cls in (Linear, Conv2d, QuantLinear, QuantConv2d, AvgPool2d, Flatten):
+    for _name in ("forward", "backward", "materialize"):
+        if hasattr(_cls, _name):
+            setattr(_cls, _name, getattr(_cls, _name))
+del _cls, _name
 
 
 class Network:

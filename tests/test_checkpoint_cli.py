@@ -791,6 +791,18 @@ class TestCliReportInferFold:
         assert records["entropy"]["layers"] == [] and records["entropy"]["mean"] == 0.0
         assert records["energy"]["e_total_pj"] > 0
 
+    def test_report_of_network_without_lif(self, tmp_path, tiny_doc, capsys):
+        # no spiking layer: the firing section reports empty rates
+        doc = copy.deepcopy(tiny_doc)
+        doc["network"] = [{"kind": "linear", "in": 2, "out": 2}]
+        path, out = _write_config(tmp_path, doc)
+        assert main(["train", path]) == 0
+        jpath = str(tmp_path / "report.jsonl")
+        assert main(["report", out["checkpoint"], "--json", jpath]) == 0
+        capsys.readouterr()
+        records = {r["section"]: r for r in map(json.loads, Path(jpath).read_text().splitlines())}
+        assert records["firing"]["rates"] == [] and records["firing"]["mean_rate"] == 0.0
+
     def test_report_missing_tensor_exits_3(self, cli_artifacts, capsys):
         ckpt = load_checkpoint(cli_artifacts["ckpt"])
         del ckpt.tensors["1.running_var"]
@@ -1175,6 +1187,33 @@ class TestBnStatisticsRefused:
         folded = capsys.readouterr().out
         assert main(args + ["--unfolded"]) == 0
         assert folded == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["report", "infer", "fold"])
+@pytest.mark.parametrize("artifacts,key,stored", [
+    ("cli_artifacts", "0.weight", "packed"),
+    ("cli_artifacts", "1.running_var", "packed"),
+    ("cli_artifacts", "3.stimulus", "packed"),
+    ("three_layer_artifacts", "0.weight", (3, 2)),
+    ("three_layer_artifacts", "6.weight", (2, 5)),
+], ids=["xor-weight-packed", "xor-var-packed", "xor-stimulus-packed",
+        "three-layer-weight-3x2", "three-layer-head-2x5"])
+def test_tensor_stored_unlike_the_network_exits_3(request, tmp_path, capsys, command,
+                                                  artifacts, key, stored):
+    # CRC-valid files whose parameter or BN buffer has another tag or dims
+    files = request.getfixturevalue(artifacts)
+    ckpt = load_checkpoint(files["ckpt"])
+    value = ckpt.tensors[key]
+    ckpt.tensors[key] = (pack_ternary(np.sign(value)) if stored == "packed"
+                         else value[tuple(slice(n) for n in stored)])
+    path = str(tmp_path / "unlike.ckpt")
+    save_checkpoint(path, ckpt)
+    args = {"report": [], "infer": [files["inputs"]],
+            "fold": ["--out", str(tmp_path / "folded.npz")]}[command]
+    capsys.readouterr()
+    assert main([command, path, *args]) == 3
+    message = f"checkpoint tensor {key} is not float64 with dims {value.shape}"
+    assert message in capsys.readouterr().err
 
 
 class TestMultibitCheckpoint:
