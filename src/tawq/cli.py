@@ -35,17 +35,18 @@ from .checkpoint import (
 from .data import build_dataset, save_raster_grid
 from .errors import ConfigError, DataError, NumericError
 from .layers import Network
-from .runconfig import build_network, load_runconfig
+from .runconfig import build_network, load_runconfig, parse_runconfig
 from .runtime import FoldedBlock, fold_network
 from .trainer import train
 
 
 def cmd_train(args) -> int:
-    cfg = load_runconfig(args.config)
+    doc = load_runconfig(args.config).to_dict()
     if args.ablate_temporal:
-        cfg.quant = dataclasses.replace(cfg.quant, temporal=False)
+        doc["quant"]["temporal"] = False
     if args.seed is not None:
-        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
+        doc["train"]["seed"] = args.seed
+    cfg = parse_runconfig(doc)  # judges the flags as if the document held them
     ds = build_dataset(cfg.dataset)
     net = build_network(cfg)
     metrics = train(net, (ds.train_x, ds.train_y), (ds.test_x, ds.test_y), cfg.train)

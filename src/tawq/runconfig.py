@@ -1,6 +1,8 @@
 """Declarative run configuration: a strict-schema YAML/JSON document that
-fully determines a training or inference run.  `_SECTIONS` lists its
-dataclass sections once, for the parser, `TOP_KEYS` and `RunConfig.to_dict`."""
+fully determines a training or inference run.  `parse_runconfig` judges
+every rule that needs no file, so `build_network` only builds.  `_SECTIONS`
+lists its dataclass sections once, for the parser, `TOP_KEYS` and
+`RunConfig.to_dict`."""
 
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (s
 def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
     unknown = set(doc) - allowed
     if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown, key=str)}")
 
 
 def _section(doc: dict, section: str) -> dict:
@@ -140,6 +142,15 @@ def parse_runconfig(doc: dict) -> RunConfig:
         raise ConfigError(
             f"dataset.timesteps ({dataset.timesteps}) must equal "
             f"quant.timesteps ({quant.timesteps})")
+    kinds = [spec["kind"] for spec in doc["network"]]
+    quantized = [issubclass(_LAYERS[kind][0], QuantizedLayer) for kind in kinds]
+    if not any(quantized):  # timesteps is the one quant field such a network reads
+        refuse_unread(quant, "by a network with no qlinear or qconv layer",
+                      *(f.name for f in dataclasses.fields(quant) if f.name != "timesteps"))
+    for i, kind in enumerate(kinds[:-1]):  # the head may feed nothing
+        if quantized[i] and kinds[i + 1] != "lif" and kinds[i + 1:i + 3] != ["bn", "lif"]:
+            raise ConfigError(f"network[{i}]: quantized layer must feed a spiking "
+                              "nonlinearity (optionally through bn) unless it is the head")
     paths = {f"{key}_path": path for key, path in out.items()}  # absent: the field default
     return RunConfig(network=doc["network"], **sections, **paths)
 
@@ -166,7 +177,7 @@ def default_xor_document(hidden: int = 24, quantized: bool = True,
 
 
 def load_runconfig(path: str) -> RunConfig:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # PyYAML decodes, and refuses a bad byte
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
@@ -194,15 +205,8 @@ def build_network(cfg: RunConfig, draw: bool = True) -> Network:
     Each layer gets a seed derived from the training seed and its index so
     initialization is reproducible layer by layer.  With `draw` false no
     weight is drawn and each starts as zeros, for a caller that restores
-    every parameter.  Every quantized layer must be followed (possibly
-    after a bn) by a spiking nonlinearity unless it is the output head.
-    A network with no quantized layer refuses every non-default quant
-    field but timesteps, which it never reads; `tawq train
-    --ablate-temporal` sets one of them.
+    every parameter.
     """
-    if not any(issubclass(_LAYERS[spec["kind"]][0], QuantizedLayer) for spec in cfg.network):
-        refuse_unread(cfg.quant, "by a network with no qlinear or qconv layer",
-                      *(f.name for f in dataclasses.fields(cfg.quant) if f.name != "timesteps"))
     layers: list[Layer] = []
     for i, spec in enumerate(cfg.network):
         cls, required, optional = _LAYERS[spec["kind"]]
@@ -215,12 +219,4 @@ def build_network(cfg: RunConfig, draw: bool = True) -> Network:
         if issubclass(cls, WeightedLayer):
             kwargs["rng"] = np.random.default_rng((cfg.train.seed, i)) if draw else _Undrawn
         layers.append(cls(*args, **kwargs))
-    for i, layer in enumerate(layers[:-1]):
-        if isinstance(layer, QuantizedLayer):
-            follow = [later.kind for later in layers[i + 1:i + 3]]
-            if follow[0] != "lif" and not (
-                    follow[0] == "bn" and len(follow) > 1 and follow[1] == "lif"):
-                raise ConfigError(
-                    f"network[{i}]: quantized layer must feed a spiking "
-                    "nonlinearity (optionally through bn) unless it is the head")
     return Network(layers)

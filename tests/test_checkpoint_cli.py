@@ -757,6 +757,86 @@ class TestCliTrainRefusals:
         assert main(["report", out["checkpoint"]]) == 0
 
 
+def _dense(kind, n_in, n_out):
+    return {"kind": kind, "in": n_in, "out": n_out}
+
+
+FOLLOW_RULE = ("config error: network[0]: quantized layer must feed a spiking "
+               "nonlinearity (optionally through bn) unless it is the head\n")
+BN4, LIF, HEAD = {"kind": "bn", "channels": 4}, {"kind": "lif"}, _dense("linear", 4, 2)
+
+
+class TestParserJudgesTheRun:
+    """Every document rule that needs no file is judged by the parser,
+    before any data is generated or read and before any output is written."""
+
+    @pytest.mark.parametrize("network", [
+        [_dense("qlinear", 2, 4), HEAD],
+        [_dense("qlinear", 2, 4), BN4, HEAD],
+        [{"kind": "qconv", "in": 2, "out": 4, "kernel": 1}, {"kind": "pool", "kernel": 1},
+         {"kind": "flatten"}, HEAD],
+        [_dense("qlinear", 2, 4), BN4, BN4, LIF, HEAD],
+    ], ids=["linear", "bn-linear", "pool", "bn-bn-lif"])
+    def test_quantized_layer_must_feed_a_lif(self, tmp_path, tiny_doc, capsys, network):
+        path, out = _write_config(tmp_path, dict(tiny_doc, network=network))
+        assert main(["train", path]) == 2
+        assert capsys.readouterr().err == FOLLOW_RULE
+        assert not os.path.exists(out["metrics"])
+
+    @pytest.mark.parametrize("network", [
+        [_dense("linear", 2, 4), LIF, _dense("qlinear", 4, 2)],
+        [_dense("qlinear", 2, 4), LIF, HEAD],
+        [_dense("qlinear", 2, 4), BN4, LIF, HEAD],
+    ], ids=["head", "lif", "bn-lif"])
+    def test_quantized_layer_feeding_a_lif_trains(self, tmp_path, tiny_doc, network):
+        path, _ = _write_config(tmp_path, dict(tiny_doc, network=network))
+        assert main(["train", path]) == 0
+
+    # The raster-grid file does not exist: the refusal must come first.
+    @pytest.mark.parametrize("network,flags,message", [
+        ([_dense("qlinear", 2, 4), HEAD], [], FOLLOW_RULE),
+        ([_dense("linear", 2, 4), LIF, HEAD], ["--ablate-temporal"],
+         "config error: temporal is not read by a network with no qlinear or qconv "
+         "layer; got False\n"),
+    ], ids=["follow-rule", "ablate-full-precision"])
+    def test_refused_before_the_dataset_is_read(self, tmp_path, tiny_doc, capsys, network,
+                                                flags, message):
+        dataset = {"kind": "raster-grid", "path": str(tmp_path / "missing.bin"),
+                   "timesteps": 4}
+        path, _ = _write_config(tmp_path, dict(tiny_doc, network=network, dataset=dataset))
+        assert main(["train", path, *flags]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_gen_data_refuses_the_document(self, tmp_path, tiny_doc, capsys):
+        path, _ = _write_config(tmp_path, dict(tiny_doc, network=[_dense("qlinear", 2, 4), HEAD]))
+        out = tmp_path / "dataset.npz"
+        assert main(["gen-data", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == FOLLOW_RULE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where,section", [
+        (lambda doc: doc["network"][0], "network[0]"),
+        (lambda doc: doc["train"], "train"),
+        (lambda doc: doc, "document"),
+    ], ids=["layer", "section", "top-level"])
+    def test_unknown_keys_of_mixed_types(self, tmp_path, tiny_doc, capsys, where, section):
+        doc = copy.deepcopy(tiny_doc)
+        where(doc).update({1: 2, "x": 3})
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))  # its keys do not sort
+        assert main(["train", str(path)]) == 2
+        assert f"config error: {section}: unknown key(s) [1, 'x']" in capsys.readouterr().err
+
+    def test_document_that_is_not_utf8(self, tmp_path, tiny_doc, capsys):
+        path, out = _write_config(tmp_path, tiny_doc)
+        with open(path, "ab") as fh:
+            fh.write(b"# \xff\n")
+        assert main(["train", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "invalid start byte" in err
+        assert not os.path.exists(out["metrics"])
+
+
 @pytest.fixture(scope="module")
 def cli_artifacts(tmp_path_factory, tiny_doc):
     tmp = tmp_path_factory.mktemp("cli")

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from tawq.cli import main
 from tawq.data import build_dataset
-from tawq.runconfig import parse_runconfig
+from tawq.errors import ConfigError
+from tawq.runconfig import build_network, parse_runconfig
 
 
 def _document(network: list, timesteps: int = 4, batch_size: int = 16) -> dict:
@@ -72,6 +73,17 @@ def documents(draw) -> tuple[dict, tuple | None]:
         section, key, value = fault
         doc.setdefault(section, {})[key] = value
     return doc, fault
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(documents())
+def test_a_parsed_document_builds(case):
+    # the parser judges every rule, so building refuses nothing it accepted
+    try:
+        cfg = parse_runconfig(case[0])
+    except ConfigError:
+        return
+    build_network(cfg)
 
 
 BLOCK = [{"kind": "qlinear", "in": 4, "out": 4}, {"kind": "bn", "channels": 4},
