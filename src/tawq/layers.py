@@ -18,15 +18,19 @@ before the next.
 The elementwise kernels of BatchNorm, LIF and AvgPool2d run in place on
 buffers they allocate themselves, one numpy operation per step of the
 formula and no temporary per operator; `infer` of BatchNorm and LIF runs
-them in place on its input instead.  `forward` never writes into its
-input or into an array another layer holds in its cache.  Each performs
-the same floating-point operations, in the same order, as the plain
-formula that tests/test_layers.py pins, so its results are equal to it
-under np.array_equal (only the sign of a zero or of a NaN may differ).
+them in place on its input instead.  BatchNorm runs them over (T*B, C,
+S) rows, S the spatial size, in `quantizer.blocks` slabs of whole rows
+that stay in L2, so each loop over the slabs passes once over memory.
+`forward` never writes into its input or into an array another layer
+holds in its cache.  Each performs the same floating-point operations,
+in the same order, as the plain formula that tests/test_layers.py pins,
+so its results are equal to it under np.array_equal (only the sign of a
+zero or of a NaN may differ).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,11 +386,24 @@ class QuantConv2d(_ConvContraction, QuantizedLayer):
         self.stride, self.padding = stride, padding
 
 
+def _add_row_sums(sums, i, blk, values):
+    """Add a (n, C, S) slab to sums[i]: its row sums over S into (k, R, C)
+    sums, or all of it into (k, C) sums for the one slab of S <= 1."""
+    if sums.ndim == 2:
+        values.sum(axis=(0, 2), out=sums[i])
+    else:
+        values.sum(axis=2, out=sums[i, blk])
+
+
 class BatchNorm(Layer):
     """Channel batch norm over time, batch, and spatial positions.
 
     Training mode uses batch statistics and updates running averages with
-    momentum 0.1; inference mode applies the frozen affine map.
+    momentum 0.1; inference mode applies the frozen affine map.  A channel's
+    sum is each row's sum over S, the row sums then added in row order:
+    numpy's own order for x.sum(axis=(0, 1, 3, 4)) of a C-ordered x or a
+    batch slice of one.  A (T, B, C) input is one slab; the batch mean is
+    numpy's reduction of x itself.
     """
 
     kind = "bn"
@@ -401,67 +418,104 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def _axes(self, x):
-        # channel axis is 2 for both (T,B,C) and (T,B,C,H,W)
-        return tuple(i for i in range(x.ndim) if i != 2)
-
-    def _cshape(self, x):
-        if x.ndim < 3 or x.shape[2] != self.channels:
+    def _rows(self, a):
+        """a as (T*B, C, S) rows, a C-order copy if no view has that shape;
+        one channel is one row, as numpy sums it as one run."""
+        if a.ndim < 3 or a.shape[2] != self.channels:
             raise ShapeError(f"expected {self.channels} channels on axis 2, "
-                             f"got input shape {x.shape}")
-        return (1, 1, self.channels) + (1,) * (x.ndim - 3)
+                             f"got input shape {a.shape}")
+        R, S = a.shape[0] * a.shape[1], math.prod(a.shape[3:])
+        return a.reshape((1, 1, R * S) if self.channels == 1 else (R, self.channels, S))
 
-    def _scale_shift(self, xhat, y, var):
-        """The affine after centring: xhat /= sqrt(var + eps) in place, then
-        y = xhat * gamma + beta (y may be xhat); returns the std."""
-        cs = self._cshape(xhat)
-        std = np.sqrt(var + self.eps)
-        xhat /= std.reshape(cs)
-        np.multiply(xhat, self.params["gamma"].reshape(cs), out=y)
-        y += self.params["beta"].reshape(cs)
-        return std
+    def _slabs(self, rows, *scratch):
+        """Each slab's slice of rows, with the flat `scratch` cut to its shape."""
+        R, C, S = rows.shape
+        walk = blocks(R, *scratch, row=C * S) if S > 1 else [(slice(0, R), scratch)]
+        for blk, bufs in walk:
+            n = blk.stop - blk.start
+            yield blk, [b[:n * C * S].reshape(n, C, S) for b in bufs]
+
+    def _spread(self, rows, *vectors):
+        """Each per-channel vector over one (C, S) row, so a slab op runs over
+        whole rows: numpy broadcasts a (C, 1) over short S at half the speed."""
+        C, S = rows.shape[1:]
+        return [v.reshape(C, 1) if C == 1 or S <= 1 else np.repeat(v, S).reshape(C, S)
+                for v in vectors]
+
+    def _normalize(self, rows, xhat, y, std, mean=None):
+        """Per slab: xhat = rows - mean (with no mean, xhat holds it), then
+        xhat /= std and y = xhat * gamma + beta; xhat and y may be rows."""
+        std, gamma, beta = self._spread(rows, std, self.params["gamma"], self.params["beta"])
+        mean = None if mean is None else self._spread(rows, mean)[0]
+        for blk, _ in self._slabs(rows):
+            xh, yb = xhat[blk], y[blk]
+            if mean is not None:
+                np.subtract(rows[blk], mean, out=xh)
+            xh /= std
+            np.multiply(xh, gamma, out=yb)
+            yb += beta
 
     def forward(self, x, training=False):
-        axes, cs = self._axes(x), self._cshape(x)
+        rows = self._rows(x)
+        R, C, S = rows.shape
+        xhat, y = np.empty(rows.shape), np.empty(rows.shape)
         if training:
-            mean = x.mean(axis=axes)
-            xhat = x - mean.reshape(cs)
-            # np.var's own steps on the centred data: square, sum, divide
-            y = np.multiply(xhat, xhat)
-            var = y.sum(axis=axes) / (x.size // x.shape[2])
+            mean = x.mean(axis=(0, 1, *range(3, x.ndim)))
+            mean_row, = self._spread(rows, mean)
+            # np.var's own steps on the centred data: square, sum, divide; the
+            # squares go to y's first slab, which _normalize then overwrites
+            sums = np.empty((1, C) if S <= 1 else (1, R, C))
+            for blk, (sq,) in self._slabs(rows, y.reshape(-1)):
+                xh = np.subtract(rows[blk], mean_row, out=xhat[blk])
+                _add_row_sums(sums, 0, blk, np.multiply(xh, xh, out=sq))
+            var = (sums[0] if S <= 1 else sums[0].sum(axis=0)) / (R * S)
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:  # the running-statistics affine of `infer`, into buffers of its own
             var = self.running_var
-            xhat = x - self.running_mean.reshape(cs)
-            y = np.empty_like(xhat)
-        std = self._scale_shift(xhat, y, var)
-        self.cache = {"x": x, "y": y, "xhat": xhat, "std": std, "training": training}
-        return y
+        std = np.sqrt(var + self.eps)
+        self._normalize(rows, xhat, y, std, None if training else self.running_mean)
+        self.cache = {"x": x, "y": y.reshape(x.shape), "xhat": xhat.reshape(x.shape),
+                      "std": std, "training": training}
+        return self.cache["y"]
 
     def infer(self, x):
-        x -= self.running_mean.reshape(self._cshape(x))
-        self._scale_shift(x, x, self.running_var)
-        return x
+        rows = self._rows(x)
+        self._normalize(rows, rows, rows, np.sqrt(self.running_var + self.eps), self.running_mean)
+        return rows.reshape(x.shape)
 
     def backward(self, gout, input_grad=True):
-        xhat, std = self.cache["xhat"], self.cache["std"]
-        axes, cs = self._axes(gout), self._cshape(gout)
-        scratch = np.multiply(gout, xhat)
-        self.grads["gamma"] = scratch.sum(axis=axes)
-        self.grads["beta"] = gout.sum(axis=axes)
-        if not input_grad:
-            return None
-        gx = np.multiply(gout, self.params["gamma"].reshape(cs))  # g_scaled
-        if self.cache["training"]:
+        g, xhat = self._rows(gout), self._rows(self.cache["xhat"])
+        R, C, S = g.shape
+        std, gamma = self._spread(g, self.cache["std"], self.params["gamma"])
+        training = input_grad and self.cache["training"]
+        gx = np.empty(g.shape) if input_grad else None
+        scratch = np.empty(g.size if S <= 1 else min(g.size, max(BLOCK, C * S)))
+        # the gamma and beta grads, then sum(g_scaled) and sum(g_scaled * xhat)
+        k = 4 if training else 2
+        sums = np.empty((k, C) if S <= 1 else (k, R, C))
+        for blk, (sc,) in self._slabs(g, scratch):
+            gb, xh = g[blk], xhat[blk]
+            _add_row_sums(sums, 0, blk, np.multiply(gb, xh, out=sc))
+            _add_row_sums(sums, 1, blk, gb)
+            if input_grad:
+                gs = np.multiply(gb, gamma, out=gx[blk])  # g_scaled
+                if training:
+                    _add_row_sums(sums, 2, blk, gs)
+                    _add_row_sums(sums, 3, blk, np.multiply(gs, xh, out=sc))
+                else:
+                    gs /= std
+        totals = sums if S <= 1 else sums.sum(axis=1)
+        self.grads["gamma"], self.grads["beta"] = totals[0], totals[1]
+        if training:
             # g_scaled - mean(g_scaled) - xhat * mean(g_scaled * xhat)
-            np.multiply(gx, xhat, out=scratch)
-            m_gx = scratch.mean(axis=axes).reshape(cs)
-            gx -= gx.mean(axis=axes).reshape(cs)
-            np.multiply(xhat, m_gx, out=scratch)
-            gx -= scratch
-        gx /= std.reshape(cs)
-        return gx
+            m_g, m_gx = self._spread(g, *totals[2:] / (R * S))
+            for blk, (sc,) in self._slabs(g, scratch):
+                gs = gx[blk]
+                gs -= m_g
+                gs -= np.multiply(xhat[blk], m_gx, out=sc)
+                gs /= std
+        return None if gx is None else gx.reshape(gout.shape)
 
 
 class LIF(Layer):

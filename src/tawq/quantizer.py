@@ -20,7 +20,7 @@ run every timestep over one `BLOCK` of elements before moving to the
 next, so their step buffers stay in cache; the math is elementwise, so
 the blocking moves no result.  A tensor no larger than a block runs as
 one block.  `blocks` yields the slabs, and the LIF neuron's time loops
-in `layers` run over them too.
+in `layers` run over them too, as BatchNorm runs over slabs of its rows.
 
 A state also owns its weights' stored form: ternary weights 2-bit packed
 by `pack_ternary`, multi-bit ones int64.  The encoder is numpy's bit
@@ -44,15 +44,17 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, refuse_unr
 BLOCK = 16384
 
 
-def blocks(size: int, *scratch: np.ndarray):
-    """Tile range(size) with consecutive slabs of at most `BLOCK` elements.
+def blocks(size: int, *scratch: np.ndarray, row: int = 1):
+    """Tile range(size) rows of `row` elements with consecutive slabs of
+    whole rows: at most `BLOCK` elements, or one row if a row is larger.
 
-    Yields each slab's slice with the `scratch` buffers, whose last axis
-    holds min(size, BLOCK) elements, cut to the slab's length.
+    Yields each slab's slice of rows with the `scratch` buffers, whose last
+    axis holds at least one slab's elements, cut to the slab's elements.
     """
-    for start in range(0, size, BLOCK):
-        blk = slice(start, min(start + BLOCK, size))
-        yield blk, [b[..., :blk.stop - start] for b in scratch]
+    step = max(1, BLOCK // row)
+    for start in range(0, size, step):
+        blk = slice(start, min(start + step, size))
+        yield blk, [b[..., :(blk.stop - start) * row] for b in scratch]
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,17 @@ class TestOptimizer:
         with pytest.raises(NumericError, match="non-finite gradient norm"):
             GradientBundle({"p": np.array([1e160, 1.0])}).clipped(1.0)
 
+    def test_global_norm_is_the_plain_sum_of_squares_bitwise(self):
+        # one scratch buffer, each square summed in its tensor's own shape
+        rng = np.random.default_rng(39)
+        shapes = [(), (1,), (7, 300), (2 * BLOCK + 37,), (4, 16, 8, 3, 3), (0, 5), (5,)]
+        tensors = {str(i): rng.standard_normal(s) * 10.0 ** (i - 3) for i, s in enumerate(shapes)}
+        before = {k: g.copy() for k, g in tensors.items()}
+        want = float(np.sqrt(sum(float((g * g).sum()) for g in tensors.values())))
+        assert GradientBundle(tensors).global_norm == want
+        assert all(np.array_equal(tensors[k], g) for k, g in before.items())
+        assert GradientBundle({}).global_norm == 0.0
+
     def test_clip_is_identity_below_cap(self):
         bundle = GradientBundle({"p": np.array([0.3])})
         assert bundle.clipped(1.0) is bundle

@@ -3,6 +3,7 @@ composition, and a pinned golden regression for a seed-fixed toy net."""
 
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -646,6 +647,78 @@ class TestInPlaceKernelsExact:
         for name, value in want.items():
             assert np.array_equal(got[name], value), name
         assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+
+    # BatchNorm walks (T*B, C, S) rows in quantizer.blocks slabs of whole rows
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("case,shape,view", [pytest.param(*p, id=p[0]) for p in [
+        ("slabs-ragged", (3, 30, 5, 9, 9), None),
+        ("row-over-block", (2, 3, 3, 80, 80), None),
+        ("3d-over-block", (4, 64, 100), None),
+        ("one-channel", (3, 7, 1, 6, 6), None),
+        ("one-channel-3d", (4, 9, 1), None),
+        ("zero-samples", (4, 0, 5, 3, 3), None),
+        ("zero-samples-3d", (4, 0, 6), None),
+        ("zero-spatial", (4, 2, 3, 0, 5), None),
+        ("batch-view", (3, 40, 4, 6, 6), slice(5, 33)),
+        # numpy sums this view's one channel in T runs, not the one run of a copy
+        ("batch-view-one-channel", (3, 40, 1, 10, 10), slice(5, 33)),
+    ]])
+    def test_batchnorm_row_slabs(self, case, shape, view, training):
+        R, C, row = shape[0] * shape[1], shape[2], int(np.prod(shape[2:]))
+        if case == "slabs-ragged":  # 405-element rows, 40 to a slab: 40, 40, 10
+            assert R > BLOCK // row and R % (BLOCK // row)
+        if case in ("row-over-block", "3d-over-block"):  # a slab of one row; of all rows
+            assert row > BLOCK or R * row > BLOCK
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal(shape) * 3 + 1
+        if view is not None:  # as trainer.evaluate and the bench batch an input
+            x = x[:, view]
+            assert not x.flags.c_contiguous
+        gout = rng.standard_normal(x.shape)
+        bn = BatchNorm(C)
+        bn.params["gamma"] = rng.uniform(0.5, 2.0, C)
+        bn.params["beta"] = rng.uniform(-1.0, 1.0, C)
+        bn.running_mean = rng.uniform(-1.0, 1.0, C)
+        bn.running_var = rng.uniform(0.5, 2.0, C)
+        x0, g0 = x.copy(), gout.copy()
+        with warnings.catch_warnings():
+            if x.size == 0:  # its statistics are 0 / 0: NaN, as numpy's mean of nothing
+                warnings.simplefilter("ignore", RuntimeWarning)
+            want = ref_batchnorm(x, gout, bn.params["gamma"], bn.params["beta"],
+                                 bn.running_mean, bn.running_var, training)
+            got = {"y": bn.forward(x, training=training), "gx": bn.backward(gout)}
+        got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
+                   running_mean=bn.running_mean, running_var=bn.running_var,
+                   gamma=bn.grads["gamma"], beta=bn.grads["beta"])
+        for name, value in want.items():
+            assert np.shape(got[name]) == np.shape(value), name
+            assert np.array_equal(got[name], value, equal_nan=x.size == 0), name
+        assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+        assert bn.backward(gout, input_grad=False) is None
+        assert np.array_equal(bn.grads["gamma"], want["gamma"])
+        assert np.array_equal(bn.grads["beta"], want["beta"])
+        if not training:  # infer is the eval forward, on an input it may overwrite
+            assert np.array_equal(bn.infer(x if view is not None else x.copy()), want["y"])
+
+    @pytest.mark.parametrize("shape", [(4, 32, 16, 28, 28), (4, 32, 32, 14, 14), (3, 4, 5, 6, 6),
+                                       (2, 3, 3, 100, 100), (5, 7, 3, 3, 1), (2, 2, 3, 9000, 1),
+                                       (4, 9, 6), (4, 128, 512), (3, 2, 2, 1, 1)])
+    def test_numpy_channel_sum_is_row_sums_in_row_order(self, shape):
+        # BatchNorm's statistics rely on this order of numpy's own reduction:
+        # each (T*B, C) row summed over the contiguous S axis, then the row
+        # sums added in row order; a single channel is summed as one run
+        rng = np.random.default_rng(38)
+        x = rng.standard_normal(shape) * 3 + 1
+        axes = (0, 1, *range(3, x.ndim))
+        R, C, S = shape[0] * shape[1], shape[2], int(np.prod(shape[3:]))
+        row_sums = x.reshape(R, C, S).sum(axis=2)
+        by_rows = row_sums[0].copy()
+        for r in range(1, R):
+            by_rows += row_sums[r]
+        assert np.array_equal(x.sum(axis=axes), by_rows)
+        assert np.array_equal(x.mean(axis=axes), by_rows / (R * S))
+        one = np.ascontiguousarray(x[:, :, :1])
+        assert np.array_equal(one.sum(axis=axes), one.reshape(1, -1).sum(axis=1))
 
     # the "-blocks" cases span two full quantizer.BLOCKs per step and a ragged tail
     @pytest.mark.parametrize("cfg,relaxed,shape", [

@@ -10,7 +10,10 @@ import contextlib
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -143,3 +146,27 @@ def test_cli_never_raises_and_folded_agrees_or_refuses(case):
             assert folded == unfolded
         else:
             assert code == 3 and re.search(r"layer \d+ \(\w+\)", err), err
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+@given(st.integers(min_value=0, max_value=10))
+def test_fails(n):
+    assert n < 5
+'''
+
+
+def test_a_failing_property_shows_its_falsifying_example(tmp_path):
+    # hypothesis's failure report imports libcst, which raises a
+    # DeprecationWarning; under the project's warning filters the run must
+    # still end as an ordinary failure (exit 1) that prints the example
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), str(tmp_path / "test_failing_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
