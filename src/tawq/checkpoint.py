@@ -15,17 +15,17 @@ The header JSON carries the run-configuration echo and a metrics summary.
 A save converts every payload (an int64 array as int64, any other array
 as float64, a 0-d value with dims (1,)) before it opens the file, so a
 tensor that cannot be stored leaves an existing file untouched.  It then
-writes over the old bytes, handing each large payload to the file as it
-is and joining the heads and small payloads between them into one
-buffer, and cuts the file to length; truncating to zero first would make
-ext4 write the whole file back at close.  Without an fsync, a crashed or
-interrupted save leaves the old file, the new one, or a mix the CRC
-refuses; writers of files without a checksum truncate as they open.  A
-restore draws no initial weights: it restores every parameter and BN
-buffer, refusing one not stored as float64 with the network's dims, and
-recomputes each quantized layer's weights from its stimulus.  One walk
-over the tensors the writer would write (`_tensors`) then refuses a
-missing tensor, one unlike the writer's, and any other.
+writes each head and payload in order over the old bytes, and the file's
+64 KiB buffer joins the small ones.  It cuts the file to length;
+truncating to zero first would make ext4 write the whole file back at
+close.  Without an fsync, a crashed or interrupted save leaves the old
+file, the new one, or a mix the CRC refuses; writers of files without a
+checksum truncate as they open.  A restore draws no initial weights: it
+restores every parameter and BN buffer, refusing one not stored as
+float64 with the network's dims, and recomputes each quantized layer's
+weights from its stimulus.  One walk over the tensors the writer would
+write (`_tensors`) then refuses a missing tensor, one unlike the
+writer's, and any other.
 """
 
 from __future__ import annotations
@@ -104,25 +104,21 @@ def _read_tensor(blob: memoryview, off: int):
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     header = json.dumps({"runconfig": ckpt.runconfig, "metrics": ckpt.metrics},
                         sort_keys=True).encode()
-    # heads and payloads under 64 KiB are joined in one buffer between larger payloads
-    parts = [bytearray(MAGIC + struct.pack("<HI", VERSION, len(header)) + header
-                       + struct.pack("<I", len(ckpt.tensors)))]
+    parts = [MAGIC + struct.pack("<HI", VERSION, len(header)) + header
+             + struct.pack("<I", len(ckpt.tensors))]
     for name, value in ckpt.tensors.items():
         tag, dims, payload = _payload(value)
         name_b = name.encode()
-        parts[-1] += struct.pack(f"<H{len(name_b)}sBB{len(dims)}IQ", len(name_b), name_b,
-                                 tag, len(dims), *dims, payload.nbytes)
-        if payload.nbytes < 1 << 16:
-            parts[-1] += payload
-        else:
-            parts += [payload, bytearray()]
+        parts += [struct.pack(f"<H{len(name_b)}sBB{len(dims)}IQ", len(name_b), name_b,
+                              tag, len(dims), *dims, payload.nbytes), payload]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
     end = sum(map(len, parts)) + 4
-    # written over the old bytes (no O_TRUNC), then cut if the old file was longer;
-    # a device or pipe reports no length and is not cut
-    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+    # each part over the old bytes (no O_TRUNC), the small ones joined in the 64 KiB
+    # buffer; then cut if the old file was longer (a device or pipe has no length)
+    with open(path, "wb", buffering=1 << 16,
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
         fh.writelines([*parts, struct.pack("<I", crc)])
         if os.fstat(fh.fileno()).st_size > end:
             fh.truncate()

@@ -88,15 +88,13 @@ def lif_charge(us: np.ndarray, cfg: LifConfig) -> np.ndarray:
             ut += u
             np.greater_equal(ut, cfg.v_threshold, out=fired)
             st[...] = fired
-            # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first
-            # term is v_reset itself (s >= 0), which saves a pass and a buffer
+            # u = v_reset * s + u * (1 - s); for v_reset == +-0 the first term
+            # is a zero, and adding it changes at most the sign of a zero u
             np.subtract(1.0, st, out=u)
             u *= ut
             if cfg.v_reset:
                 np.multiply(st, cfg.v_reset, out=scratch)
                 u += scratch
-            else:
-                u += cfg.v_reset
     if not us.flags.c_contiguous:  # flat_u was a copy
         us[...] = flat_u.reshape(us.shape)
     return ss
@@ -135,17 +133,19 @@ def _check_images(x: np.ndarray) -> None:
 # One contraction per layer family, shared by its float and quantized
 # member.  A weight is either shared over time, (O, I) or (O, C, k, k), or
 # per timestep with a leading T axis; a shared weight's gradient is summed
-# over time.  Activations stay C-contiguous (T, B, ...).  `_contract_grads`
-# multiplies the upstream gradient by `scale` (a quantized layer's alpha,
-# or None) and returns the weight gradient and, if `input_grad`, the input
-# gradient, else None.
+# over time.  Activations stay C-contiguous (T, B, ...).  `scale` is a
+# quantized layer's alpha, or None.  `_contract` scales its product and
+# `_contract_grads` the upstream gradient (the conv, each timestep's
+# (O, B, H', W') product, where a channel is one long run), and returns the
+# weight gradient and, if `input_grad`, the input gradient, else None.
 
 class _LinearContraction:
-    def _contract(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
         """(T, B, I) times (O, I) or (T, O, I) -> (T, B, O)."""
         if x.shape[-1] != w.shape[-1]:
             raise ShapeError(f"input width {x.shape[-1]} != weight width {w.shape[-1]}")
-        return x @ np.swapaxes(w, -1, -2)
+        y = x @ np.swapaxes(w, -1, -2)
+        return y if scale is None else np.multiply(y, scale, out=y)
 
     def _contract_grads(self, gout: np.ndarray, x: np.ndarray, w: np.ndarray,
                         scale: np.ndarray | None, input_grad: bool):
@@ -188,7 +188,7 @@ class _ConvContraction:
                 cols[:, idx] = win
             yield cols.reshape(C * k * k, -1)
 
-    def _contract(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
         """(T, B, C, H, W) convolved with (O, C, k, k) or (T, O, C, k, k)
         -> (T, B, O, H', W')."""
         _check_images(x)
@@ -204,6 +204,8 @@ class _ConvContraction:
         y, prod = np.empty((T, B, O, *out_hw)), np.empty((O, B, *out_hw))
         for t, cols in enumerate(self._step_patches(x, k, out_hw)):
             np.matmul(w2[t], cols, out=prod.reshape(O, -1))
+            if scale is not None:
+                prod *= scale[t].reshape(O, 1, 1, 1)
             y[t] = prod.transpose(1, 0, 2, 3)
         return y
 
@@ -214,16 +216,15 @@ class _ConvContraction:
         k, p = w.shape[-1], self.padding
         w2 = np.broadcast_to(w.reshape(-1, O, C * k * k), (T, O, C * k * k))  # per timestep
         gw, g = np.empty((T, O, C * k * k)), np.empty((O, B, *out_hw))
-        g_bo = g.transpose(1, 0, 2, 3)  # g in gout[t]'s (B, O, H', W') order
         gx = None
         if input_grad:
             gx, gpad = np.empty(x.shape), np.empty((C, B, H + 2 * p, W + 2 * p))
             gcols = np.empty((C, k * k, B, *out_hw))
         for t, cols in enumerate(self._step_patches(x, k, out_hw)):
             if scale is None:
-                g_bo[...] = gout[t]
+                g[...] = gout[t].transpose(1, 0, 2, 3)
             else:  # scaled in the transposing copy, not in a copy of all of gout
-                np.multiply(gout[t], scale[t], out=g_bo)
+                np.multiply(gout[t].transpose(1, 0, 2, 3), scale[t].reshape(O, 1, 1, 1), out=g)
             np.matmul(g.reshape(O, -1), cols.T, out=gw[t])
             if not input_grad:
                 continue
@@ -258,9 +259,7 @@ class WeightedLayer(Layer):
 
     def infer(self, x):
         w, scale = self._weight(x)
-        y = self._contract(x, w)
-        if scale is not None:
-            y *= scale
+        y = self._contract(x, w, scale)
         if "bias" in self.params:
             y += self.params["bias"]
         return y

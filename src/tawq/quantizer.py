@@ -305,10 +305,7 @@ def compute_scaling(w_q_t: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w_q_t, dtype=np.float64)
     mean_abs = np.abs(w).reshape(w.shape[0], -1).mean(axis=1)
-    out = np.zeros_like(mean_abs)
-    nz = mean_abs > 0
-    out[nz] = 1.0 / mean_abs[nz]
-    return out
+    return np.divide(1.0, mean_abs, out=np.zeros_like(mean_abs), where=mean_abs > 0)
 
 
 def compute_scaling_all(state: QuantizerState) -> np.ndarray:

@@ -58,13 +58,9 @@ class GradientBundle:
     global_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # each (g * g).sum(), squared into one scratch buffer in g's own shape
-        scratch = np.empty(max((g.size for g in self.tensors.values()), default=0))
-        total = 0.0
         with np.errstate(over="ignore"):  # an overflow is refused below
-            for g in self.tensors.values():
-                total += float(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)).sum())
-            self.global_norm = float(np.sqrt(total))
+            self.global_norm = float(np.sqrt(
+                sum(float((g * g).sum()) for g in self.tensors.values())))
         if not np.isfinite(self.global_norm):
             raise NumericError("non-finite gradient norm: the squared entries overflow float64")
 

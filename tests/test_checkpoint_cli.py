@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import conv_document, run_document, spy_writes, three_layer_document
+from conftest import WriteSpy, conv_document, run_document, spy_writes, three_layer_document
 from tawq.analysis import count_sops, entropy_report
 from tawq.checkpoint import (
     Checkpoint,
@@ -360,6 +360,37 @@ class TestWriter:
         ckpt = checkpoint_from_network(build_network(cfg), cfg, {"epochs": 0})
         path = tmp_path / "conv.ckpt"
         save_checkpoint(str(path), ckpt)
+        assert path.read_bytes() == _documented_file(ckpt)
+
+    @pytest.mark.parametrize("document", [conv_document, three_layer_document],
+                             ids=["conv", "three-layer"])
+    def test_each_payload_reaches_the_file_as_its_own_memory(self, tmp_path, monkeypatch,
+                                                             document):
+        # the writer copies no payload: the file's buffer joins the small ones
+        cfg = parse_runconfig(document())
+        ckpt = checkpoint_from_network(build_network(cfg), cfg, {"epochs": 0})
+        handed = []
+
+        class Recorder(WriteSpy):
+            def write(self, part):
+                handed.append(part)
+                return super().write(part)
+
+        monkeypatch.setattr("tawq.checkpoint.open", lambda *args, **kwargs:
+                            Recorder(open(*args, **kwargs), lambda i: None), raising=False)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(str(path), ckpt)
+        assert len(handed) == 2 * len(ckpt.tensors) + 2  # file head, (head, payload)s, CRC
+        assert bytes(handed[0]).startswith(b"TAWQ") and len(handed[-1]) == 4
+        for (name, value), head, part in zip(ckpt.tensors.items(), handed[1::2], handed[2::2]):
+            if isinstance(value, PackedTernaryTensor):
+                assert part.obj is value.codes
+            else:
+                assert value.dtype == np.float64 and np.shares_memory(np.asarray(part), value)
+            name_b = name.encode()
+            assert bytes(head).startswith(struct.pack("<H", len(name_b)) + name_b)
+            assert bytes(head).endswith(struct.pack("<Q", len(part)))
+        assert min(len(part) for part in handed[2:-1:2]) < 1 << 16
         assert path.read_bytes() == _documented_file(ckpt)
 
     def test_unconvertible_tensor_raises_before_the_file_opens(self, tmp_path,

@@ -247,6 +247,11 @@ class TestOptimizer:
         assert all(np.array_equal(tensors[k], g) for k, g in before.items())
         assert GradientBundle({}).global_norm == 0.0
 
+    def test_empty_bundle_has_zero_norm_and_clips_to_itself(self):
+        bundle = GradientBundle({})
+        assert bundle.global_norm == 0.0
+        assert bundle.clipped(1.0) is bundle
+
     def test_clip_is_identity_below_cap(self):
         bundle = GradientBundle({"p": np.array([0.3])})
         assert bundle.clipped(1.0) is bundle

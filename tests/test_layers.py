@@ -24,6 +24,7 @@ from tawq.layers import (
     lif_charge,
 )
 from tawq.quantizer import BLOCK, QuantConfig, normalize_backward, tawq_backward
+from tawq.runtime import FoldedBlock, pack_ternary
 
 
 class TestLifStep:
@@ -76,6 +77,46 @@ class TestLifLayer:
         layer = LIF(LifConfig(tau=4.0))
         layer.forward(np.full((1, 1, 1), 0.8))
         assert abs(layer.cache["u"][0, 0, 0] - 0.2) < 1e-15
+
+
+def _zero_and_threshold_inputs():
+    """(4, 1296) currents, every sequence over T = 4 of +0, -0, -1, a
+    subnormal whose decay rounds to -0, and the two inputs that put U exactly
+    at v_threshold 1 (2.0 from a membrane of 0, 1.5 from one of 0.5) at tau 2."""
+    values = np.array([0.0, -0.0, -1e-323, -1.0, 1.5, 2.0])
+    grid = np.meshgrid(*[np.arange(len(values))] * 4, indexing="ij")
+    return values[np.stack([g.ravel() for g in grid])]
+
+
+class TestLifZeroReset:
+    # a reset to +-0 adds nothing to the membrane; only the sign of a zero
+    # membrane may differ from the formula's
+    @pytest.mark.parametrize("v_reset", [0.0, -0.0, 0.5])
+    @pytest.mark.parametrize("run", ["lif_charge", "forward", "infer", "folded"])
+    def test_spikes_and_membranes_equal_the_formula(self, v_reset, run):
+        cfg = LifConfig(v_reset=v_reset)
+        x = _zero_and_threshold_inputs()
+        want_s, want_u = lif_formula(x, cfg, relaxed=False)
+        if run == "lif_charge":
+            u = x / cfg.tau
+            s = lif_charge(u, cfg)
+        elif run == "forward":
+            layer = LIF(cfg)
+            s = layer.forward(x[:, None])[:, 0]
+            u = layer.cache["u"][:, 0]
+        elif run == "infer":
+            u = x[:, None].copy()
+            s = LIF(cfg).infer(u)[:, 0]
+            u = u[:, 0]
+        else:  # one spike through an identity accumulate charges rho[t] + (-0)
+            n = x.shape[1]
+            block = FoldedBlock(packed=[pack_ternary(np.eye(n))] * 4, rho=x / cfg.tau,
+                                delta=np.full(n, -0.0), lif=cfg)
+            s = block.infer(np.ones((4, 1, n)))[:, 0]
+            u = block.cache["u"][:, 0]
+        assert want_s.any() and (want_u == cfg.v_threshold).any() and np.signbit(u[u == 0]).any()
+        assert np.array_equal(s, want_s)
+        assert np.array_equal(u, want_u)
 
 
 class TestQuantizedLayers:
@@ -513,7 +554,7 @@ class TestConvContractionExact:
             w = layer.state.w_q  # per timestep
         else:
             w = layer.params["weight"] = rng.integers(-8, 9, layer.params["weight"].shape) / 8
-        y = layer._contract(x, w)
+        y = layer._contract(x, w, None)
         gout = rng.integers(-4, 5, y.shape) / 8
         gw, gx = layer._contract_grads(gout, x, w, None, True)
         want_y, want_gw, want_gx = ref_conv(x, gout, w, stride, padding)
