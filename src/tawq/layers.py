@@ -397,8 +397,9 @@ def _add_row_sums(sums, i, blk, values):
 class BatchNorm(Layer):
     """Channel batch norm over time, batch, and spatial positions.
 
-    Training mode uses batch statistics and updates running averages with
-    momentum 0.1; inference mode applies the frozen affine map.  A channel's
+    Only training has a `forward` of its own: batch statistics, running
+    averages updated with momentum 0.1, and the cache `backward` needs.  An
+    eval-mode forward is `infer` of a copy plus the cache.  A channel's
     sum is each row's sum over S, the row sums then added in row order:
     numpy's own order for x.sum(axis=(0, 1, 3, 4)) of a C-ordered x or a
     batch slice of one.  A (T, B, C) input is one slab; the batch mean is
@@ -455,27 +456,26 @@ class BatchNorm(Layer):
             yb += beta
 
     def forward(self, x, training=False):
+        if not training:  # `infer` of a copy, plus the cache
+            self.cache = {"x": x, "y": self.infer(np.array(x, dtype=np.float64))}
+            return self.cache["y"]
         rows = self._rows(x)
         R, C, S = rows.shape
         xhat, y = np.empty(rows.shape), np.empty(rows.shape)
-        if training:
-            mean = x.mean(axis=(0, 1, *range(3, x.ndim)))
-            mean_row, = self._spread(rows, mean)
-            # np.var's own steps on the centred data: square, sum, divide; the
-            # squares go to y's first slab, which _normalize then overwrites
-            sums = np.empty((1, C) if S <= 1 else (1, R, C))
-            for blk, (sq,) in self._slabs(rows, y.reshape(-1)):
-                xh = np.subtract(rows[blk], mean_row, out=xhat[blk])
-                _add_row_sums(sums, 0, blk, np.multiply(xh, xh, out=sq))
-            var = (sums[0] if S <= 1 else sums[0].sum(axis=0)) / (R * S)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:  # the running-statistics affine of `infer`, into buffers of its own
-            var = self.running_var
+        mean = x.mean(axis=(0, 1, *range(3, x.ndim)))
+        mean_row, = self._spread(rows, mean)
+        # np.var's own steps on the centred data: square, sum, divide; the
+        # squares go to y's first slab, which _normalize then overwrites
+        sums = np.empty((1, C) if S <= 1 else (1, R, C))
+        for blk, (sq,) in self._slabs(rows, y.reshape(-1)):
+            xh = np.subtract(rows[blk], mean_row, out=xhat[blk])
+            _add_row_sums(sums, 0, blk, np.multiply(xh, xh, out=sq))
+        var = (sums[0] if S <= 1 else sums[0].sum(axis=0)) / (R * S)
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         std = np.sqrt(var + self.eps)
-        self._normalize(rows, xhat, y, std, None if training else self.running_mean)
-        self.cache = {"x": x, "y": y.reshape(x.shape), "xhat": xhat.reshape(x.shape),
-                      "std": std, "training": training}
+        self._normalize(rows, xhat, y, std)
+        self.cache = {"x": x, "y": y.reshape(x.shape), "xhat": xhat.reshape(x.shape), "std": std}
         return self.cache["y"]
 
     def infer(self, x):
@@ -484,14 +484,15 @@ class BatchNorm(Layer):
         return rows.reshape(x.shape)
 
     def backward(self, gout, input_grad=True):
+        if "xhat" not in self.cache:
+            raise StateError("backward needs a training-mode forward")
         g, xhat = self._rows(gout), self._rows(self.cache["xhat"])
         R, C, S = g.shape
         std, gamma = self._spread(g, self.cache["std"], self.params["gamma"])
-        training = input_grad and self.cache["training"]
         gx = np.empty(g.shape) if input_grad else None
         scratch = np.empty(g.size if S <= 1 else min(g.size, max(BLOCK, C * S)))
         # the gamma and beta grads, then sum(g_scaled) and sum(g_scaled * xhat)
-        k = 4 if training else 2
+        k = 4 if input_grad else 2
         sums = np.empty((k, C) if S <= 1 else (k, R, C))
         for blk, (sc,) in self._slabs(g, scratch):
             gb, xh = g[blk], xhat[blk]
@@ -499,21 +500,18 @@ class BatchNorm(Layer):
             _add_row_sums(sums, 1, blk, gb)
             if input_grad:
                 gs = np.multiply(gb, gamma, out=gx[blk])  # g_scaled
-                if training:
-                    _add_row_sums(sums, 2, blk, gs)
-                    _add_row_sums(sums, 3, blk, np.multiply(gs, xh, out=sc))
-                else:
-                    gs /= std
+                _add_row_sums(sums, 2, blk, gs)
+                _add_row_sums(sums, 3, blk, np.multiply(gs, xh, out=sc))
         totals = sums if S <= 1 else sums.sum(axis=1)
         self.grads["gamma"], self.grads["beta"] = totals[0], totals[1]
-        if training:
+        if input_grad:
             # g_scaled - mean(g_scaled) - xhat * mean(g_scaled * xhat)
             m_g, m_gx = self._spread(g, *totals[2:] / (R * S))
             for blk, (sc,) in self._slabs(g, scratch):
-                gs = gx[blk]
-                gs -= m_g
-                gs -= np.multiply(xhat[blk], m_gx, out=sc)
-                gs /= std
+                gxb = gx[blk]
+                gxb -= m_g
+                gxb -= np.multiply(xhat[blk], m_gx, out=sc)
+                gxb /= std
         return None if gx is None else gx.reshape(gout.shape)
 
 

@@ -83,9 +83,8 @@ def softmax_cross_entropy(logits: np.ndarray,
     p = e / e.sum(axis=1, keepdims=True)
     n = logits.shape[0]
     loss = float(-np.log(p[np.arange(n), labels] + 1e-300).mean())
-    grad = p.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    p[np.arange(n), labels] -= 1.0
+    return loss, p / n
 
 
 def collect_gradients(net: Network) -> GradientBundle:

@@ -1,13 +1,37 @@
-"""Shared builders for the test suite."""
+"""Shared builders and pytest hooks for the test suite."""
 
 from __future__ import annotations
 
+import platform
+
 import numpy as np
+import pytest
 
 from tawq.data import DatasetSpec, build_dataset
 from tawq.layers import LIF
 from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 from tawq.trainer import train
+
+
+def environment_line() -> str:
+    """Python's and numpy's versions and numpy's BLAS: what the bitwise
+    tests' expected bits depend on besides the code."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy without this build report
+        blas = "unknown"
+    return f"python {platform.python_version()}, numpy {np.__version__}, blas {blas}"
+
+
+def pytest_report_header(config):
+    return environment_line()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """On a failed run, the environment line, which -q leaves out of the header."""
+    if exitstatus != pytest.ExitCode.OK:
+        terminalreporter.write_line(environment_line())
 
 
 def three_layer_document(seed: int = 0, epochs: int = 50) -> dict:

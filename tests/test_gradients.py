@@ -237,7 +237,8 @@ class TestOptimizer:
             GradientBundle({"p": np.array([1e160, 1.0])}).clipped(1.0)
 
     def test_global_norm_is_the_plain_sum_of_squares_bitwise(self):
-        # one scratch buffer, each square summed in its tensor's own shape
+        # the norm is the root of the plain sum of each tensor's summed
+        # squares, in order, and leaves the tensors as they were
         rng = np.random.default_rng(39)
         shapes = [(), (1,), (7, 300), (2 * BLOCK + 37,), (4, 16, 8, 3, 3), (0, 5), (5,)]
         tensors = {str(i): rng.standard_normal(s) * 10.0 ** (i - 3) for i, s in enumerate(shapes)}

@@ -24,6 +24,7 @@ from tawq.layers import (
     lif_charge,
 )
 from tawq.quantizer import BLOCK, QuantConfig, normalize_backward, tawq_backward
+from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 from tawq.runtime import FoldedBlock, pack_ternary
 
 
@@ -333,6 +334,42 @@ class TestBatchNorm:
         bn.forward(x, training=True)
         assert np.allclose(bn.running_mean, 0.9 * 0 + 0.1 * 5)
 
+    def test_eval_forward_is_infer_of_a_copy(self):
+        rng = np.random.default_rng(15)
+        bn = BatchNorm(16)
+        bn.params.update(gamma=rng.uniform(0.5, 2.0, 16), beta=rng.uniform(-1.0, 1.0, 16))
+        bn.running_mean, bn.running_var = rng.uniform(-1.0, 1.0, 16), rng.uniform(0.5, 2.0, 16)
+        stats = bn.running_mean.copy(), bn.running_var.copy()
+        x = rng.standard_normal((4, 32, 16, 28, 28)) * 3 + 1
+        x0 = x.copy()
+        tracemalloc.start()
+        try:
+            y = bn.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output is the one input-sized array it allocates
+        assert peak <= 1.1 * x.nbytes, peak / x.nbytes
+        assert np.array_equal(y, bn.infer(x0.copy()))
+        assert np.array_equal(x, x0)
+        assert np.array_equal(bn.running_mean, stats[0])
+        assert np.array_equal(bn.running_var, stats[1])
+        assert bn.cache.keys() == {"x", "y"} and bn.cache["x"] is x and bn.cache["y"] is y
+
+    def test_backward_needs_a_training_forward(self):
+        x = np.random.default_rng(16).standard_normal((4, 5, 3))
+        fresh, evaluated, replaced = BatchNorm(3), BatchNorm(3), BatchNorm(3)
+        evaluated.forward(x, training=False)
+        replaced.forward(x, training=True)
+        replaced.forward(x, training=False)  # the eval cache replaces the training one
+        for bn in (fresh, evaluated, replaced):
+            with pytest.raises(StateError, match="backward needs a training-mode forward"):
+                bn.backward(x)
+        net = build_network(parse_runconfig(default_xor_document(hidden=8)))
+        net.forward(np.ones((4, 5, 2)), training=False)
+        with pytest.raises(StateError, match="backward needs a training-mode forward"):
+            net.backward(np.ones((5, 2)))
+
 
 class TestPoolingAndFlatten:
     def test_avg_pool(self):
@@ -631,12 +668,11 @@ def ref_batchnorm(x, gout, gamma, beta, running_mean, running_var, training,
     std = np.sqrt(var + eps)
     xhat = (x - mean.reshape(cs)) / std.reshape(cs)
     y = gamma.reshape(cs) * xhat + beta.reshape(cs)
+    if not training:  # gradients need a training-mode forward
+        return {"y": y, "running_mean": running_mean, "running_var": running_var}
     g_scaled = gout * gamma.reshape(cs)
-    if training:
-        gx = (g_scaled - g_scaled.mean(axis=axes).reshape(cs)
-              - xhat * (g_scaled * xhat).mean(axis=axes).reshape(cs)) / std.reshape(cs)
-    else:
-        gx = g_scaled / std.reshape(cs)
+    gx = (g_scaled - g_scaled.mean(axis=axes).reshape(cs)
+          - xhat * (g_scaled * xhat).mean(axis=axes).reshape(cs)) / std.reshape(cs)
     return {"y": y, "xhat": xhat, "std": std, "running_mean": running_mean,
             "running_var": running_var, "gamma": (gout * xhat).sum(axis=axes),
             "beta": gout.sum(axis=axes), "gx": gx}
@@ -681,10 +717,14 @@ class TestInPlaceKernelsExact:
                              bn.running_mean, bn.running_var, training)
         x0, g0 = x.copy(), gout.copy()
         got = {"y": bn.forward(x, training=training)}
-        got["gx"] = bn.backward(gout)
-        got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
-                   running_mean=bn.running_mean, running_var=bn.running_var,
-                   gamma=bn.grads["gamma"], beta=bn.grads["beta"])
+        if training:
+            got["gx"] = bn.backward(gout)
+            got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
+                       gamma=bn.grads["gamma"], beta=bn.grads["beta"])
+        else:
+            with pytest.raises(StateError, match="backward needs a training-mode forward"):
+                bn.backward(gout)
+        got.update(running_mean=bn.running_mean, running_var=bn.running_var)
         for name, value in want.items():
             assert np.array_equal(got[name], value), name
         assert np.array_equal(x, x0) and np.array_equal(gout, g0)
@@ -727,18 +767,25 @@ class TestInPlaceKernelsExact:
                 warnings.simplefilter("ignore", RuntimeWarning)
             want = ref_batchnorm(x, gout, bn.params["gamma"], bn.params["beta"],
                                  bn.running_mean, bn.running_var, training)
-            got = {"y": bn.forward(x, training=training), "gx": bn.backward(gout)}
-        got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
-                   running_mean=bn.running_mean, running_var=bn.running_var,
-                   gamma=bn.grads["gamma"], beta=bn.grads["beta"])
+            got = {"y": bn.forward(x, training=training)}
+            if training:
+                got["gx"] = bn.backward(gout)
+                got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
+                           gamma=bn.grads["gamma"], beta=bn.grads["beta"])
+        got.update(running_mean=bn.running_mean, running_var=bn.running_var)
         for name, value in want.items():
             assert np.shape(got[name]) == np.shape(value), name
             assert np.array_equal(got[name], value, equal_nan=x.size == 0), name
         assert np.array_equal(x, x0) and np.array_equal(gout, g0)
-        assert bn.backward(gout, input_grad=False) is None
-        assert np.array_equal(bn.grads["gamma"], want["gamma"])
-        assert np.array_equal(bn.grads["beta"], want["beta"])
-        if not training:  # infer is the eval forward, on an input it may overwrite
+        if training:
+            assert bn.backward(gout, input_grad=False) is None
+            assert np.array_equal(bn.grads["gamma"], want["gamma"])
+            assert np.array_equal(bn.grads["beta"], want["beta"])
+        else:  # gradients need a training-mode forward
+            for input_grad in (True, False):
+                with pytest.raises(StateError, match="backward needs a training-mode forward"):
+                    bn.backward(gout, input_grad=input_grad)
+            # infer is the eval forward, on an input it may overwrite
             assert np.array_equal(bn.infer(x if view is not None else x.copy()), want["y"])
 
     @pytest.mark.parametrize("shape", [(4, 32, 16, 28, 28), (4, 32, 32, 14, 14), (3, 4, 5, 6, 6),
