@@ -1,11 +1,14 @@
 """Spiking network layers evaluated over a leading time axis.
 
-Every layer consumes and produces arrays shaped (T, B, ...).  Its
-`forward` caches whatever its backward pass needs; its `infer` is the eval
+Every layer consumes and produces arrays shaped (T, B, ...).  Forward
+trains, `infer` evaluates: a layer's `forward` is the training forward
+and caches whatever its backward pass needs; its `infer` is the eval
 forward with no cache, and may overwrite its input.  `Network.infer`, the
 one cache-free interpreter, runs a network's own layers or a fold plan,
 whose folded blocks (`runtime.FoldedBlock`) are layers standing for
-several (`Layer.replaces`) at the indices that `Network.walk` gives.
+several (`Layer.replaces`) at the indices that `Network.walk` gives; an
+eval-mode `Network.forward` is the same run, each layer keeping
+references to what it was handed and what it returned.
 Quantized layers draw their integer weights from the temporal quantizer
 on each forward pass, and reuse the weights they hold while the stimulus
 equals, by value, the one those weights were made from under the same
@@ -112,14 +115,16 @@ class Layer:
 
     replaces = property(lambda self: (self.kind,))  # kinds of the unfolded layers it stands for
 
-    def forward(self, x, training=False):
-        """`infer`, which a member defines, plus the cache."""
+    def forward(self, x):
+        """The training forward: `infer`, which a member defines, plus the cache."""
         y = self.infer(x)
         self.cache = {"x": x, "y": y}
         return y
 
     def trace(self) -> dict:
-        """Analysis view of the last forward pass."""
+        """Analysis view of the last forward pass.  After an eval forward, a
+        BatchNorm's or LIF's input, and the output that feeds one, hold what
+        its in-place kernel left (`Network.traces`)."""
         if "x" not in self.cache:
             raise StateError("no trace before a forward pass")
         return {"kind": self.kind, "input": self.cache["x"], "output": self.cache["y"]}
@@ -397,9 +402,9 @@ def _add_row_sums(sums, i, blk, values):
 class BatchNorm(Layer):
     """Channel batch norm over time, batch, and spatial positions.
 
-    Only training has a `forward` of its own: batch statistics, running
-    averages updated with momentum 0.1, and the cache `backward` needs.  An
-    eval-mode forward is `infer` of a copy plus the cache.  A channel's
+    `forward` trains: batch statistics, running averages updated with
+    momentum 0.1, and the cache `backward` needs.  `infer` applies the
+    running-statistics affine in place.  A channel's
     sum is each row's sum over S, the row sums then added in row order:
     numpy's own order for x.sum(axis=(0, 1, 3, 4)) of a C-ordered x or a
     batch slice of one.  A (T, B, C) input is one slab; the batch mean is
@@ -455,10 +460,7 @@ class BatchNorm(Layer):
             np.multiply(xh, gamma, out=yb)
             yb += beta
 
-    def forward(self, x, training=False):
-        if not training:  # `infer` of a copy, plus the cache
-            self.cache = {"x": x, "y": self.infer(np.array(x, dtype=np.float64))}
-            return self.cache["y"]
+    def forward(self, x):
         rows = self._rows(x)
         R, C, S = rows.shape
         xhat, y = np.empty(rows.shape), np.empty(rows.shape)
@@ -529,7 +531,7 @@ class LIF(Layer):
         super().__init__()
         self.cfg = cfg or LifConfig()
 
-    def forward(self, x, training=False):
+    def forward(self, x):
         us = x / self.cfg.tau  # lif_charge turns us[t] into the membrane U[t]
         ss = lif_charge(us, self.cfg)
         self.cache = {"x": x, "y": ss, "u": us}
@@ -637,6 +639,7 @@ class Network:
 
     def __init__(self, layers: list[Layer]) -> None:
         self.layers = layers
+        self._timesteps: int | None = None  # of the last forward, for backward
 
     def walk(self):
         """Each layer with the range of indices, in the unfolded network,
@@ -656,25 +659,45 @@ class Network:
                 raise type(exc)(f"layer {idx[0]} ({layer.replaces[0]}): {exc}") from exc
         return h
 
+    def _infer(self, x, keep):
+        """x through each layer's `infer`.  The one copy rule: BatchNorm and
+        LIF write into their input, so they are handed a copy of one read
+        elsewhere, the caller's x or spikes, directly or through Flatten's
+        view.  With `keep`, each layer's cache keeps references to what it
+        was handed and what it returned."""
+        def step(layer, carry):
+            h, shared = carry
+            if shared and isinstance(layer, (BatchNorm, LIF)):
+                h = h.copy()
+            y = layer.infer(h)
+            if keep:
+                layer.cache = {"x": h, "y": y}
+                if isinstance(layer, LIF):
+                    layer.cache["u"] = h  # the buffer it charged: its membrane
+            return y, layer.replaces[-1] == "lif" or (shared and isinstance(layer, Flatten))
+        return self._run((np.asarray(x, dtype=np.float64), True), step)[0]
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        h = self._run(np.asarray(x, dtype=np.float64),
-                      lambda layer, h: layer.forward(h, training=training))
+        """The logits, each layer keeping a trace of this batch in its
+        cache: a training forward runs each layer's `forward`, an eval one
+        is `infer`'s run plus references."""
+        h = (self._run(np.asarray(x, dtype=np.float64), lambda layer, h: layer.forward(h))
+             if training else self._infer(x, keep=True))
         self._timesteps = h.shape[0]
         return h.mean(axis=0)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """The eval logits.  The caller's `x` is never written, and only a
         folded block keeps a cache: its membrane."""
-        h = np.asarray(x, dtype=np.float64)
-        if self.layers and isinstance(self.layers[0], (BatchNorm, LIF, Flatten)):
-            h = h.copy()  # their infer writes into the caller's x, or passes on a view of it
-        return self._run(h, lambda layer, h: layer.infer(h)).mean(axis=0)
+        return self._infer(x, keep=False).mean(axis=0)
 
     def backward(self, glogits: np.ndarray) -> None:
         """Backpropagate the logits' gradient, leaving each parameter's
         gradient in its layer's `grads`; returns nothing.  No caller reads
         the input gradient, so layer 0 computes only its parameter
         gradients (`input_grad=False`) and, if it has none, does not run."""
+        if self._timesteps is None:
+            raise StateError("backward called before forward")
         g = np.broadcast_to(glogits / self._timesteps,
                             (self._timesteps,) + glogits.shape).copy()
         for layer in reversed(self.layers[1:]):
@@ -683,6 +706,11 @@ class Network:
             self.layers[0].backward(g, input_grad=False)
 
     def traces(self) -> list[dict]:
+        """Each layer's `trace` of the last forward.  After an eval forward,
+        each weighted layer's input, each LIF's output and membrane, and
+        each quantized layer's weights and scales hold their values; the
+        input of a BatchNorm or LIF, and the output that feeds one, are
+        overwritten by its in-place kernel, so only their shapes are read."""
         return self._run([], lambda layer, traces: traces + [layer.trace()])
 
     def named_params(self):

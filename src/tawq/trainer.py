@@ -177,7 +177,8 @@ def _fmt(x: float) -> float:
 
 
 def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean loss and accuracy over a dataset; inference-mode forward."""
+    """Mean loss and accuracy over a dataset, by eval-mode forwards:
+    `Network.infer`'s in-place run, whose traces the last batch leaves."""
     losses, correct, n = [], 0, inputs.shape[1]
     for start in range(0, n, EVAL_BATCH):
         xb = inputs[:, start:start + EVAL_BATCH]

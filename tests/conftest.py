@@ -108,7 +108,7 @@ class RelaxedLIF(LIF):
     and finite differences can check the gradient.  It caches what
     `LIF.backward` reads, so that backward is the library's own."""
 
-    def forward(self, x, training=False):
+    def forward(self, x):
         ss, us = lif_formula(x, self.cfg, relaxed=True)
         self.cache = {"x": x, "y": ss, "u": us}
         return ss

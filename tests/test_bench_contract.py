@@ -267,7 +267,7 @@ def test_every_layer_forward_takes_what_network_forward_passes():
     classes = [cls for cls in vars(layers).values()
                if isinstance(cls, type) and issubclass(cls, Layer)] + [FoldedBlock]
     calls = list(_forward_calls(textwrap.dedent(inspect.getsource(Network.forward))))
-    assert len(calls) == 1 and calls[0][2], calls  # layer.forward(h, training=...)
+    assert len(calls) == 1, calls  # layer.forward(h), the training forward
     _, args, keywords = calls[0]
     for cls in classes:
         _bind(cls.forward, cls.__name__, [None, *args], keywords)

@@ -337,7 +337,7 @@ class TestManualChainRule:
         lin.params["weight"] = np.array([[0.8, -0.4], [0.2, 0.6]])
         net = Network([lin, RelaxedLIF(lif_cfg)])
         x = np.array([[[1.0, 1.0]]])  # (T=1, B=1, 2)
-        net.forward(x)
+        net.forward(x, training=True)
         net.backward(np.ones((1, 2)))
 
         u = x[0, 0] @ lin.params["weight"].T / lif_cfg.tau

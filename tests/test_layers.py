@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import RelaxedLIF, lif_formula
+from tawq.analysis import WEIGHTED_KINDS, count_sops, entropy_report, firing_rate_stats
 from tawq.errors import ConfigError, NumericError, ShapeError, StateError
 from tawq.layers import (
     LIF,
@@ -26,6 +27,12 @@ from tawq.layers import (
 from tawq.quantizer import BLOCK, QuantConfig, normalize_backward, tawq_backward
 from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 from tawq.runtime import FoldedBlock, pack_ternary
+
+
+def eval_forward(layer, x):
+    """The layer's output in an eval-mode `Network.forward` of it alone."""
+    Network([layer]).forward(x, training=False)
+    return layer.cache["y"]
 
 
 class TestLifStep:
@@ -314,7 +321,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(14)
         bn = BatchNorm(6)
         x = rng.standard_normal((4, 32, 6)) * 3 + 1
-        y = bn.forward(x, training=True)
+        y = bn.forward(x)
         assert np.allclose(y.mean(axis=(0, 1)), 0.0, atol=1e-10)
         assert np.allclose(y.var(axis=(0, 1)), 1.0, atol=1e-3)
 
@@ -324,14 +331,14 @@ class TestBatchNorm:
         bn.running_var = np.array([4.0, 4.0, 4.0])
         bn.params["gamma"] = np.array([2.0, 2.0, 2.0])
         x = np.zeros((1, 1, 3))
-        y = bn.forward(x, training=False)
+        y = eval_forward(bn, x)
         want = 2.0 * (0.0 - bn.running_mean) / np.sqrt(4.0 + bn.eps)
         assert np.allclose(y[0, 0], want)
 
     def test_running_stats_update(self):
         bn = BatchNorm(2)
         x = np.ones((1, 8, 2)) * 5
-        bn.forward(x, training=True)
+        bn.forward(x)
         assert np.allclose(bn.running_mean, 0.9 * 0 + 0.1 * 5)
 
     def test_eval_forward_is_infer_of_a_copy(self):
@@ -342,26 +349,21 @@ class TestBatchNorm:
         stats = bn.running_mean.copy(), bn.running_var.copy()
         x = rng.standard_normal((4, 32, 16, 28, 28)) * 3 + 1
         x0 = x.copy()
-        tracemalloc.start()
-        try:
-            y = bn.forward(x, training=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the output is the one input-sized array it allocates
-        assert peak <= 1.1 * x.nbytes, peak / x.nbytes
+        y = eval_forward(bn, x)
         assert np.array_equal(y, bn.infer(x0.copy()))
         assert np.array_equal(x, x0)
         assert np.array_equal(bn.running_mean, stats[0])
         assert np.array_equal(bn.running_var, stats[1])
-        assert bn.cache.keys() == {"x", "y"} and bn.cache["x"] is x and bn.cache["y"] is y
+        # it normalized the copy in place: its input is its output
+        assert bn.cache.keys() == {"x", "y"} and bn.cache["x"] is not x
+        assert np.shares_memory(bn.cache["x"], y)
 
     def test_backward_needs_a_training_forward(self):
         x = np.random.default_rng(16).standard_normal((4, 5, 3))
         fresh, evaluated, replaced = BatchNorm(3), BatchNorm(3), BatchNorm(3)
-        evaluated.forward(x, training=False)
-        replaced.forward(x, training=True)
-        replaced.forward(x, training=False)  # the eval cache replaces the training one
+        eval_forward(evaluated, x)
+        replaced.forward(x)
+        eval_forward(replaced, x)  # the eval cache replaces the training one
         for bn in (fresh, evaluated, replaced):
             with pytest.raises(StateError, match="backward needs a training-mode forward"):
                 bn.backward(x)
@@ -410,6 +412,11 @@ class TestNetwork:
                                                r"normalized stimulus$"), \
                 np.errstate(invalid="ignore"):
             Network([layer]).forward(np.ones((4, 3, 2)))
+
+    def test_backward_before_forward_raises_state_error(self):
+        net = build_network(parse_runconfig(default_xor_document(hidden=8)))
+        with pytest.raises(StateError, match="backward called before forward"):
+            net.backward(np.ones((5, 2)))
 
     def test_time_constant_input_mean_over_t(self):
         lin = Linear(2, 2, bias=False)
@@ -716,7 +723,7 @@ class TestInPlaceKernelsExact:
         want = ref_batchnorm(x, gout, bn.params["gamma"], bn.params["beta"],
                              bn.running_mean, bn.running_var, training)
         x0, g0 = x.copy(), gout.copy()
-        got = {"y": bn.forward(x, training=training)}
+        got = {"y": bn.forward(x) if training else eval_forward(bn, x)}
         if training:
             got["gx"] = bn.backward(gout)
             got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
@@ -767,7 +774,7 @@ class TestInPlaceKernelsExact:
                 warnings.simplefilter("ignore", RuntimeWarning)
             want = ref_batchnorm(x, gout, bn.params["gamma"], bn.params["beta"],
                                  bn.running_mean, bn.running_var, training)
-            got = {"y": bn.forward(x, training=training)}
+            got = {"y": bn.forward(x) if training else eval_forward(bn, x)}
             if training:
                 got["gx"] = bn.backward(gout)
                 got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
@@ -896,17 +903,112 @@ class TestInfer:
         layer, x = _infer_case(kind)
         owned = x.copy()
         got = layer.infer(owned)
-        assert np.array_equal(got, layer.forward(x, training=False))
+        assert np.array_equal(got, eval_forward(layer, x))
         if kind == "lif":  # the input it owned is left holding the membrane
             assert np.array_equal(owned, layer.cache["u"])
 
     @pytest.mark.parametrize("kind", INFER_KINDS)
     def test_leaves_the_cache(self, kind):
         layer, x = _infer_case(kind)
-        layer.forward(x, training=False)
+        eval_forward(layer, x)
         cache, items = layer.cache, dict(layer.cache)
         snapshot = {k: np.copy(v) for k, v in items.items() if isinstance(v, np.ndarray)}
         layer.infer(x[:, :2].copy())
         assert layer.cache is cache and cache.keys() == items.keys()
         assert all(cache[k] is v for k, v in items.items())
         assert all(np.array_equal(cache[k], v) for k, v in snapshot.items())
+
+
+def _spikes_feed_a_writer(case: str):
+    """A parsed network in which a LIF's spikes feed a BatchNorm or LIF,
+    directly or through Flatten, with BN statistics that keep every LIF
+    firing, and a graded input for it."""
+    doc = default_xor_document()
+    doc["network"] = {
+        "lif-bn": [{"kind": "linear", "in": 2, "out": 8}, {"kind": "lif"},
+                   {"kind": "bn", "channels": 8}, {"kind": "lif"},
+                   {"kind": "qlinear", "in": 8, "out": 2}],
+        "lif-lif": [{"kind": "linear", "in": 2, "out": 8}, {"kind": "bn", "channels": 8},
+                    {"kind": "lif"}, {"kind": "lif"}, {"kind": "qlinear", "in": 8, "out": 2}],
+        "lif-flatten-bn": [{"kind": "conv", "in": 2, "out": 4, "kernel": 3, "padding": 1},
+                           {"kind": "bn", "channels": 4}, {"kind": "lif"}, {"kind": "flatten"},
+                           {"kind": "bn", "channels": 144}, {"kind": "lif"},
+                           {"kind": "qlinear", "in": 144, "out": 2}],
+    }[case]
+    doc["lif"] = {"v_threshold": 0.7}  # spikes alone can charge a LIF past it
+    net = build_network(parse_runconfig(doc))
+    rng = np.random.default_rng(39)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            c = layer.channels
+            layer.params.update(gamma=rng.uniform(1.0, 3.0, c), beta=rng.uniform(0.0, 1.0, c))
+            layer.running_mean, layer.running_var = rng.uniform(0.0, 0.5, c), rng.uniform(0.2, 1.0, c)
+    shape = (4, 6, 2, 6, 6) if case == "lif-flatten-bn" else (4, 6, 2)
+    return net, rng.standard_normal(shape) * 2 + 0.5
+
+
+def _private_copy_eval(net, x):
+    """Every layer's `infer` on a private copy of its input: the logits,
+    and per layer its input, its output and the copy it charged."""
+    h, records = x, []
+    for layer in net.layers:
+        owned = np.array(h, dtype=np.float64)
+        y = layer.infer(owned)
+        records.append({"x": h, "y": y, "u": owned})
+        h = y
+    return h.mean(axis=0), records
+
+
+class TestEvalForward:
+    """An eval-mode `Network.forward` is `infer`'s in-place run; its traces
+    keep, by value, what their readers read."""
+
+    @pytest.mark.parametrize("case", ["lif-bn", "lif-lif", "lif-flatten-bn"])
+    def test_traces_equal_a_private_copy_run(self, case):
+        net, x = _spikes_feed_a_writer(case)
+        x0 = x.copy()
+        want, records = _private_copy_eval(net, x0.copy())
+        logits = net.forward(x, training=False)
+        assert np.array_equal(logits, want)
+        assert np.array_equal(x, x0)
+        lifs = [i for i, layer in enumerate(net.layers) if isinstance(layer, LIF)]
+        for i in lifs:
+            assert np.array_equal(net.layers[i].cache["y"], records[i]["y"]), i
+            assert np.array_equal(net.layers[i].cache["u"], records[i]["u"]), i
+        for i, layer in enumerate(net.layers):
+            if layer.kind in WEIGHTED_KINDS:
+                assert np.array_equal(layer.cache["x"], records[i]["x"]), i
+        traces = net.traces()
+        reference = [dict(t, input=r["x"], output=r["y"]) for t, r in zip(traces, records)]
+        rates = firing_rate_stats(traces)
+        assert rates == firing_rate_stats(reference)
+        assert all(0.0 < np.mean(r) < 1.0 for r in rates.rates), rates
+        assert count_sops(traces) == count_sops(reference)
+        assert entropy_report(traces) == entropy_report(reference)
+
+    def test_holds_one_array_per_in_place_run(self):
+        # the bench conv stack: conv and qconv each hand one buffer to the
+        # BN and LIF after them, which keep it; the LIFs' spikes, the pools
+        # and the head allocate their outputs
+        doc = default_xor_document()
+        doc["network"] = [
+            {"kind": "conv", "in": 1, "out": 16, "kernel": 3, "padding": 1},
+            {"kind": "bn", "channels": 16}, {"kind": "lif"}, {"kind": "pool", "kernel": 2},
+            {"kind": "qconv", "in": 16, "out": 32, "kernel": 3, "padding": 1},
+            {"kind": "bn", "channels": 32}, {"kind": "lif"}, {"kind": "pool", "kernel": 2},
+            {"kind": "flatten"}, {"kind": "qlinear", "in": 32 * 7 * 7, "out": 10}]
+        net = build_network(parse_runconfig(doc))
+        x = (np.random.default_rng(40).random((4, 8, 1, 28, 28)) < 0.3) * 1.0
+        net.forward(x, training=False)  # materializes the quantized weights
+        for layer in net.layers:
+            layer.cache = {}
+        tracemalloc.start()
+        try:
+            logits = net.forward(x, training=False)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        outputs = [t["output"].nbytes for t in net.traces() if t["kind"] not in ("bn", "flatten")]
+        assert len(outputs) == 7  # conv, lif, pool, qconv, lif, pool, qlinear
+        bound = sum(outputs) + logits.nbytes
+        assert held <= 1.02 * bound + 65536, (held, bound)
