@@ -6,9 +6,10 @@ and caches whatever its backward pass needs; its `infer` is the eval
 forward with no cache, and may overwrite its input.  `Network.infer`, the
 one cache-free interpreter, runs a network's own layers or a fold plan,
 whose folded blocks (`runtime.FoldedBlock`) are layers standing for
-several (`Layer.replaces`) at the indices that `Network.walk` gives; an
-eval-mode `Network.forward` is the same run, each layer keeping
-references to what it was handed and what it returned.
+several (`Layer.replaces`) at the indices that `Network.walk` gives.
+`Network.forward` is the same run in both modes, through each layer's
+`forward` or, for eval, its `infer` plus references to what it was handed
+and what it returned.
 Quantized layers draw their integer weights from the temporal quantizer
 on each forward pass, and reuse the weights they hold while the stimulus
 equals, by value, the one those weights were made from under the same
@@ -18,17 +19,20 @@ the one membrane update over time, which a folded block runs too.  Both
 LIF time loops run all T steps over one `quantizer.BLOCK` of neurons
 before the next.
 
-The elementwise kernels of BatchNorm, LIF and AvgPool2d run in place on
-buffers they allocate themselves, one numpy operation per step of the
-formula and no temporary per operator; `infer` of BatchNorm and LIF runs
-them in place on its input instead.  BatchNorm runs them over (T*B, C,
-S) rows, S the spatial size, in `quantizer.blocks` slabs of whole rows
-that stay in L2, so each loop over the slabs passes once over memory.
-`forward` never writes into its input or into an array another layer
-holds in its cache.  Each performs the same floating-point operations,
-in the same order, as the plain formula that tests/test_layers.py pins,
-so its results are equal to it under np.array_equal (only the sign of a
-zero or of a NaN may differ).
+The elementwise kernels of BatchNorm, LIF and AvgPool2d run in place, one
+numpy operation per step of the formula and no temporary per operator.
+`forward`, `infer` and `backward` may overwrite the array they are
+handed: BatchNorm's `forward` leaves xhat in its input and LIF its
+membrane, and the backward passes of BatchNorm, LIF, AvgPool2d and the
+scaled linear contraction write into their `gout`.  `Network` hands each
+layer an array nobody else reads (`Network._owned_run`,
+`Network.backward`).  BatchNorm runs its kernels over (T*B, C, S) rows,
+S the spatial size, in `quantizer.blocks` slabs of whole rows that stay
+in L2, so each loop over the slabs passes once over memory.  Each kernel
+performs the same floating-point operations, in the same order, as the
+plain formula that tests/test_layers.py pins, so its results are equal
+to it under np.array_equal (only the sign of a zero or of a NaN may
+differ).
 """
 
 from __future__ import annotations
@@ -116,15 +120,14 @@ class Layer:
     replaces = property(lambda self: (self.kind,))  # kinds of the unfolded layers it stands for
 
     def forward(self, x):
-        """The training forward: `infer`, which a member defines, plus the cache."""
+        """The training forward: `infer`, which a member defines and which
+        may overwrite x, plus the cache."""
         y = self.infer(x)
         self.cache = {"x": x, "y": y}
         return y
 
     def trace(self) -> dict:
-        """Analysis view of the last forward pass.  After an eval forward, a
-        BatchNorm's or LIF's input, and the output that feeds one, hold what
-        its in-place kernel left (`Network.traces`)."""
+        """Analysis view of the last forward pass (`Network.traces`)."""
         if "x" not in self.cache:
             raise StateError("no trace before a forward pass")
         return {"kind": self.kind, "input": self.cache["x"], "output": self.cache["y"]}
@@ -140,9 +143,10 @@ def _check_images(x: np.ndarray) -> None:
 # per timestep with a leading T axis; a shared weight's gradient is summed
 # over time.  Activations stay C-contiguous (T, B, ...).  `scale` is a
 # quantized layer's alpha, or None.  `_contract` scales its product and
-# `_contract_grads` the upstream gradient (the conv, each timestep's
-# (O, B, H', W') product, where a channel is one long run), and returns the
-# weight gradient and, if `input_grad`, the input gradient, else None.
+# `_contract_grads` the upstream gradient (the linear in place, the conv
+# each timestep's (O, B, H', W') product, where a channel is one long run),
+# and returns the weight gradient and, if `input_grad`, the input gradient,
+# else None.
 
 class _LinearContraction:
     def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
@@ -155,7 +159,7 @@ class _LinearContraction:
     def _contract_grads(self, gout: np.ndarray, x: np.ndarray, w: np.ndarray,
                         scale: np.ndarray | None, input_grad: bool):
         if scale is not None:
-            gout = gout * scale
+            gout *= scale
         if w.ndim == 3:
             gw = np.swapaxes(gout, -1, -2) @ x
         else:  # the T products added in time order, as (T, O, I).sum(axis=0) does
@@ -271,10 +275,10 @@ class WeightedLayer(Layer):
 
     def backward(self, gout, input_grad=True):
         w, scale = self._weight()
+        if "bias" in self.params:  # before _contract_grads may scale gout in place
+            self.grads["bias"] = gout.sum(axis=(0, 1))
         gw, gx = self._contract_grads(gout, self.cache["x"], w, scale, input_grad)
         self._weight_grad(gw)
-        if "bias" in self.params:
-            self.grads["bias"] = gout.sum(axis=(0, 1))
         return gx
 
 
@@ -461,23 +465,23 @@ class BatchNorm(Layer):
             yb += beta
 
     def forward(self, x):
-        rows = self._rows(x)
+        rows = self._rows(x)  # centred and scaled in place into xhat
         R, C, S = rows.shape
-        xhat, y = np.empty(rows.shape), np.empty(rows.shape)
+        y = np.empty(rows.shape)
         mean = x.mean(axis=(0, 1, *range(3, x.ndim)))
         mean_row, = self._spread(rows, mean)
         # np.var's own steps on the centred data: square, sum, divide; the
         # squares go to y's first slab, which _normalize then overwrites
         sums = np.empty((1, C) if S <= 1 else (1, R, C))
         for blk, (sq,) in self._slabs(rows, y.reshape(-1)):
-            xh = np.subtract(rows[blk], mean_row, out=xhat[blk])
+            xh = np.subtract(rows[blk], mean_row, out=rows[blk])
             _add_row_sums(sums, 0, blk, np.multiply(xh, xh, out=sq))
         var = (sums[0] if S <= 1 else sums[0].sum(axis=0)) / (R * S)
         self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         std = np.sqrt(var + self.eps)
-        self._normalize(rows, xhat, y, std)
-        self.cache = {"x": x, "y": y.reshape(x.shape), "xhat": xhat.reshape(x.shape), "std": std}
+        self._normalize(rows, rows, y, std)
+        self.cache = {"x": x, "y": y.reshape(x.shape), "xhat": rows.reshape(x.shape), "std": std}
         return self.cache["y"]
 
     def infer(self, x):
@@ -491,7 +495,7 @@ class BatchNorm(Layer):
         g, xhat = self._rows(gout), self._rows(self.cache["xhat"])
         R, C, S = g.shape
         std, gamma = self._spread(g, self.cache["std"], self.params["gamma"])
-        gx = np.empty(g.shape) if input_grad else None
+        gx = g if input_grad else None  # g_scaled, then the input gradient
         scratch = np.empty(g.size if S <= 1 else min(g.size, max(BLOCK, C * S)))
         # the gamma and beta grads, then sum(g_scaled) and sum(g_scaled * xhat)
         k = 4 if input_grad else 2
@@ -532,9 +536,8 @@ class LIF(Layer):
         self.cfg = cfg or LifConfig()
 
     def forward(self, x):
-        us = x / self.cfg.tau  # lif_charge turns us[t] into the membrane U[t]
-        ss = lif_charge(us, self.cfg)
-        self.cache = {"x": x, "y": ss, "u": us}
+        ss = self.infer(x)
+        self.cache = {"x": x, "y": ss, "u": x}
         return ss
 
     def infer(self, x):
@@ -544,30 +547,30 @@ class LIF(Layer):
     def backward(self, gout):
         cfg, k = self.cfg, self.cfg.sg_scale_neuron
         decay = 1.0 - 1.0 / cfg.tau
-        gx = np.empty(gout.shape)
         T, size = gout.shape[0], int(np.prod(gout.shape[1:]))
-        flat_u, flat_s, flat_g, flat_gx = (a.reshape(T, size) for a in (
-            self.cache["u"], self.cache["y"], gout, gx))
+        # gx is written over gout, a copy if no view is (T, size)
+        flat_u, flat_s, flat_g = (a.reshape(T, size) for a in (
+            self.cache["u"], self.cache["y"], gout))
         bufs = [np.empty(min(size, BLOCK)) for _ in range(3)]
         for blk, (ds, scratch, gu_carry) in blocks(size, *bufs):
             gu_carry.fill(0.0)
             for t in range(T - 1, -1, -1):
-                u, s, gu = flat_u[t, blk], flat_s[t, blk], flat_gx[t, blk]
+                u, s, gu = flat_u[t, blk], flat_s[t, blk], flat_g[t, blk]
                 # ds = k * sigmoid'(k * (u - v_threshold))
                 np.subtract(u, cfg.v_threshold, out=ds)
                 _sigmoid_deriv(ds, k, scratch)
                 ds *= k
                 # gu = gout[t] * ds + gu_carry * ((1 - s) + (v_reset - u) * ds)
+                gu *= ds
                 np.subtract(cfg.v_reset, u, out=scratch)
                 scratch *= ds
-                np.subtract(1.0, s, out=gu)
-                scratch += gu
+                np.subtract(1.0, s, out=ds)  # ds is spent: it takes 1 - s
+                scratch += ds
                 scratch *= gu_carry
-                np.multiply(flat_g[t, blk], ds, out=gu)
                 gu += scratch
                 np.multiply(gu, decay, out=gu_carry)
                 gu /= cfg.tau  # gx[t]
-        return gx
+        return flat_g.reshape(gout.shape)
 
 
 class AvgPool2d(Layer):
@@ -607,7 +610,8 @@ class AvgPool2d(Layer):
         T, B, C, h, w = gout.shape
         # widen each row k times, then copy it to the k rows of its windows
         g = np.empty((T, B, C, h, k, w * k))
-        g[...] = np.repeat(gout / (k * k), k, axis=4)[:, :, :, :, None, :]
+        gout /= k * k
+        g[...] = np.repeat(gout, k, axis=4)[:, :, :, :, None, :]
         return g.reshape(T, B, C, h * k, w * k)
 
 
@@ -659,43 +663,52 @@ class Network:
                 raise type(exc)(f"layer {idx[0]} ({layer.replaces[0]}): {exc}") from exc
         return h
 
-    def _infer(self, x, keep):
-        """x through each layer's `infer`.  The one copy rule: BatchNorm and
-        LIF write into their input, so they are handed a copy of one read
-        elsewhere, the caller's x or spikes, directly or through Flatten's
-        view.  With `keep`, each layer's cache keeps references to what it
-        was handed and what it returned."""
+    def _owned_run(self, x, run):
+        """x through run(layer, h) of each layer, which may write into h.
+        The one copy rule: BatchNorm and LIF write into their input, so they
+        are handed a copy of one read elsewhere, the caller's x or spikes,
+        directly or through Flatten's view.  Every other array is read by
+        no one after the layer it is handed to: a BatchNorm's or weighted
+        layer's output, or a pool's."""
         def step(layer, carry):
             h, shared = carry
             if shared and isinstance(layer, (BatchNorm, LIF)):
                 h = h.copy()
-            y = layer.infer(h)
-            if keep:
-                layer.cache = {"x": h, "y": y}
-                if isinstance(layer, LIF):
-                    layer.cache["u"] = h  # the buffer it charged: its membrane
-            return y, layer.replaces[-1] == "lif" or (shared and isinstance(layer, Flatten))
+            return (run(layer, h),
+                    layer.replaces[-1] == "lif" or (shared and isinstance(layer, Flatten)))
         return self._run((np.asarray(x, dtype=np.float64), True), step)[0]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """The logits, each layer keeping a trace of this batch in its
-        cache: a training forward runs each layer's `forward`, an eval one
-        is `infer`'s run plus references."""
-        h = (self._run(np.asarray(x, dtype=np.float64), lambda layer, h: layer.forward(h))
-             if training else self._infer(x, keep=True))
+        cache.  Both modes are the in-place run of `_owned_run`: a training
+        forward runs each layer's `forward`, an eval one its `infer`, the
+        cache keeping references to what it was handed and what it
+        returned."""
+        def keep(layer, h):
+            y = layer.infer(h)
+            layer.cache = {"x": h, "y": y}
+            if isinstance(layer, LIF):
+                layer.cache["u"] = h  # the buffer it charged: its membrane
+            return y
+        h = self._owned_run(x, (lambda layer, h: layer.forward(h)) if training else keep)
         self._timesteps = h.shape[0]
         return h.mean(axis=0)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """The eval logits.  The caller's `x` is never written, and only a
         folded block keeps a cache: its membrane."""
-        return self._infer(x, keep=False).mean(axis=0)
+        return self._owned_run(x, lambda layer, h: layer.infer(h)).mean(axis=0)
 
     def backward(self, glogits: np.ndarray) -> None:
         """Backpropagate the logits' gradient, leaving each parameter's
         gradient in its layer's `grads`; returns nothing.  No caller reads
         the input gradient, so layer 0 computes only its parameter
-        gradients (`input_grad=False`) and, if it has none, does not run."""
+        gradients (`input_grad=False`) and, if it has none, does not run.
+        Each gradient array is held by one layer only, which may write into
+        it: the walk starts from a fresh copy, no layer keeps a reference to
+        its `gout`, and Flatten returns a view of one nobody else holds.
+        No backward writes into a cache, so a second call gives the same
+        gradients."""
         if self._timesteps is None:
             raise StateError("backward called before forward")
         g = np.broadcast_to(glogits / self._timesteps,
@@ -706,11 +719,11 @@ class Network:
             self.layers[0].backward(g, input_grad=False)
 
     def traces(self) -> list[dict]:
-        """Each layer's `trace` of the last forward.  After an eval forward,
-        each weighted layer's input, each LIF's output and membrane, and
-        each quantized layer's weights and scales hold their values; the
-        input of a BatchNorm or LIF, and the output that feeds one, are
-        overwritten by its in-place kernel, so only their shapes are read."""
+        """Each layer's `trace` of the last forward.  Each weighted layer's
+        input, each LIF's output and membrane, and each quantized layer's
+        weights and scales hold their values; the input of a BatchNorm or
+        LIF, and the output that feeds one, are overwritten by its in-place
+        kernel, so only their shapes are read."""
         return self._run([], lambda layer, traces: traces + [layer.trace()])
 
     def named_params(self):

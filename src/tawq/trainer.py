@@ -75,6 +75,11 @@ class GradientBundle:
 def softmax_cross_entropy(logits: np.ndarray,
                           labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean CE loss and its gradient w.r.t. the logits."""
+    if labels.dtype.kind not in "iu":
+        raise DataError(f"labels must be integer class indices, not {labels.dtype}: "
+                        f"got {labels[:4].tolist()}")
+    if np.any(labels < 0):
+        raise DataError(f"label {labels.min()} is negative: labels count classes from 0")
     if np.any(labels >= logits.shape[1]):
         raise DataError(f"label {labels.max()} is not below the logits width "
                         f"{logits.shape[1]}: the head is narrower than the class count")

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import RelaxedLIF, conv_document
-from tawq.errors import ConfigError, NumericError, ShapeError
+from tawq.data import build_dataset
+from tawq.errors import ConfigError, DataError, NumericError, ShapeError
 from tawq.layers import LIF, BatchNorm, LifConfig, Linear, Network, QuantLinear
 from tawq.quantizer import (
     BLOCK,
@@ -23,7 +24,7 @@ from tawq.quantizer import (
     tawq_backward,
     tawq_forward,
 )
-from tawq.runconfig import build_network, parse_runconfig
+from tawq.runconfig import build_network, default_xor_document, parse_runconfig
 from tawq.trainer import (
     GradientBundle,
     Optimizer,
@@ -325,6 +326,20 @@ class TestOptimizer:
         x, y = np.full((1, 4, 2), np.nan), np.zeros(4, dtype=np.int64)
         with pytest.raises(NumericError, match="non-finite loss at epoch 0"):
             train(net, (x, y), (x, y), TrainConfig(epochs=1, batch_size=4))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (-1, "label -1 is negative"),
+    (0.5, r"labels must be integer class indices, not float64: got \[.*\]"),
+])
+def test_train_refuses_labels_that_name_no_class(bad, message):
+    # a negative label would read a column counted from the end, a
+    # non-integer one would index nothing
+    cfg = parse_runconfig(default_xor_document())
+    ds = build_dataset(cfg.dataset)
+    train_y = np.where(np.arange(ds.train_y.size) == 3, bad, ds.train_y)
+    with pytest.raises(DataError, match=message):
+        train(build_network(cfg), (ds.train_x, train_y), (ds.test_x, ds.test_y), cfg.train)
 
 
 class TestManualChainRule:

@@ -659,8 +659,16 @@ def test_shared_linear_weight_gradient_sums_in_time_order(T):
     assert np.array_equal(layer.grads["weight"], want)
 
 # Exactness of the in-place kernels: each layer must reproduce, under
-# np.array_equal, the plain formula it replaced, and must leave its
-# inputs untouched.
+# np.array_equal, the plain formula it replaced.  forward and backward,
+# like infer, may overwrite what they are handed, so the tests hand them
+# copies; `Network` hands each layer an array nobody else reads
+# (TestTrainingOwnership).
+
+
+def _written_in(a, handed):
+    """Whether `a` is the array `handed` (a fresh copy) or a view of it: a
+    result left in the buffer it was handed, empty ones included."""
+    return a is handed or a.base is handed
 
 def ref_batchnorm(x, gout, gamma, beta, running_mean, running_var, training,
                   eps=1e-5, momentum=0.1):
@@ -723,12 +731,14 @@ class TestInPlaceKernelsExact:
         want = ref_batchnorm(x, gout, bn.params["gamma"], bn.params["beta"],
                              bn.running_mean, bn.running_var, training)
         x0, g0 = x.copy(), gout.copy()
-        got = {"y": bn.forward(x) if training else eval_forward(bn, x)}
         if training:
-            got["gx"] = bn.backward(gout)
+            xin, gin = x.copy(), gout.copy()
+            got = {"y": bn.forward(xin), "gx": bn.backward(gin)}
             got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
                        gamma=bn.grads["gamma"], beta=bn.grads["beta"])
+            assert _written_in(got["xhat"], xin) and _written_in(got["gx"], gin)
         else:
+            got = {"y": eval_forward(bn, x)}
             with pytest.raises(StateError, match="backward needs a training-mode forward"):
                 bn.backward(gout)
         got.update(running_mean=bn.running_mean, running_var=bn.running_var)
@@ -769,14 +779,16 @@ class TestInPlaceKernelsExact:
         bn.running_mean = rng.uniform(-1.0, 1.0, C)
         bn.running_var = rng.uniform(0.5, 2.0, C)
         x0, g0 = x.copy(), gout.copy()
+        # a view is handed as it is: its rows are a copy, so it is not written
+        xin, gin = (x if view is not None else x.copy()), gout.copy()
         with warnings.catch_warnings():
             if x.size == 0:  # its statistics are 0 / 0: NaN, as numpy's mean of nothing
                 warnings.simplefilter("ignore", RuntimeWarning)
             want = ref_batchnorm(x, gout, bn.params["gamma"], bn.params["beta"],
                                  bn.running_mean, bn.running_var, training)
-            got = {"y": bn.forward(x) if training else eval_forward(bn, x)}
+            got = {"y": bn.forward(xin) if training else eval_forward(bn, x)}
             if training:
-                got["gx"] = bn.backward(gout)
+                got["gx"] = bn.backward(gin)
                 got.update(xhat=bn.cache["xhat"], std=bn.cache["std"],
                            gamma=bn.grads["gamma"], beta=bn.grads["beta"])
         got.update(running_mean=bn.running_mean, running_var=bn.running_var)
@@ -785,6 +797,8 @@ class TestInPlaceKernelsExact:
             assert np.array_equal(got[name], value, equal_nan=x.size == 0), name
         assert np.array_equal(x, x0) and np.array_equal(gout, g0)
         if training:
+            assert _written_in(got["xhat"], xin) == (view is None)
+            assert _written_in(got["gx"], gin)
             assert bn.backward(gout, input_grad=False) is None
             assert np.array_equal(bn.grads["gamma"], want["gamma"])
             assert np.array_equal(bn.grads["beta"], want["beta"])
@@ -828,14 +842,16 @@ class TestInPlaceKernelsExact:
         gout = rng.standard_normal(x.shape)
         lif = LIF(cfg)
         want_s, want_u, want_gx = ref_lif(x, gout, cfg, relaxed)
-        x0, g0 = x.copy(), gout.copy()
+        xin, gin = x.copy(), gout.copy()
         if relaxed:  # the kernel fires hard spikes; its backward runs on graded ones
-            lif.cache = {"x": x, "y": want_s, "u": want_u}
+            lif.cache = {"x": xin, "y": want_s, "u": want_u}
         else:
-            assert np.array_equal(lif.forward(x), want_s)
+            assert np.array_equal(lif.forward(xin), want_s)
             assert np.array_equal(lif.cache["u"], want_u)
-        assert np.array_equal(lif.backward(gout), want_gx)
-        assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+            assert lif.cache["u"] is xin
+        gx = lif.backward(gin)
+        assert np.array_equal(gx, want_gx)
+        assert _written_in(gx, gin)
 
     def test_relaxed_lif_is_ref_lif(self):
         # the smooth LIF the finite differences run through
@@ -856,10 +872,10 @@ class TestInPlaceKernelsExact:
         gout = rng.standard_normal((3, 4, 5, hw[0] // k, hw[1] // k))
         want_y, want_gx = ref_avg_pool(x, gout, k)
         pool = AvgPool2d(k)
-        x0, g0 = x.copy(), gout.copy()
+        x0 = x.copy()
         assert np.array_equal(pool.forward(x), want_y)
-        assert np.array_equal(pool.backward(gout), want_gx)
-        assert np.array_equal(x, x0) and np.array_equal(gout, g0)
+        assert np.array_equal(pool.backward(gout.copy()), want_gx)  # it may overwrite its gout
+        assert np.array_equal(x, x0)
 
     def test_avg_pool_strided_view(self):
         # a transposed view is reduced in numpy's stride order
@@ -1010,5 +1026,88 @@ class TestEvalForward:
             tracemalloc.stop()
         outputs = [t["output"].nbytes for t in net.traces() if t["kind"] not in ("bn", "flatten")]
         assert len(outputs) == 7  # conv, lif, pool, qconv, lif, pool, qlinear
+        bound = sum(outputs) + logits.nbytes
+        assert held <= 1.02 * bound + 65536, (held, bound)
+
+
+BENCH_CONV = [  # bench/workloads.py's conv-train stack
+    {"kind": "conv", "in": 1, "out": 16, "kernel": 3, "padding": 1},
+    {"kind": "bn", "channels": 16}, {"kind": "lif"}, {"kind": "pool", "kernel": 2},
+    {"kind": "qconv", "in": 16, "out": 32, "kernel": 3, "padding": 1},
+    {"kind": "bn", "channels": 32}, {"kind": "lif"}, {"kind": "pool", "kernel": 2},
+    {"kind": "flatten"}, {"kind": "qlinear", "in": 32 * 7 * 7, "out": 10}]
+
+
+def _bench_conv(batch: int):
+    """The bench conv stack, parsed, and a spike input of `batch` samples."""
+    doc = default_xor_document()
+    doc["network"] = BENCH_CONV
+    net = build_network(parse_runconfig(doc))
+    return net, (np.random.default_rng(40).random((4, batch, 1, 28, 28)) < 0.3) * 1.0
+
+
+def _private_copy_step(net, x, glogits):
+    """A training step in which every layer's `forward` runs on a private
+    copy of its input and its `backward` on a private copy of its gout;
+    returns the logits."""
+    h = x
+    for layer in net.layers:
+        h = layer.forward(np.array(h, dtype=np.float64))
+    g = np.broadcast_to(glogits / h.shape[0], h.shape).copy()
+    for layer in reversed(net.layers[1:]):
+        g = layer.backward(g.copy())
+    net.layers[0].backward(g.copy(), input_grad=False)
+    return h.mean(axis=0)
+
+
+class TestTrainingOwnership:
+    """A training step's forward and backward hand each layer an array no
+    other layer reads: the in-place run equals a run on private copies."""
+
+    @pytest.mark.parametrize("case", ["lif-bn", "lif-lif", "lif-flatten-bn", "bench-conv"])
+    def test_equals_a_private_copy_step(self, case):
+        def build():
+            return _bench_conv(4) if case == "bench-conv" else _spikes_feed_a_writer(case)
+        (net, x), (ref, _) = build(), build()
+        x0 = x.copy()
+        logits = net.forward(x, training=True)
+        glogits = np.random.default_rng(41).standard_normal(logits.shape)
+        assert np.array_equal(logits, _private_copy_step(ref, x0.copy(), glogits))
+        assert np.array_equal(x, x0)
+        lifs = [i for i, layer in enumerate(net.layers) if isinstance(layer, LIF)]
+
+        def spikes_kept():  # each LIF's spikes, which its backward reads
+            return all(np.array_equal(net.layers[i].cache["y"], ref.layers[i].cache["y"])
+                       for i in lifs)
+        assert spikes_kept()
+        net.backward(glogits)
+        assert spikes_kept()
+        grads = [(layer, name, layer.grads[name].copy()) for _, layer, name, _ in net.named_params()]
+        for (layer, name, g), (_, want, pname, _) in zip(grads, ref.named_params()):
+            assert np.array_equal(g, want.grads[pname]), (layer.kind, name)
+        for layer, want in zip(net.layers, ref.layers):
+            if isinstance(layer, BatchNorm):
+                assert np.array_equal(layer.running_mean, want.running_mean)
+                assert np.array_equal(layer.running_var, want.running_var)
+        net.backward(glogits)  # no backward wrote into what the next one reads
+        for layer, name, g in grads:
+            assert np.array_equal(layer.grads[name], g), (layer.kind, name)
+
+    def test_holds_one_buffer_per_array_a_backward_reads(self):
+        # per (weighted, bn, lif) run: the weighted output, which BN
+        # normalizes into xhat; BN's output, which the LIF charges into
+        # its membrane; and the spikes.  Then the pools and the head.
+        net, x = _bench_conv(8)
+        net.forward(x, training=False)  # materializes the quantized weights
+        for layer in net.layers:
+            layer.cache = {}
+        tracemalloc.start()
+        try:
+            logits = net.forward(x, training=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        outputs = [t["output"].nbytes for t in net.traces() if t["kind"] != "flatten"]
+        assert len(outputs) == 9  # conv, bn, lif, pool, qconv, bn, lif, pool, qlinear
         bound = sum(outputs) + logits.nbytes
         assert held <= 1.02 * bound + 65536, (held, bound)
