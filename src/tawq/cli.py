@@ -114,8 +114,11 @@ def cmd_report(args) -> int:
 
 
 def _load_inputs(path: str) -> np.ndarray:
+    """The archive's `inputs` array or, if it has none, the `test_inputs`
+    that `tawq gen-data` writes."""
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         raise ConfigError(f"input file {path!r} is missing or empty")
+    name = "inputs"
     # np.load leaks the handle it opens when a zip archive proves unreadable
     try:
         with open(path, "rb") as fh:
@@ -123,13 +126,18 @@ def _load_inputs(path: str) -> np.ndarray:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise DataError(f"{path}: not an .npz archive")
             with npz:
-                x = np.asarray(npz["inputs"], dtype=np.float64)
+                if "inputs" not in npz.files:
+                    name = "test_inputs"
+                if name not in npz.files:
+                    raise DataError(f"{path}: cannot read 'inputs' array: the archive "
+                                    "holds neither 'inputs' nor 'test_inputs'")
+                x = np.asarray(npz[name], dtype=np.float64)
     except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
-        raise DataError(f"{path}: cannot read 'inputs' array: {exc}") from exc
+        raise DataError(f"{path}: cannot read {name!r} array: {exc}") from exc
     if x.ndim < 3:
-        raise DataError(f"{path}: 'inputs' must be (T, B, features...), got shape {x.shape}")
+        raise DataError(f"{path}: {name!r} must be (T, B, features...), got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise DataError(f"{path}: 'inputs' holds non-finite values")
+        raise DataError(f"{path}: {name!r} holds non-finite values")
     return x
 
 

@@ -26,13 +26,15 @@ handed: BatchNorm's `forward` leaves xhat in its input and LIF its
 membrane, and the backward passes of BatchNorm, LIF, AvgPool2d and the
 scaled linear contraction write into their `gout`.  `Network` hands each
 layer an array nobody else reads (`Network._owned_run`,
-`Network.backward`).  BatchNorm runs its kernels over (T*B, C, S) rows,
-S the spatial size, in `quantizer.blocks` slabs of whole rows that stay
-in L2, so each loop over the slabs passes once over memory.  Each kernel
-performs the same floating-point operations, in the same order, as the
-plain formula that tests/test_layers.py pins, so its results are equal
-to it under np.array_equal (only the sign of a zero or of a NaN may
-differ).
+`Network.backward`).  An `infer` that allocates its output writes it into
+`out` instead, which `Layer.forward` and `Network.forward` fill with the
+layer's last output (`Layer._spare`) and `Network.infer` leaves empty.
+BatchNorm runs its kernels over (T*B, C, S) rows, S the spatial size, in
+`quantizer.blocks` slabs of whole rows that stay in L2, so each loop over
+the slabs passes once over memory.  Each kernel performs the same
+floating-point operations, in the same order, as the plain formula that
+tests/test_layers.py pins, so its results are equal to it under
+np.array_equal (only the sign of a zero or of a NaN may differ).
 """
 
 from __future__ import annotations
@@ -72,8 +74,15 @@ class LifConfig:
             raise ConfigError("v_threshold must exceed v_reset")
 
 
-def lif_charge(us: np.ndarray, cfg: LifConfig) -> np.ndarray:
-    """Run the hard-reset LIF neuron over the leading time axis; returns the spikes.
+def _into(out: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """`out`, the array a layer's last forward returned (`Layer._spare`), if
+    it has `shape`; else a new array."""
+    return out if out is not None and out.shape == shape else np.empty(shape)
+
+
+def lif_charge(us: np.ndarray, cfg: LifConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Run the hard-reset LIF neuron over the leading time axis; returns the
+    spikes, written into `out` if it has the shape of `us` (`_into`).
 
     `us[t]` holds step t's scaled input current and is overwritten in place
     with the membrane before reset, U[t] = us[t] + (1 - 1/tau) * u, where u
@@ -82,7 +91,7 @@ def lif_charge(us: np.ndarray, cfg: LifConfig) -> np.ndarray:
     """
     decay = 1.0 - 1.0 / cfg.tau
     T, size = us.shape[0], int(np.prod(us.shape[1:]))
-    ss = np.empty(us.shape)
+    ss = _into(out, us.shape)
     flat_u, flat_s = us.reshape(T, size), ss.reshape(T, size)
     width = min(size, BLOCK)
     # u: the membrane after the previous step's reset
@@ -121,13 +130,25 @@ class Layer:
 
     def forward(self, x):
         """The training forward: `infer`, which a member defines and which
-        may overwrite x, plus the cache."""
-        y = self.infer(x)
+        may overwrite x, plus the cache.  The output is written into the
+        last forward's where `_spare` allows."""
+        y = self.infer(x, self._spare(x))
         self.cache = {"x": x, "y": y}
         return y
 
+    def _spare(self, x):
+        """The output of this layer's last forward, for the next to write
+        over, if the layer allocated it itself (owned, float64, C-contiguous;
+        never a view) and it does not overlap x; else None."""
+        y = self.cache.get("y")
+        if (isinstance(y, np.ndarray) and y.flags.owndata and y.flags.c_contiguous
+                and y.dtype == np.float64 and not np.may_share_memory(y, x)):
+            return y
+        return None
+
     def trace(self) -> dict:
-        """Analysis view of the last forward pass (`Network.traces`)."""
+        """Analysis view of the last forward pass (`Network.traces`), valid
+        until this layer's next forward, which may write over its arrays."""
         if "x" not in self.cache:
             raise StateError("no trace before a forward pass")
         return {"kind": self.kind, "input": self.cache["x"], "output": self.cache["y"]}
@@ -149,11 +170,12 @@ def _check_images(x: np.ndarray) -> None:
 # else None.
 
 class _LinearContraction:
-    def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """(T, B, I) times (O, I) or (T, O, I) -> (T, B, O)."""
         if x.shape[-1] != w.shape[-1]:
             raise ShapeError(f"input width {x.shape[-1]} != weight width {w.shape[-1]}")
-        y = x @ np.swapaxes(w, -1, -2)
+        y = np.matmul(x, np.swapaxes(w, -1, -2), out=_into(out, (*x.shape[:-1], w.shape[-2])))
         return y if scale is None else np.multiply(y, scale, out=y)
 
     def _contract_grads(self, gout: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -197,7 +219,8 @@ class _ConvContraction:
                 cols[:, idx] = win
             yield cols.reshape(C * k * k, -1)
 
-    def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """(T, B, C, H, W) convolved with (O, C, k, k) or (T, O, C, k, k)
         -> (T, B, O, H', W')."""
         _check_images(x)
@@ -210,7 +233,7 @@ class _ConvContraction:
         if min(out_hw) < 1:
             raise ShapeError(f"kernel {k} exceeds the padded input {(hp, wp)}")
         w2 = np.broadcast_to(w.reshape(-1, O, C * k * k), (T, O, C * k * k))  # per timestep
-        y, prod = np.empty((T, B, O, *out_hw)), np.empty((O, B, *out_hw))
+        y, prod = _into(out, (T, B, O, *out_hw)), np.empty((O, B, *out_hw))
         for t, cols in enumerate(self._step_patches(x, k, out_hw)):
             np.matmul(w2[t], cols, out=prod.reshape(O, -1))
             if scale is not None:
@@ -266,9 +289,9 @@ class WeightedLayer(Layer):
     def _weight_grad(self, gw: np.ndarray) -> None:
         self.grads["weight"] = gw
 
-    def infer(self, x):
+    def infer(self, x, out=None):
         w, scale = self._weight(x)
-        y = self._contract(x, w, scale)
+        y = self._contract(x, w, scale, out)
         if "bias" in self.params:
             y += self.params["bias"]
         return y
@@ -467,7 +490,7 @@ class BatchNorm(Layer):
     def forward(self, x):
         rows = self._rows(x)  # centred and scaled in place into xhat
         R, C, S = rows.shape
-        y = np.empty(rows.shape)
+        y = _into(self._spare(x), x.shape)
         mean = x.mean(axis=(0, 1, *range(3, x.ndim)))
         mean_row, = self._spread(rows, mean)
         # np.var's own steps on the centred data: square, sum, divide; the
@@ -480,11 +503,11 @@ class BatchNorm(Layer):
         self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         std = np.sqrt(var + self.eps)
-        self._normalize(rows, rows, y, std)
-        self.cache = {"x": x, "y": y.reshape(x.shape), "xhat": rows.reshape(x.shape), "std": std}
-        return self.cache["y"]
+        self._normalize(rows, rows, y.reshape(rows.shape), std)
+        self.cache = {"x": x, "y": y, "xhat": rows.reshape(x.shape), "std": std}
+        return y
 
-    def infer(self, x):
+    def infer(self, x, out=None):  # in place: out is unused
         rows = self._rows(x)
         self._normalize(rows, rows, rows, np.sqrt(self.running_var + self.eps), self.running_mean)
         return rows.reshape(x.shape)
@@ -536,13 +559,13 @@ class LIF(Layer):
         self.cfg = cfg or LifConfig()
 
     def forward(self, x):
-        ss = self.infer(x)
+        ss = self.infer(x, self._spare(x))
         self.cache = {"x": x, "y": ss, "u": x}
         return ss
 
-    def infer(self, x):
+    def infer(self, x, out=None):
         x /= self.cfg.tau  # x is left holding the membrane
-        return lif_charge(x, self.cfg)
+        return lif_charge(x, self.cfg, out)
 
     def backward(self, gout):
         cfg, k = self.cfg, self.cfg.sg_scale_neuron
@@ -580,21 +603,21 @@ class AvgPool2d(Layer):
         super().__init__()
         self.kernel_size = kernel_size
 
-    def infer(self, x):
+    def infer(self, x, out=None):
         k = self.kernel_size
         _check_images(x)
         T, B, C, H, W = x.shape
         if H % k or W % k:
             raise ShapeError(f"spatial dims {(H, W)} not divisible by pool size {k}")
         v = x.reshape(T, B, C, H // k, k, W // k, k)
+        shape = (T, B, C, H // k, W // k)
         if W == k or k >= 8 or not x.flags.c_contiguous:
             # numpy's mean sums these windows as one run, pairwise, or in
-            # stride order; keep its order
-            y = v.mean(axis=(4, 6))
+            # stride order, which its own output's layout sets: keep its order
+            y = v.mean(axis=(4, 6), out=_into(out, shape) if x.flags.c_contiguous else None)
         else:
             # numpy's mean order: each window row summed, then the rows
-            out_shape = (T, B, C, H // k, W // k)
-            y, row = np.empty(out_shape), np.empty(out_shape)
+            y, row = _into(out, shape), np.empty(shape)
             for i in range(k):
                 acc = row if i else y
                 np.copyto(acc, v[..., i, :, 0])
@@ -618,7 +641,7 @@ class AvgPool2d(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def infer(self, x):
+    def infer(self, x, out=None):  # a view: out is unused
         return x.reshape(*x.shape[:2], -1)
 
     def backward(self, gout):
@@ -643,7 +666,7 @@ class Network:
 
     def __init__(self, layers: list[Layer]) -> None:
         self.layers = layers
-        self._timesteps: int | None = None  # of the last forward, for backward
+        self._shape: tuple | None = None  # the input shape of the last forward; None if it raised
 
     def walk(self):
         """Each layer with the range of indices, in the unfolded network,
@@ -678,20 +701,38 @@ class Network:
                     layer.replaces[-1] == "lif" or (shared and isinstance(layer, Flatten)))
         return self._run((np.asarray(x, dtype=np.float64), True), step)[0]
 
+    def _drop_traces(self) -> None:
+        for layer in self.layers:
+            layer.cache = {}
+        self._shape = None
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """The logits, each layer keeping a trace of this batch in its
-        cache.  Both modes are the in-place run of `_owned_run`: a training
-        forward runs each layer's `forward`, an eval one its `infer`, the
-        cache keeping references to what it was handed and what it
-        returned."""
+        cache, valid until this network's next forward.  Both modes are the
+        in-place run of `_owned_run`: a training forward runs each layer's
+        `forward`, an eval one its `infer`, the cache keeping references to
+        what it was handed and what it returned.  Each layer writes its
+        output into the array its last trace holds (`Layer._spare`), so one
+        batch of activations is held, not two.  When x's shape differs from
+        the last forward's, or x overlaps a trace's output, the traces are
+        dropped before the first layer runs; a forward that raises drops
+        them all, so that `traces` and `backward` refuse."""
         def keep(layer, h):
-            y = layer.infer(h)
+            y = layer.infer(h, layer._spare(h))
             layer.cache = {"x": h, "y": y}
             if isinstance(layer, LIF):
                 layer.cache["u"] = h  # the buffer it charged: its membrane
             return y
-        h = self._owned_run(x, (lambda layer, h: layer.forward(h)) if training else keep)
-        self._timesteps = h.shape[0]
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self._shape or any(np.may_share_memory(x, layer.cache.get("y", 0))
+                                         for layer in self.layers):
+            self._drop_traces()
+        try:
+            h = self._owned_run(x, (lambda layer, h: layer.forward(h)) if training else keep)
+        except BaseException:
+            self._drop_traces()
+            raise
+        self._shape = x.shape
         return h.mean(axis=0)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -709,21 +750,22 @@ class Network:
         its `gout`, and Flatten returns a view of one nobody else holds.
         No backward writes into a cache, so a second call gives the same
         gradients."""
-        if self._timesteps is None:
+        if self._shape is None:
             raise StateError("backward called before forward")
-        g = np.broadcast_to(glogits / self._timesteps,
-                            (self._timesteps,) + glogits.shape).copy()
+        T = self._shape[0]
+        g = np.broadcast_to(glogits / T, (T,) + glogits.shape).copy()
         for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
         if self.layers[0].params:
             self.layers[0].backward(g, input_grad=False)
 
     def traces(self) -> list[dict]:
-        """Each layer's `trace` of the last forward.  Each weighted layer's
-        input, each LIF's output and membrane, and each quantized layer's
-        weights and scales hold their values; the input of a BatchNorm or
-        LIF, and the output that feeds one, are overwritten by its in-place
-        kernel, so only their shapes are read."""
+        """Each layer's `trace` of the last forward, valid until this
+        network's next forward, which writes over its arrays.  Each
+        weighted layer's input, each LIF's output and membrane, and each
+        quantized layer's weights and scales hold their values; the input
+        of a BatchNorm or LIF, and the output that feeds one, are
+        overwritten by its in-place kernel, so only their shapes are read."""
         return self._run([], lambda layer, traces: traces + [layer.trace()])
 
     def named_params(self):

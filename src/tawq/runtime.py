@@ -90,11 +90,11 @@ class FoldedBlock(Layer):
         super().__init__()
         self.packed, self.rho, self.delta, self.lif = packed, rho, delta, lif
 
-    def infer(self, x):
+    def infer(self, x, out=None):
         u = np.multiply(ac_only_matmul(self.packed, x), self.rho[:, None, :], dtype=np.float64)
         u += self.delta  # the charging current; lif_charge turns it into U
         self.cache = {"u": u}
-        return lif_charge(u, self.lif)
+        return lif_charge(u, self.lif, out)
 
 
 def fold_network(net: Network) -> list:

@@ -130,6 +130,29 @@ def _bench_workloads(monkeypatch):
     return importlib.import_module("workloads")
 
 
+def test_deploy_results_outlive_the_next_batch(monkeypatch):
+    # the deploy rep keeps every batch's folded logits and membranes and
+    # checks them after the last batch, so a call may not write into what
+    # an earlier call returned; nor may a Network.forward into its logits
+    workloads = _bench_workloads(monkeypatch)
+    doc = workloads.run_document(workloads.MLP, 8, 16, 0)
+    net = build_network(parse_runconfig(doc))
+    rng = np.random.default_rng(50)
+    xs = [(rng.random((workloads.TIMESTEPS, 8, workloads.N_FEATURES)) < 0.2) * 1.0
+          for _ in range(2)]
+    net.forward(xs[0], training=True)  # BN statistics of spike input, so the LIFs fire
+    plan = fold_network(net)
+    first = runtime.folded_forward(plan, xs[0], True)
+    kept = [first[0].copy(), *(m.copy() for m in first[1])]
+    second = runtime.folded_forward(plan, xs[1], True)
+    assert len(first[1]) == 1 and not np.array_equal(first[1][0], second[1][0])
+    assert all(np.array_equal(a, b) for a, b in zip([first[0], *first[1]], kept))
+    logits = net.forward(xs[0], training=False)
+    kept = logits.copy()
+    net.forward(xs[1], training=False)
+    assert np.array_equal(logits, kept)
+
+
 class _Uncut(WriteSpy):
     """The writer's file with its final cut to length left out."""
 

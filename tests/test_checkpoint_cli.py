@@ -992,6 +992,22 @@ class TestCliReportInferFold:
         assert main(["infer", cli_artifacts["ckpt"], bad]) == 3
         assert "layer 0 (linear)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["--folded", "--unfolded"])
+    def test_infer_reads_a_gen_data_archive(self, cli_artifacts, capsys, mode):
+        # with no 'inputs' array, infer reads the 'test_inputs' gen-data writes
+        data = str(cli_artifacts["tmp"] / "generated.npz")
+        assert main(["gen-data", cli_artifacts["config"], "--out", data]) == 0
+        capsys.readouterr()
+        assert main(["infer", cli_artifacts["ckpt"], data, mode]) == 0
+        preds = capsys.readouterr().out
+        with np.load(data) as npz:
+            assert "inputs" not in npz.files
+            n_test = npz["test_inputs"].shape[1]
+        assert preds.splitlines() and set(preds.splitlines()) <= {"0", "1"}
+        assert len(preds.splitlines()) == n_test
+        assert main(["infer", cli_artifacts["ckpt"], cli_artifacts["inputs"], mode]) == 0
+        assert capsys.readouterr().out == preds  # the same test samples
+
     def test_gen_data_raster_needs_square_features(self, cli_artifacts, capsys):
         out = str(cli_artifacts["tmp"] / "grid.bin")
         assert main(["gen-data", cli_artifacts["config"], "--raster",
@@ -1036,7 +1052,8 @@ def test_every_error_maps_to_an_exit_code():
 
 class TestCliFileErrors:
     """A missing or unreadable file exits 2, naming the file, and an input
-    archive that opens but does not hold an 'inputs' array exits 3; neither
+    archive that opens but holds neither an 'inputs' nor a 'test_inputs'
+    array exits 3; neither
     ends in a traceback."""
 
     def test_missing_config(self, tmp_path, capsys):
@@ -1079,7 +1096,7 @@ class TestCliFileErrors:
         (lambda path: path.write_bytes(b"PK\x03\x04 and no zip after it"),
          "cannot read 'inputs' array: File is not a zip file"),
         (lambda path: np.savez(path, x=np.zeros((4, 5, 2))),
-         "cannot read 'inputs' array"),
+         "cannot read 'inputs' array: the archive holds neither 'inputs' nor 'test_inputs'"),
     ], ids=["zip-magic-only", "no-inputs-key"])
     def test_unreadable_archive_exits_3(self, cli_artifacts, tmp_path, capsys,
                                         write, message):

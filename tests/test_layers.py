@@ -2,6 +2,7 @@
 composition, and a pinned golden regression for a seed-fixed toy net."""
 
 import copy
+import math
 import tracemalloc
 import warnings
 
@@ -417,6 +418,23 @@ class TestNetwork:
         net = build_network(parse_runconfig(default_xor_document(hidden=8)))
         with pytest.raises(StateError, match="backward called before forward"):
             net.backward(np.ones((5, 2)))
+
+    def test_a_forward_that_raises_leaves_no_traces(self):
+        # the traces and the timestep count of a training forward must not
+        # outlive a later forward that raised partway, or backward would
+        # read two batches mixed
+        net = build_network(parse_runconfig(default_xor_document(hidden=8)))
+        net.forward(np.ones((4, 16, 2)), training=True)
+        with pytest.raises(ShapeError, match=r"layer 3 \(qlinear\): expected 4 timesteps, "
+                                             r"got input with 5"):
+            net.forward(np.ones((5, 8, 2)))
+        with pytest.raises(StateError, match=r"layer 0 \(linear\): no trace before"):
+            net.traces()
+        with pytest.raises(StateError, match="backward called before forward"):
+            net.backward(np.ones((16, 2)))
+        net.forward(np.ones((4, 8, 2)), training=True)
+        net.backward(np.ones((8, 2)))
+        assert len(net.traces()) == 4
 
     def test_time_constant_input_mean_over_t(self):
         lin = Linear(2, 2, bias=False)
@@ -1111,3 +1129,88 @@ class TestTrainingOwnership:
         assert len(outputs) == 9  # conv, bn, lif, pool, qconv, bn, lif, pool, qlinear
         bound = sum(outputs) + logits.nbytes
         assert held <= 1.02 * bound + 65536, (held, bound)
+
+
+def _conv_scratch(net) -> int:
+    """Bytes of the largest per-timestep scratch of a convolution in the last
+    forward: its patch matrix, padded images and product."""
+    sizes = [0]
+    for layer, t in zip(net.layers, net.traces()):
+        if layer.kind in ("conv", "qconv"):
+            _, B, C, H, W = t["input"].shape
+            O, _, k, _ = next(iter(layer.params.values())).shape
+            out, p = math.prod(t["output"].shape[3:]), layer.padding
+            sizes.append(8 * B * (C * k * k * out + C * (H + 2 * p) * (W + 2 * p) + O * out))
+    return max(sizes)
+
+
+class TestTraceReuse:
+    """A `Network.forward` of the last batch's shape writes each layer's
+    output into the array its last trace holds, so one batch of
+    activations is held, not two."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_equals_a_forward_with_no_traces(self, training):
+        (net, x), (ref, _) = _bench_conv(4), _bench_conv(4)
+        x2 = (np.random.default_rng(42).random(x.shape) < 0.3) * 1.0
+        for n in (net, ref):
+            n.forward(x, training=training)
+        before = [layer.cache["y"] for layer in net.layers]
+        for layer in ref.layers:
+            layer.cache = {}
+        logits = net.forward(x2, training=training)
+        assert np.array_equal(logits, ref.forward(x2, training=training))
+        reused = [layer.kind for layer, y in zip(net.layers, before) if layer.cache["y"] is y]
+        # batch norm's eval output and flatten's are views, never reused
+        assert reused == [k["kind"] for k in BENCH_CONV
+                          if k["kind"] != "flatten" and (training or k["kind"] != "bn")]
+        for layer, want in zip(net.layers, ref.layers):  # what the trace readers read
+            keys = {"lif": ("y", "u"), "bn": ()}.get(layer.kind, ("x",))
+            assert all(np.array_equal(layer.cache[k], want.cache[k]) for k in keys), layer.kind
+        if training:
+            glogits = np.random.default_rng(43).standard_normal(logits.shape)
+            net.backward(glogits)
+            ref.backward(glogits)
+            for (_, layer, name, _), (_, want, _, _) in zip(net.named_params(),
+                                                            ref.named_params()):
+                assert np.array_equal(layer.grads[name], want.grads[name]), (layer.kind, name)
+
+    @pytest.mark.parametrize("training,batch", [(False, 8), (True, 8), (False, 4)],
+                             ids=["eval", "train", "smaller-batch"])
+    def test_peaks_at_one_convolution_scratch(self, training, batch):
+        # a forward after a training step peaks above the bytes held before
+        # it by at most one convolution's scratch and 128 KiB of
+        # per-channel vectors; a forward that allocated its outputs beside
+        # the last batch's traces would add a whole batch's activations
+        net, x = _bench_conv(8)
+        tracemalloc.start()
+        try:
+            net.forward(x, training=True)
+            net.backward(np.ones((8, 10)))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            net.forward(x[:, :batch], training=training)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= _conv_scratch(net) + 131072, (peak - held, _conv_scratch(net))
+
+    def test_earlier_logits_outlive_the_next_forward(self):
+        net, x = _bench_conv(4)
+        logits = net.forward(x, training=False)
+        kept = logits.copy()
+        net.forward(1.0 - x, training=False)
+        assert np.array_equal(logits, kept)
+
+    def test_never_writes_into_the_callers_input(self):
+        # an input that is a trace's output drops the traces first, so the
+        # layer that returned it does not write its next output over it
+        net = Network([Linear(3, 3, rng=np.random.default_rng(44)), BatchNorm(3), LIF()])
+        net.forward(np.random.default_rng(45).standard_normal((4, 5, 3)) * 3)
+        spikes = net.layers[2].cache["y"]
+        kept = spikes.copy()
+        logits = net.forward(spikes)
+        assert np.array_equal(spikes, kept)
+        fresh = copy.deepcopy(net)
+        fresh._drop_traces()
+        assert np.array_equal(logits, fresh.forward(kept))
