@@ -1,40 +1,13 @@
-"""Spiking network layers evaluated over a leading time axis.
+"""Spiking network layers over arrays shaped (T, B, ...), T the time axis.
 
-Every layer consumes and produces arrays shaped (T, B, ...).  Forward
-trains, `infer` evaluates: a layer's `forward` is the training forward
-and caches whatever its backward pass needs; its `infer` is the eval
-forward with no cache, and may overwrite its input.  `Network.infer`, the
-one cache-free interpreter, runs a network's own layers or a fold plan,
-whose folded blocks (`runtime.FoldedBlock`) are layers standing for
-several (`Layer.replaces`) at the indices that `Network.walk` gives.
-`Network.forward` is the same run in both modes, through each layer's
-`forward` or, for eval, its `infer` plus references to what it was handed
-and what it returned.
-Quantized layers draw their integer weights from the temporal quantizer
-on each forward pass, and reuse the weights they hold while the stimulus
-equals, by value, the one those weights were made from under the same
-config.  A convolution runs one BLAS product per timestep over the whole
-batch.  The LIF neuron scales its input by 1/tau and runs `lif_charge`,
-the one membrane update over time, which a folded block runs too.  Both
-LIF time loops run all T steps over one `quantizer.BLOCK` of neurons
-before the next.
-
-The elementwise kernels of BatchNorm, LIF and AvgPool2d run in place, one
-numpy operation per step of the formula and no temporary per operator.
-`forward`, `infer` and `backward` may overwrite the array they are
-handed: BatchNorm's `forward` leaves xhat in its input and LIF its
-membrane, and the backward passes of BatchNorm, LIF, AvgPool2d and the
-scaled linear contraction write into their `gout`.  `Network` hands each
-layer an array nobody else reads (`Network._owned_run`,
-`Network.backward`).  An `infer` that allocates its output writes it into
-`out` instead, which `Layer.forward` and `Network.forward` fill with the
-layer's last output (`Layer._spare`) and `Network.infer` leaves empty.
-BatchNorm runs its kernels over (T*B, C, S) rows, S the spatial size, in
-`quantizer.blocks` slabs of whole rows that stay in L2, so each loop over
-the slabs passes once over memory.  Each kernel performs the same
-floating-point operations, in the same order, as the plain formula that
-tests/test_layers.py pins, so its results are equal to it under
-np.array_equal (only the sign of a zero or of a NaN may differ).
+Each rule is stated once, where it applies: `forward` trains and `infer`
+evaluates (`Layer`); who is handed a copy (`Network._owned_run`) and who
+may write into a gradient (`Network.backward`); how long a trace lives
+and what the next forward reuses (`Network.forward`); the in-place
+kernels equal the plain formula (`BatchNorm`); quantized weights are
+reused while the stimulus is unchanged (`QuantizedLayer.materialize`);
+a convolution is one BLAS product per timestep (`_ConvContraction`); the
+LIF charge and its time blocking (`lif_charge`).
 """
 
 from __future__ import annotations
@@ -75,19 +48,20 @@ class LifConfig:
 
 
 def _into(out: np.ndarray | None, shape: tuple) -> np.ndarray:
-    """`out`, the array a layer's last forward returned (`Layer._spare`), if
-    it has `shape`; else a new array."""
+    """`out` if it has `shape`, else a new array."""
     return out if out is not None and out.shape == shape else np.empty(shape)
 
 
 def lif_charge(us: np.ndarray, cfg: LifConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Run the hard-reset LIF neuron over the leading time axis; returns the
-    spikes, written into `out` if it has the shape of `us` (`_into`).
+    """Run the hard-reset LIF neuron over the leading time axis, all T steps
+    over one `quantizer.BLOCK` of neurons before the next (as `LIF.backward`
+    does); returns the spikes, in `out` if it has the shape of `us`.
 
-    `us[t]` holds step t's scaled input current and is overwritten in place
-    with the membrane before reset, U[t] = us[t] + (1 - 1/tau) * u, where u
-    is the membrane after step t-1's reset.  A spike fires when
-    U[t] >= v_threshold, and the membrane resets to v_reset * s + U[t] * (1 - s).
+    `us[t]`, step t's scaled input current, is overwritten with the membrane
+    before reset, U[t] = us[t] + (1 - 1/tau) * u, u the membrane after step
+    t-1's reset.  A spike fires when U[t] >= v_threshold, and the membrane
+    resets to v_reset * s + U[t] * (1 - s).  The LIF layer and a folded
+    block (`runtime.FoldedBlock`) both charge through it.
     """
     decay = 1.0 - 1.0 / cfg.tau
     T, size = us.shape[0], int(np.prod(us.shape[1:]))
@@ -117,7 +91,10 @@ def lif_charge(us: np.ndarray, cfg: LifConfig, out: np.ndarray | None = None) ->
 
 
 class Layer:
-    """Base layer: float64 params in `params`, matching grads in `grads`."""
+    """Base layer: float64 params in `params`, matching grads in `grads`.
+    `forward` trains, caching what `backward` reads; `infer` evaluates, with
+    no cache.  All three may overwrite the array they are handed, which
+    `Network` makes one that no one else reads."""
 
     kind = "layer"
 
@@ -129,17 +106,13 @@ class Layer:
     replaces = property(lambda self: (self.kind,))  # kinds of the unfolded layers it stands for
 
     def forward(self, x):
-        """The training forward: `infer`, which a member defines and which
-        may overwrite x, plus the cache.  The output is written into the
-        last forward's where `_spare` allows."""
+        """`infer`, which a member defines, plus the cache."""
         y = self.infer(x, self._spare(x))
         self.cache = {"x": x, "y": y}
         return y
 
     def _spare(self, x):
-        """The output of this layer's last forward, for the next to write
-        over, if the layer allocated it itself (owned, float64, C-contiguous;
-        never a view) and it does not overlap x; else None."""
+        """The last forward's output, if `Network.forward` may reuse it."""
         y = self.cache.get("y")
         if (isinstance(y, np.ndarray) and y.flags.owndata and y.flags.c_contiguous
                 and y.dtype == np.float64 and not np.may_share_memory(y, x)):
@@ -147,8 +120,7 @@ class Layer:
         return None
 
     def trace(self) -> dict:
-        """Analysis view of the last forward pass (`Network.traces`), valid
-        until this layer's next forward, which may write over its arrays."""
+        """Analysis view of the last forward pass (`Network.traces`)."""
         if "x" not in self.cache:
             raise StateError("no trace before a forward pass")
         return {"kind": self.kind, "input": self.cache["x"], "output": self.cache["y"]}
@@ -160,14 +132,12 @@ def _check_images(x: np.ndarray) -> None:
 
 
 # One contraction per layer family, shared by its float and quantized
-# member.  A weight is either shared over time, (O, I) or (O, C, k, k), or
-# per timestep with a leading T axis; a shared weight's gradient is summed
-# over time.  Activations stay C-contiguous (T, B, ...).  `scale` is a
+# member.  A weight is shared over time, (O, I) or (O, C, k, k), and its
+# gradient summed over time, or has a leading T axis.  `scale` is a
 # quantized layer's alpha, or None.  `_contract` scales its product and
-# `_contract_grads` the upstream gradient (the linear in place, the conv
-# each timestep's (O, B, H', W') product, where a channel is one long run),
-# and returns the weight gradient and, if `input_grad`, the input gradient,
-# else None.
+# `_contract_grads` the upstream gradient (the conv each timestep's
+# (O, B, H', W') product, where a channel is one long run), and returns
+# the weight gradient and, if `input_grad`, the input gradient, else None.
 
 class _LinearContraction:
     def _contract(self, x: np.ndarray, w: np.ndarray, scale: np.ndarray | None,
@@ -334,14 +304,11 @@ class Conv2d(_ConvContraction, WeightedLayer):
 
 
 class QuantizedLayer(WeightedLayer):
-    """A weighted layer whose weight carries a time axis.
-
-    The trainable parameter is the stimulus tensor; each forward pass
-    quantizes it into a (T, *weight shape) integer stack plus a
-    per-timestep per-channel scale alpha.  The scale is a detached
-    statistic of the emitted weights and carries no gradient of its own.
-    It is applied after the contraction, so binary input sums exactly.
-    """
+    """A weighted layer whose weight carries a time axis.  The trainable
+    parameter is the stimulus tensor; each forward quantizes it into a
+    (T, *weight shape) integer stack plus a per-timestep per-channel scale
+    alpha, a detached statistic of the emitted weights with no gradient of
+    its own, applied after the contraction so binary input sums exactly."""
 
     def __init__(self, shape: tuple[int, ...], fan_in: int, quant: QuantConfig,
                  rng: np.random.Generator | None) -> None:
@@ -352,14 +319,12 @@ class QuantizedLayer(WeightedLayer):
         self._quantized_stimulus: np.ndarray | None = None  # the state's source
 
     def materialize(self) -> None:
-        """Quantize the stimulus into weights and scales.
-
-        Returns early when the held state was made from a stimulus equal
-        to the current one under the same config.  The stimulus is
-        compared by value against a private copy, because parameters may
-        be written in place; the copy is taken only once quantizing has
-        succeeded, so a stimulus that raised raises again.
-        """
+        """Quantize the stimulus into weights and scales, unless the held
+        state was made from a stimulus equal to the current one under the
+        same config.  The stimulus is compared by value against a private
+        copy, because parameters may be written in place; the copy is taken
+        only once quantizing has succeeded, so a stimulus that raised raises
+        again."""
         stimulus = self.params["stimulus"]
         if (self.state is not None and self.state.cfg == self.quant
                 and np.array_equal(stimulus, self._quantized_stimulus)):
@@ -431,11 +396,18 @@ class BatchNorm(Layer):
 
     `forward` trains: batch statistics, running averages updated with
     momentum 0.1, and the cache `backward` needs.  `infer` applies the
-    running-statistics affine in place.  A channel's
-    sum is each row's sum over S, the row sums then added in row order:
-    numpy's own order for x.sum(axis=(0, 1, 3, 4)) of a C-ordered x or a
-    batch slice of one.  A (T, B, C) input is one slab; the batch mean is
-    numpy's reduction of x itself.
+    running-statistics affine in place.
+
+    The kernels of BatchNorm, LIF and AvgPool2d run in place, one numpy
+    operation per step of the formula, and perform its floating-point
+    operations in the order of the plain formula tests/test_layers.py pins,
+    so they equal it under np.array_equal (but for the sign of a zero or a
+    NaN).  BatchNorm walks (T*B, C, S) rows, S the spatial size, in
+    `quantizer.blocks` slabs of whole rows that stay in L2, so a loop over
+    the slabs passes once over memory.  A channel's sum is each row's sum
+    over S, the row sums added in row order: numpy's order for
+    x.sum(axis=(0, 1, 3, 4)) of a C-ordered x or a batch slice of one.  A
+    (T, B, C) input is one slab, its mean numpy's reduction of x itself.
     """
 
     kind = "bn"
@@ -545,12 +517,9 @@ class BatchNorm(Layer):
 
 
 class LIF(Layer):
-    """Leaky integrate-and-fire neuron with hard reset.
-
-    The layer scales its input current by 1/tau (charging equation) before
-    the membrane update, `lif_charge`, so folding scale/BN parameters into
-    the charging path is exact at inference.
-    """
+    """Leaky integrate-and-fire neuron with hard reset.  It scales its input
+    current by 1/tau before `lif_charge`, so a fold of the scale and batch
+    norm into the charging path is exact at inference."""
 
     kind = "lif"
 
@@ -657,12 +626,7 @@ del _cls, _name
 
 
 class Network:
-    """Feed-forward stack evaluated over T timesteps.
-
-    The readout is the mean over time of the last layer's pre-activations;
-    `forward` returns those logits and retains per-layer traces, and
-    `infer`, which runs a folded plan too, returns them without a cache.
-    """
+    """Feed-forward stack whose logits are its last output's mean over time."""
 
     def __init__(self, layers: list[Layer]) -> None:
         self.layers = layers
@@ -676,10 +640,10 @@ class Network:
             yield range(i, i + len(layer.replaces)), layer
             i += len(layer.replaces)
 
-    def _run(self, h, step):
-        """h passed through step(layer, h) of each layer in turn; an error
-        is prefixed with the index and kind of the layer that raised it."""
-        for idx, layer in self.walk():
+    def _run(self, h, step, order=iter):
+        """h passed through step(layer, h) of each layer in turn, in `order`;
+        an error is prefixed with the index and kind of the layer that raised it."""
+        for idx, layer in order(list(self.walk())):
             try:
                 h = step(layer, h)
             except TawqError as exc:
@@ -707,28 +671,28 @@ class Network:
         self._shape = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """The logits, each layer keeping a trace of this batch in its
-        cache, valid until this network's next forward.  Both modes are the
-        in-place run of `_owned_run`: a training forward runs each layer's
-        `forward`, an eval one its `infer`, the cache keeping references to
-        what it was handed and what it returned.  Each layer writes its
-        output into the array its last trace holds (`Layer._spare`), so one
-        batch of activations is held, not two.  When x's shape differs from
-        the last forward's, or x overlaps a trace's output, the traces are
-        dropped before the first layer runs; a forward that raises drops
-        them all, so that `traces` and `backward` refuse."""
-        def keep(layer, h):
-            y = layer.infer(h, layer._spare(h))
-            layer.cache = {"x": h, "y": y}
-            if isinstance(layer, LIF):
-                layer.cache["u"] = h  # the buffer it charged: its membrane
-            return y
+        """The logits, by `_owned_run` through each layer's `forward` (an
+        eval BatchNorm's `infer`), each layer's cache keeping a trace: what
+        it was handed and returned, by reference.  A trace is valid until
+        the next forward, which writes each output into the array the
+        layer's last trace holds if the layer allocated it (`Layer._spare`),
+        so one batch of activations is held, not two; `infer` allocates.
+        The input of a BatchNorm or LIF, and an output that feeds one, hold
+        what its in-place kernel left; every other trace array its value.
+        The traces are dropped before the first layer runs if x's shape
+        differs from the last forward's or x overlaps a trace's output, and
+        all of them if the forward raises, so `traces` and `backward` refuse."""
+        def step(layer, h):
+            if training or not isinstance(layer, BatchNorm):
+                return layer.forward(h)
+            layer.cache = {"x": h, "y": layer.infer(h)}  # BatchNorm's forward trains
+            return layer.cache["y"]
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self._shape or any(np.may_share_memory(x, layer.cache.get("y", 0))
                                          for layer in self.layers):
             self._drop_traces()
         try:
-            h = self._owned_run(x, (lambda layer, h: layer.forward(h)) if training else keep)
+            h = self._owned_run(x, step)
         except BaseException:
             self._drop_traces()
             raise
@@ -736,36 +700,29 @@ class Network:
         return h.mean(axis=0)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """The eval logits.  The caller's `x` is never written, and only a
-        folded block keeps a cache: its membrane."""
+        """The eval logits of these layers, or of a fold plan, whose folded
+        blocks (`runtime.FoldedBlock`) are layers that keep their membrane."""
         return self._owned_run(x, lambda layer, h: layer.infer(h)).mean(axis=0)
 
     def backward(self, glogits: np.ndarray) -> None:
-        """Backpropagate the logits' gradient, leaving each parameter's
-        gradient in its layer's `grads`; returns nothing.  No caller reads
-        the input gradient, so layer 0 computes only its parameter
-        gradients (`input_grad=False`) and, if it has none, does not run.
+        """Backpropagate the logits' gradient into each layer's `grads`.
         Each gradient array is held by one layer only, which may write into
         it: the walk starts from a fresh copy, no layer keeps a reference to
-        its `gout`, and Flatten returns a view of one nobody else holds.
-        No backward writes into a cache, so a second call gives the same
-        gradients."""
+        its `gout`, and Flatten returns a view of one nobody else holds.  No
+        backward writes into a cache, so a second call gives the same
+        gradients.  Layer 0 computes no input gradient: no caller reads it."""
         if self._shape is None:
             raise StateError("backward called before forward")
         T = self._shape[0]
         g = np.broadcast_to(glogits / T, (T,) + glogits.shape).copy()
-        for layer in reversed(self.layers[1:]):
-            g = layer.backward(g)
-        if self.layers[0].params:
-            self.layers[0].backward(g, input_grad=False)
+        def step(layer, g):
+            if layer is not self.layers[0]:
+                return layer.backward(g)
+            return layer.backward(g, input_grad=False) if layer.params else None
+        self._run(g, step, reversed)
 
     def traces(self) -> list[dict]:
-        """Each layer's `trace` of the last forward, valid until this
-        network's next forward, which writes over its arrays.  Each
-        weighted layer's input, each LIF's output and membrane, and each
-        quantized layer's weights and scales hold their values; the input
-        of a BatchNorm or LIF, and the output that feeds one, are
-        overwritten by its in-place kernel, so only their shapes are read."""
+        """Each layer's `trace` of the last `forward`."""
         return self._run([], lambda layer, traces: traces + [layer.trace()])
 
     def named_params(self):

@@ -19,8 +19,7 @@ The recurrence and its reverse pass treat the weight tensor as flat and
 run every timestep over one `BLOCK` of elements before moving to the
 next, so their step buffers stay in cache; the math is elementwise, so
 the blocking moves no result.  A tensor no larger than a block runs as
-one block.  `blocks` yields the slabs, and the LIF neuron's time loops
-in `layers` run over them too, as BatchNorm runs over slabs of its rows.
+one block.  `blocks` yields the slabs.
 
 A state also owns its weights' stored form: ternary weights 2-bit packed
 by `pack_ternary`, multi-bit ones int64.  The encoder is numpy's bit

@@ -1,17 +1,10 @@
 """Deployment-style inference.
 
-A folded block is a `layers.Layer` that takes its 2-bit packed weights
-from the quantizer state (`QuantizerState.stored`).  Its one kernel,
-`ac_only_matmul(packed, spikes)`, takes the T packed tensors and the
-(T, B, C_i) spikes, and runs one float32 BLAS product per timestep with
-each tensor's decoded matrix, exact while the fan-in stays below 2^24; a
-larger fan-in is refused.  The per-channel scale and the batch-norm
-affine are folded into the LIF charging path: a block charges straight
-from the accumulate, through the training layer's own `layers.lif_charge`.
-A fold plan runs through `layers.Network.infer`, the interpreter that
-`tawq infer --unfolded` runs a network's own layers through;
-`folded_forward` is a thin wrapper over it.  `FoldedBlock.replaces` names
-the layers a block stands for, and is the one statement of the fold rule.
+`fold_network` turns a network into a fold plan: each run of the layers
+`FoldedBlock.replaces` names becomes a `FoldedBlock`, a `layers.Layer`
+that accumulates its 2-bit packed weights (`ac_only_matmul`) and charges
+its LIF with the scale and batch-norm affine folded in.  A plan runs
+through `layers.Network.infer`; `folded_forward` is a thin wrapper over it.
 """
 
 from __future__ import annotations

@@ -182,10 +182,8 @@ def _fmt(x: float) -> float:
 
 
 def evaluate(net: Network, inputs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean loss and accuracy over a dataset, by eval-mode forwards:
-    `Network.infer`'s in-place run, whose traces the last batch leaves.
-    Each forward writes into the traces of the one before it, so they hold
-    the last batch only, until the network's next forward."""
+    """Mean loss and accuracy over a dataset, by eval-mode `Network.forward`
+    calls; the network keeps the last batch's traces."""
     losses, correct, n = [], 0, inputs.shape[1]
     for start in range(0, n, EVAL_BATCH):
         xb = inputs[:, start:start + EVAL_BATCH]

@@ -12,6 +12,7 @@ so every step must put a new array in each `params[...]`.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -31,7 +32,7 @@ from tawq.checkpoint import (
     save_checkpoint,
 )
 from tawq.data import build_dataset
-from tawq.layers import Layer, Network
+from tawq.layers import BatchNorm, Layer, Network
 from tawq.runconfig import build_network, parse_runconfig
 from tawq.runtime import FoldedBlock, fold_network, pack_ternary, unpack_ternary
 
@@ -151,6 +152,28 @@ def test_deploy_results_outlive_the_next_batch(monkeypatch):
     kept = logits.copy()
     net.forward(xs[1], training=False)
     assert np.array_equal(logits, kept)
+
+
+@pytest.mark.parametrize("stack", ["MLP", "CONV"])
+def test_the_tracer_sees_every_eval_forward_but_batchnorms(monkeypatch, stack):
+    # the tracer wraps each class's own `forward`; an eval forward runs it
+    # for every layer but a BatchNorm, whose `forward` trains
+    workloads = _bench_workloads(monkeypatch)
+    layers = importlib.import_module("tawq.layers")
+    network = getattr(workloads, stack)
+    net = build_network(parse_runconfig(workloads.run_document(network, 8, 16, 0)))
+    calls = collections.Counter()
+    for cls_name, methods in _tracer().METHODS.items():
+        cls = getattr(layers, cls_name)
+        if "forward" in methods and issubclass(cls, Layer):
+            def counted(self, x, name=cls_name, forward=cls.__dict__["forward"]):
+                calls[name] += 1
+                return forward(self, x)
+            monkeypatch.setattr(cls, "forward", counted)
+    sample = (1, workloads.SIDE, workloads.SIDE) if stack == "CONV" else (workloads.N_FEATURES,)
+    net.forward(np.ones((workloads.TIMESTEPS, 4, *sample)), training=False)
+    assert calls == collections.Counter(type(layer).__name__ for layer in net.layers
+                                        if not isinstance(layer, BatchNorm))
 
 
 class _Uncut(WriteSpy):

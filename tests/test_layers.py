@@ -419,6 +419,13 @@ class TestNetwork:
         with pytest.raises(StateError, match="backward called before forward"):
             net.backward(np.ones((5, 2)))
 
+    def test_backward_names_the_layer_that_raised(self):
+        net = Network([Linear(3, 4), BatchNorm(4), LIF(), Linear(4, 2)])
+        net.forward(np.ones((4, 5, 3)), training=False)
+        with pytest.raises(StateError, match=r"^layer 1 \(bn\): backward needs a "
+                                             r"training-mode forward$"):
+            net.backward(np.ones((5, 2)))
+
     def test_a_forward_that_raises_leaves_no_traces(self):
         # the traces and the timestep count of a training forward must not
         # outlive a later forward that raised partway, or backward would
