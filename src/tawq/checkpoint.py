@@ -1,32 +1,5 @@
-"""Self-describing binary checkpoint.
-
-Layout:
-
-    magic "TAWQ" | version u16 | header length u32 | header JSON (utf-8)
-    | tensor count u32 | tensors... | crc32 u32
-
-Per tensor: name length u16, name utf-8, dtype tag u8 (0 = float64,
-1 = int64, 2 = 2-bit packed ternary), ndim u8, dims u32 each, byte
-length u64, raw payload.  The trailing CRC covers everything before it.
-A reader refuses an unknown tag and a payload whose length does not
-match its dims.
-The header JSON carries the run-configuration echo and a metrics summary.
-
-A save converts every payload (an int64 array as int64, any other array
-as float64, a 0-d value with dims (1,)) before it opens the file, so a
-tensor that cannot be stored leaves an existing file untouched.  It then
-writes each head and payload in order over the old bytes, and the file's
-64 KiB buffer joins the small ones.  It cuts the file to length;
-truncating to zero first would make ext4 write the whole file back at
-close.  Without an fsync, a crashed or interrupted save leaves the old
-file, the new one, or a mix the CRC refuses; writers of files without a
-checksum truncate as they open.  A restore draws no initial weights: it
-restores every parameter and BN buffer, refusing one not stored as
-float64 with the network's dims, and recomputes each quantized layer's
-weights from its stimulus.  One walk over the tensors the writer would
-write (`_tensors`) then refuses a missing tensor, one unlike the
-writer's, and any other.
-"""
+"""Self-describing binary checkpoint: README § File formats gives its layout,
+what a reader refuses and what a crashed save leaves."""
 
 from __future__ import annotations
 
@@ -115,8 +88,10 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     for part in parts:
         crc = zlib.crc32(part, crc)
     end = sum(map(len, parts)) + 4
-    # each part over the old bytes (no O_TRUNC), the small ones joined in the 64 KiB
-    # buffer; then cut if the old file was longer (a device or pipe has no length)
+    # each part over the old bytes, since truncating to zero first (O_TRUNC) makes
+    # ext4 (auto_da_alloc) write the whole new file back at close; the 64 KiB buffer
+    # joins the small parts, and larger payloads pass through as they are.  Then cut
+    # if the old file was longer (a device or pipe has no length)
     with open(path, "wb", buffering=1 << 16,
               opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
         fh.writelines([*parts, struct.pack("<I", crc)])
@@ -187,8 +162,11 @@ def _stored(ckpt: Checkpoint, key: str, like: np.ndarray | None = None):
 
 def network_from_checkpoint(ckpt: Checkpoint) -> tuple[Network, RunConfig]:
     """Rebuild the network without drawing initial weights, restore its
-    parameters and buffers, and check that the tensors are exactly those
-    the writer would write."""
+    parameters and BN buffers as `_stored` checks them, and recompute each
+    quantized layer's alpha and weight stacks from its stimulus.  One walk
+    over the tensors the writer would write (`_tensors`) then holds the
+    file to them: a missing tensor, one unlike the writer's and, after
+    those, any other is refused."""
     cfg = parse_runconfig(ckpt.runconfig)
     net = build_network(cfg, draw=False)
     for i, layer in enumerate(net.layers):

@@ -1,11 +1,5 @@
-"""Command-line surface: train, report, infer, fold, gen-data.
-
-Exit codes: 0 ok, 2 configuration error or a missing or unreadable file,
-3 data error (a checkpoint missing a tensor among them), 4 numeric error;
-no other code is used.
-The BLAS thread pool reads OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) when
-numpy loads, so set it in the environment that starts `tawq`.
-"""
+"""Command-line surface: train, report, infer, fold, gen-data.  README § CLI
+gives the exit codes and the BLAS thread variable."""
 
 from __future__ import annotations
 

@@ -15,16 +15,13 @@ floating-point operations, in the same order, as the plain vectorized
 formula that tests/test_quantizer.py pins, so its results are
 bit-identical to it.
 
-The recurrence and its reverse pass treat the weight tensor as flat and
-run every timestep over one `BLOCK` of elements before moving to the
-next, so their step buffers stay in cache; the math is elementwise, so
-the blocking moves no result.  A tensor no larger than a block runs as
-one block.  `blocks` yields the slabs.
-
-A state also owns its weights' stored form: ternary weights 2-bit packed
-by `pack_ternary`, multi-bit ones int64.  The encoder is numpy's bit
-packer over each entry's (is +1, is -1) bit pair; the decoder looks each
-byte's four lanes up in a table, which measured faster than `np.unpackbits`.
+Ternary temporal weights follow a period law: the full decay resets the
+state after a firing to the drive (1 - lam) * i, its value at step 1, bit
+for bit.  So a weight that first fires at step k fires at every k-th step
+with sign(i), w_q[t - 1] = sign(i) * [k divides t], and k falls as |i|
+grows: in exact arithmetic k holds for c_th / (1 - lam^k) < |i| <=
+c_th / (1 - lam^(k-1)), and |i| <= c_th / (1 - lam^T) never fires.  The
+partial multi-bit decay obeys no such law.
 """
 
 from __future__ import annotations
@@ -36,10 +33,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError, refuse_unread, require
 
-# Weight elements per block of the recurrence and its reverse pass, so
-# that a block's (T, BLOCK) working set stays in L2 at the timestep counts
-# in use.  At 512x512 and T=4, 8K-32K measured fastest; 2K-element blocks
-# and a single unblocked pass were slower.
+# The recurrence and its reverse pass treat the weights as flat and run all
+# T steps over one slab of at most BLOCK elements (`blocks`) before the next,
+# so that a slab's (T, BLOCK) working set stays in L2; the math is elementwise,
+# so the blocking moves no result.  At 512x512 and T=4, 8K-32K measured
+# fastest; 2K-element blocks and a single unblocked pass were slower.
 BLOCK = 16384
 
 
@@ -85,8 +83,9 @@ class QuantConfig:
 
 CODE_INVALID = 0b11
 
-# Byte -> the int64 values of its 4 lanes, lane 0 in the low bits; the
-# decoder refuses the invalid code 0b11 before it looks a byte up.
+# Byte -> the int64 values of its 4 lanes, lane 0 in the low bits: a lookup
+# measured faster than `np.unpackbits`.  The decoder refuses the invalid code
+# 0b11 before it looks a byte up.
 _BYTE_VALUES = np.array([0, 1, -1, 0], dtype=np.int64)[
     np.arange(256)[:, None] >> np.arange(0, 8, 2) & 0b11]
 
@@ -110,9 +109,9 @@ class PackedTernaryTensor:
 
 
 def pack_ternary(w_q: np.ndarray) -> PackedTernaryTensor:
-    """Lossless 2-bit encoding of a {-1, 0, +1} tensor: 4 codes per byte in
-    row-major order, lane 0 in the low bits, 00->0, 01->+1, 10->-1, and
-    the last byte's unused lanes zero."""
+    """Lossless 2-bit encoding of a {-1, 0, +1} tensor in the layout of
+    README § File formats: numpy's bit packer over each entry's
+    (is +1, is -1) bit pair, little-endian."""
     w = np.asarray(w_q)
     flat = w.ravel()
     pos, neg = flat == 1, flat == -1
@@ -153,8 +152,9 @@ class QuantizerState:
 
     @cached_property
     def stored(self) -> tuple:
-        """Each timestep's weights as stored, made once: 2-bit packed if
-        ternary, else int64.  A state is replaced, never updated."""
+        """Each timestep's weights as the checkpoint writer and the fold read
+        them, made once: 2-bit packed if ternary, else int64.  A state is
+        replaced, never updated, whenever its stimulus or config changes."""
         if self.cfg.n_level == 1:
             return tuple(pack_ternary(w) for w in self.w_q)
         return tuple(w.astype(np.int64) for w in self.w_q)
@@ -204,8 +204,6 @@ def tawq_forward(i_norm: np.ndarray, cfg: QuantConfig) -> QuantizerState:
 
     With ``cfg.temporal`` off the recurrence degenerates to memoryless
     re-quantization of ``i_norm`` at every step (the WQ ablation baseline).
-    Each `BLOCK` of weight elements runs all its steps, written straight
-    into ``c_s[t + 1]`` and ``w_q[t]``, before the next block starts.
     """
     i_norm = np.asarray(i_norm, dtype=np.float64)
     if not np.all(np.isfinite(i_norm)):

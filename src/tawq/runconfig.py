@@ -1,7 +1,8 @@
 """Declarative run configuration: a strict-schema YAML/JSON document that
 fully determines a training or inference run.  `parse_runconfig` judges
-every rule that needs no file, so `build_network` only builds.  `_SECTIONS`
-lists its dataclass sections once, for the parser, `TOP_KEYS` and
+every rule that needs no file, so `build_network` only builds; one table,
+`_LAYERS`, gives both each layer kind's class and keys.  `_SECTIONS`
+lists the dataclass sections once, for the parser, `TOP_KEYS` and
 `RunConfig.to_dict`."""
 
 from __future__ import annotations
@@ -176,10 +177,24 @@ def default_xor_document(hidden: int = 24, quantized: bool = True,
     }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing a mapping that names a key twice
+    (a key may repeat one that a merge, `<<`, brings in)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = {}
+        for key in (k for k, _ in node.value if isinstance(k, yaml.ScalarNode)
+                    and k.tag != "tag:yaml.org,2002:merge"):
+            if seen.setdefault(self.construct_object(key), key) is not key:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key.value!r}", key.start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def load_runconfig(path: str) -> RunConfig:
     with open(path, "rb") as fh:  # PyYAML decodes, and refuses a bad byte
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     cfg = parse_runconfig(doc)

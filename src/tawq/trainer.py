@@ -1,9 +1,5 @@
 """Training loop: softmax cross-entropy on mean-over-time logits, global
 gradient-norm clipping, SGD / AdamW, and deterministic per-epoch records.
-
-AdamW updates its moments in place and runs one `quantizer.BLOCK` slab at
-a time through two scratch buffers; every step gives each parameter a
-fresh array and leaves the old one as it was.
 """
 
 from __future__ import annotations
@@ -61,8 +57,10 @@ class GradientBundle:
         with np.errstate(over="ignore"):  # an overflow is refused below
             self.global_norm = float(np.sqrt(
                 sum(float((g * g).sum()) for g in self.tensors.values())))
-        if not np.isfinite(self.global_norm):
-            raise NumericError("non-finite gradient norm: the squared entries overflow float64")
+        if not np.isfinite(self.global_norm):  # a non-finite entry, or the squares overflow
+            bad = [k for k, g in self.tensors.items() if not np.isfinite(g).all()]
+            raise NumericError(f"non-finite gradient for parameter {bad[0]}" if bad else
+                               "non-finite gradient norm: the squared entries overflow float64")
 
     def clipped(self, clip_norm: float) -> "GradientBundle":
         """Scale every tensor so the global norm is at most `clip_norm`."""
@@ -97,19 +95,16 @@ def collect_gradients(net: Network) -> GradientBundle:
     for name, layer, pname, _ in net.named_params():
         if pname not in layer.grads:
             raise NumericError(f"missing gradient for parameter {name}")
-        g = layer.grads[pname]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
-        tensors[name] = g
-    return GradientBundle(tensors)
+        tensors[name] = layer.grads[pname]
+    return GradientBundle(tensors)  # which refuses a non-finite gradient
 
 
 class Optimizer:
     """SGD, or AdamW with decoupled weight decay.
 
-    A step never writes into a parameter's array: a parameter may be a
-    checkpoint's own array, and bench/tracer.py tells a changed stimulus
-    by object identity.
+    A step puts a fresh array in each parameter slot and never writes into
+    the old one: a parameter may be a checkpoint's own array, and
+    bench/tracer.py tells a changed stimulus by object identity.
     """
 
     def __init__(self, net: Network, cfg: TrainConfig) -> None:

@@ -32,7 +32,7 @@ from tawq.cli import main
 from tawq import errors
 from tawq.data import load_raster_grid
 from tawq.errors import DataError, StateError
-from tawq.runconfig import build_network, default_xor_document, parse_runconfig
+from tawq.runconfig import build_network, default_xor_document, load_runconfig, parse_runconfig
 from tawq.runtime import PackedTernaryTensor, pack_ternary, unpack_ternary
 
 
@@ -866,6 +866,32 @@ class TestParserJudgesTheRun:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and "invalid start byte" in err
         assert not os.path.exists(out["metrics"])
+
+    @pytest.mark.parametrize("name,text,key,line", [
+        ("run.yaml", "quant: {timesteps: 4, c_th: 0.9, c_th: 0.25}\n{rest}", "c_th", 1),
+        ("run.json", '{"train": {"epochs": 1,\n"epochs": 2}, {rest}', "epochs", 2),
+        ("run.yaml", "train: {epochs: 1}\ntrain: {epochs: 2}\n{rest}", "train", 2),
+    ], ids=["yaml", "json", "yaml-section"])
+    def test_a_key_given_twice_exits_2_naming_it(self, tmp_path, tiny_doc, capsys, name,
+                                                 text, key, line):
+        doc = {k: v for k, v in tiny_doc.items() if k not in ("quant", "train")}
+        doc["output"] = {"metrics": str(tmp_path / "metrics.jsonl")}
+        rest = (yaml.safe_dump(doc, default_flow_style=False) if name.endswith("yaml")
+                else json.dumps(doc)[1:])
+        path = tmp_path / name
+        path.write_text(text.replace("{rest}", rest))
+        assert main(["train", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f'config error: {path}: found duplicate key {key!r}\n  in "{path}", line {line},')
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_a_key_may_repeat_one_a_merge_brings_in(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("network:\n"
+                        "  - &hidden {kind: linear, in: 2, out: 8}\n"
+                        "  - {kind: lif}\n"
+                        "  - {<<: *hidden, kind: qlinear, in: 8, out: 2}\n")
+        assert load_runconfig(str(path)).network[2] == {"kind": "qlinear", "in": 8, "out": 2}
 
 
 @pytest.fixture(scope="module")

@@ -316,6 +316,20 @@ class TestOptimizer:
         with pytest.raises(NumericError):
             collect_gradients(net)
 
+    def test_nan_gradient_is_named_not_blamed_on_an_overflow(self):
+        with pytest.raises(NumericError, match=r"^non-finite gradient for parameter p$"):
+            GradientBundle({"p": np.array([np.nan])})
+        # the first tensor, in key order, that holds a non-finite entry
+        tensors = {"q": np.ones(3), "p": np.array([1.0, -np.inf]), "r": np.array([np.nan])}
+        with pytest.raises(NumericError, match=r"^non-finite gradient for parameter p$"):
+            GradientBundle(tensors)
+
+    def test_missing_gradient_is_reported_before_an_earlier_nonfinite_one(self):
+        net = Network([Linear(1, 1, bias=False), Linear(1, 1, bias=False)])
+        net.layers[0].grads = {"weight": np.array([[np.nan]])}
+        with pytest.raises(NumericError, match="missing gradient for parameter 1.weight"):
+            collect_gradients(net)
+
     def test_missing_gradient_rejected(self):
         net = Network([Linear(1, 1, bias=False)])  # no backward, so no gradient
         with pytest.raises(NumericError, match="missing gradient for parameter 0.weight"):

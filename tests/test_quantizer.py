@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from tawq.errors import ConfigError, NumericError, ShapeError
 from tawq.quantizer import (
@@ -167,6 +168,45 @@ class TestRecurrence:
                         assert st.c_s[(t,) + idx] == cs[t]
                     for t in range(T):
                         assert st.w_q[(t,) + idx] == ws[t]
+
+
+def _patterns(w_q: np.ndarray) -> list[str]:
+    return ["".join(str(int(w)) for w in col) for col in w_q.reshape(len(w_q), -1).T]
+
+
+class TestPeriodLaw:
+    """Ternary temporal weights are a period code (the `quantizer` module
+    docstring): w_q[t - 1] = sign(i) * [k divides t], k the first firing
+    step, and k falls as |i| grows."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lam=strategies.floats(1e-6, 1 - 1e-6), c_th=strategies.floats(1e-3, 10.0),
+           timesteps=strategies.integers(1, 16),
+           stimuli=strategies.lists(strategies.floats(-20.0, 20.0), max_size=8))
+    def test_first_firing_step_sets_every_firing(self, lam, c_th, timesteps, stimuli):
+        # each c_th / (1 - lam^k) and the two floats on either side of it, of both signs
+        breaks = c_th / (1.0 - lam ** np.arange(1.0, timesteps + 1))
+        near = (breaks.view(np.int64)[:, None] + np.arange(-2, 3)).view(np.float64).ravel()
+        i = np.concatenate([near, -near, stimuli])
+        w_q = tawq_forward(i, QuantConfig(lam=lam, c_th=c_th, timesteps=timesteps)).w_q
+        fired = w_q != 0
+        k = np.where(fired.any(axis=0), fired.argmax(axis=0) + 1, timesteps + 1)
+        t = np.arange(1, timesteps + 1)[:, None]
+        assert np.array_equal(w_q, np.sign(i) * (t % k == 0))
+        assert np.all(np.diff(k[np.argsort(np.abs(i), kind="stable")]) <= 0)
+
+    def test_default_breakpoints_and_patterns(self):
+        # the least stimulus of each period k = 4, 3, 2, 1 at lam 0.5, c_th 0.25,
+        # T 4: 1, 2, 2 and 1 ulps above c_th / (1 - lam^k), as the float recurrence
+        # rounds; one ulp below, the next longer period
+        breaks = np.array([0.2666666666666667, 0.2857142857142858, 0.3333333333333334,
+                           0.5000000000000001])
+        exact = 0.25 / (1 - 0.5 ** np.arange(4, 0, -1))
+        assert (breaks.view(np.int64) - exact.view(np.int64)).tolist() == [1, 2, 2, 1]
+        assert _patterns(tawq_forward(breaks, QuantConfig()).w_q) == [
+            "0001", "0010", "0101", "1111"]
+        assert _patterns(tawq_forward(np.nextafter(breaks, 0), QuantConfig()).w_q) == [
+            "0000", "0001", "0010", "0101"]
 
 
 class TestConfig:
