@@ -181,14 +181,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
     """PyYAML's safe loader, refusing a mapping that names a key twice
     (a key may repeat one that a merge, `<<`, brings in)."""
 
-    def construct_mapping(self, node, deep=False):
-        seen = {}
+    def compose_mapping_node(self, anchor):  # checked before a merge is flattened in
+        node, seen = super().compose_mapping_node(anchor), {}
         for key in (k for k, _ in node.value if isinstance(k, yaml.ScalarNode)
                     and k.tag != "tag:yaml.org,2002:merge"):
             if seen.setdefault(self.construct_object(key), key) is not key:
                 raise yaml.constructor.ConstructorError(
                     None, None, f"found duplicate key {key.value!r}", key.start_mark)
-        return super().construct_mapping(node, deep)
+        return node
 
 
 def load_runconfig(path: str) -> RunConfig:

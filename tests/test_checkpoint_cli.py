@@ -893,6 +893,18 @@ class TestParserJudgesTheRun:
                         "  - {<<: *hidden, kind: qlinear, in: 8, out: 2}\n")
         assert load_runconfig(str(path)).network[2] == {"kind": "qlinear", "in": 8, "out": 2}
 
+    def test_a_merged_mapping_with_its_own_merge_is_not_a_duplicate(self, tmp_path):
+        # building the second item flattens &q before &q's own mapping is built
+        path = tmp_path / "run.yaml"
+        path.write_text("network:\n"
+                        "  - &lin {kind: linear, in: 2, out: 8}\n"
+                        "  - {kind: lif}\n"
+                        "  - {<<: &q {<<: *lin, kind: qlinear, in: 8}, out: 8}\n"
+                        "  - {kind: lif}\n"
+                        "  - *q\n")
+        network = load_runconfig(str(path)).network
+        assert network[2] == network[4] == {"kind": "qlinear", "in": 8, "out": 8}
+
 
 @pytest.fixture(scope="module")
 def cli_artifacts(tmp_path_factory, tiny_doc):

@@ -1,6 +1,8 @@
 """tools/count_lines.py puts each line of a module in exactly one class."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,10 @@ def test_each_line_is_classed_once():
               '\n'
               'docstring"""\n')
     assert count_lines.count(source) == {"code": 5, "docstring": 4, "comment": 1, "blank": 2}
+
+
+def test_the_report_counts_the_package_from_any_directory(tmp_path):
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "count_lines.py")],
+                         cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    wc = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "tawq").glob("*.py"))
+    assert out.splitlines()[-1].split()[:2] == ["total", str(wc)]

@@ -7,7 +7,7 @@ that is not a comment, a multi-line string's blank lines included; else
 blank if it holds only whitespace; else comment.  So the four counts of
 a module sum to its `wc -l`.
 
-    python3 tools/count_lines.py [package directory, default src/tawq]
+    python3 tools/count_lines.py
 """
 
 from __future__ import annotations
@@ -42,12 +42,14 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src/tawq")
+ROOT = Path(__file__).resolve().parents[1] / "src" / "tawq"
+
+
+def main() -> int:
     total = dict.fromkeys(CLASSES, 0)
     row = "{:<16}{:>7}" + "{:>11}" * len(CLASSES)
     print(row.format("module", "lines", *CLASSES))
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(ROOT.glob("*.py")):
         counts = count(path.read_text(encoding="utf-8"))
         total = {c: total[c] + counts[c] for c in CLASSES}
         print(row.format(path.name, sum(counts.values()), *counts.values()))
@@ -56,4 +58,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
