@@ -7,27 +7,34 @@ decayed (fully, for the ternary case), so weights alternate between
 firing and accumulating.  All math is float64 so the vectorized path is
 bit-identical to a scalar reference loop.
 
-The recurrence, its surrogate gradient and its reverse pass run in place
-on a few scratch buffers of their own, one numpy operation per step of
-the formula and no temporary per operator.  They never write into their
-inputs or into a retained `QuantizerState`, and each performs the same
-floating-point operations, in the same order, as the plain vectorized
-formula that tests/test_quantizer.py pins, so its results are
-bit-identical to it.
+The recurrence is written once (`_steps`).  It, its surrogate gradient and
+its reverse pass run in place on a few scratch buffers of their own, one
+numpy operation per step of the formula and no temporary per operator.
+They never write into their inputs or into a retained `QuantizerState`,
+and each performs the same floating-point operations, in the same order,
+as the plain vectorized formula that tests/test_quantizer.py pins, so its
+results are bit-identical to it.
 
-Ternary temporal weights follow a period law: the full decay resets the
-state after a firing to the drive (1 - lam) * i, its value at step 1, bit
-for bit.  So a weight that first fires at step k fires at every k-th step
-with sign(i), w_q[t - 1] = sign(i) * [k divides t], and k falls as |i|
-grows: in exact arithmetic k holds for c_th / (1 - lam^k) < |i| <=
-c_th / (1 - lam^(k-1)), and |i| <= c_th / (1 - lam^T) never fires.  The
-partial multi-bit decay obeys no such law.
+Ternary temporal weights follow a period law, and `tawq_forward` emits
+them by it: the full decay resets the state after a firing to the drive
+(1 - lam) * i, its value at step 1, bit for bit.  So a weight that first
+fires at step k fires at every k-th step with sign(i), w_q[t - 1] =
+sign(i) * [k divides t], and k falls as |i| grows: in exact arithmetic k
+holds for c_th / (1 - lam^k) < |i| <= c_th / (1 - lam^(k-1)), and |i| <=
+c_th / (1 - lam^T) never fires.  `breakpoints` finds the float bounds by
+bisection on the recurrence itself, so T compares of |i| give k and one
+table lookup per timestep gives the weight.  The partial multi-bit decay
+obeys no such law; multi-bit and memoryless weights run the recurrence.
+
+The carried state is never stored: `tawq_backward` recomputes it slab by
+slab, by the same steps, where it needs it, and `QuantizerState.c_s`
+recomputes it on demand for inspection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,16 +146,31 @@ def unpack_ternary(packed: PackedTernaryTensor) -> np.ndarray:
 
 @dataclass
 class QuantizerState:
-    """Everything retained from one quantizer forward pass.
-
-    ``c_s`` has shape (T+1, *w) with ``c_s[0] == 0``; ``w_q`` has shape
-    (T, *w) and holds the integer weights emitted at timesteps 1..T.
+    """Everything retained from one quantizer forward pass: the normalized
+    stimulus and ``w_q``, shape (T, *w), the integer weights emitted at
+    timesteps 1..T.  The carried state is not kept; `tawq_backward`
+    recomputes it slab by slab.
     """
 
     i_norm: np.ndarray
-    c_s: np.ndarray
     w_q: np.ndarray
     cfg: QuantConfig = field(repr=False)
+
+    @cached_property
+    def c_s(self) -> np.ndarray:
+        """The carried state, shape (T+1, *w) with ``c_s[0] == 0``, recomputed
+        on first read and kept on this state.  For inspection only: no
+        training, checkpoint or deployment path reads it."""
+        T, size = self.cfg.timesteps, self.i_norm.size
+        c_s = np.empty((T + 1,) + self.i_norm.shape)
+        flat_c, flat_w = c_s.reshape(T + 1, size), self.w_q.reshape(T, size)
+        flat_c[0] = 0.0
+        width = min(size, BLOCK)
+        for blk, (c, gate, drive) in blocks(size, *(np.empty(width) for _ in range(3))):
+            for t in _steps(c, self.i_norm.reshape(size)[blk], flat_w[:, blk], self.cfg,
+                            [gate] * T, drive):
+                flat_c[t + 1, blk] = c
+        return c_s
 
     @cached_property
     def stored(self) -> tuple:
@@ -199,49 +221,114 @@ def _multibit_into(out: np.ndarray, c_s: np.ndarray, n: int,
     out *= scratch
 
 
-def tawq_forward(i_norm: np.ndarray, cfg: QuantConfig) -> QuantizerState:
-    """Run the quantizer recurrence for ``cfg.timesteps`` steps.
+def _steps(c: np.ndarray, i_b: np.ndarray, w: np.ndarray, cfg: QuantConfig, gates,
+           drive: np.ndarray, scaled=None):
+    """The recurrence, run on one slab in place in ``c`` from c = 0: yields
+    each t = 0..T-1 once ``c`` holds c_s[t + 1].  Step t reads w[t - 1], which
+    the caller has emitted or holds by then, and leaves its gate
+    1 - |w[t - 1]| / n in gates[t] and lam * c_s[t] in scaled[t] (in ``c`` if
+    `scaled` is None).  ``drive`` is a slab buffer."""
+    if not cfg.temporal:
+        np.copyto(c, i_b)
+        yield from range(cfg.timesteps)
+        return
+    lam, n = cfg.lam, cfg.n_level
+    np.multiply(i_b, 1.0 - lam, out=drive)
+    c.fill(0.0)
+    for t in range(cfg.timesteps):
+        gate, lam_c = gates[t], c if scaled is None else scaled[t]
+        if t:
+            np.abs(w[t - 1], out=gate)
+            if n > 1:
+                gate /= n
+            np.subtract(1.0, gate, out=gate)
+        else:
+            gate.fill(1.0)
+        # lam * c_s[t] * (1 - |w_prev| / n) + (1 - lam) * i_norm
+        np.multiply(c, lam, out=lam_c)
+        np.multiply(lam_c, gate, out=c)
+        c += drive
+        yield t
 
-    With ``cfg.temporal`` off the recurrence degenerates to memoryless
+
+def _recur_into(w: np.ndarray, i_b: np.ndarray, cfg: QuantConfig, c: np.ndarray,
+                gate: np.ndarray, drive: np.ndarray, mask: np.ndarray) -> None:
+    """Emit a slab's weights ``w`` (T, slab) from its stimulus ``i_b`` by
+    running the recurrence; ``c``, ``gate``, ``drive`` and ``mask`` are
+    buffers of the slab's size.  The multi-bit and memoryless emitter, and
+    the oracle of the ternary `breakpoints`."""
+    n, T = cfg.n_level, cfg.timesteps
+    for t in _steps(c, i_b, w, cfg, [gate] * T, drive):
+        if n == 1:
+            _ternary_into(w[t], c, cfg.c_th, mask)
+        else:
+            # gate = 1 - |w_prev| / n lies in [0, 1], so |c| <= |i_norm| at every
+            # step and the finite i_norm keeps c finite; it is the emitter's scratch
+            _multibit_into(w[t], c, n, gate)
+
+
+@lru_cache(maxsize=256)
+def breakpoints(lam: float, c_th: float, timesteps: int) -> tuple[float, ...]:
+    """The ternary temporal recurrence's period breakpoints b_1..b_T: b_j is
+    the largest float |i| whose first j steps emit no weight, so |i| fires
+    first at step k = T + 1 - #{j : |i| > b_j} (never if that is T + 1).
+    Found by bisection over the non-negative floats on the recurrence
+    itself, so they hold bit for bit; each lies a few ulps from
+    c_th / (1 - lam^j)."""
+    cfg = QuantConfig(lam=lam, c_th=c_th, timesteps=timesteps)
+    # the bits of 0.0, which never fires, and of inf, one past the largest
+    # float, taken as firing
+    lo = np.zeros(timesteps, dtype=np.int64)
+    hi = np.full(timesteps, np.float64(np.inf).view(np.int64))
+    w = np.empty((timesteps, timesteps))
+    bufs = [np.empty(timesteps) for _ in range(3)] + [np.empty(timesteps, dtype=bool)]
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        _recur_into(w, mid.view(np.float64), cfg, *bufs)
+        # candidate j - 1 is quiet if none of its first j steps fired
+        quiet = ~np.diagonal(np.logical_or.accumulate(w != 0, axis=0))
+        lo = np.where(quiet, mid, lo)
+        hi = np.where(quiet, hi, mid)
+    return tuple(lo.view(np.float64).tolist())
+
+
+def tawq_forward(i_norm: np.ndarray, cfg: QuantConfig) -> QuantizerState:
+    """Emit the quantizer's weights for ``cfg.timesteps`` steps: ternary
+    temporal weights by their period code, others by the recurrence.  With
+    ``cfg.temporal`` off the recurrence degenerates to memoryless
     re-quantization of ``i_norm`` at every step (the WQ ablation baseline).
     """
     i_norm = np.asarray(i_norm, dtype=np.float64)
     if not np.all(np.isfinite(i_norm)):
         raise NumericError("non-finite normalized stimulus")
-    T, n = cfg.timesteps, cfg.n_level
-    c_s = np.empty((T + 1,) + i_norm.shape)
+    T = cfg.timesteps
     w_q = np.empty((T,) + i_norm.shape)
     size = i_norm.size
-    flat_i = i_norm.reshape(size)
-    flat_c, flat_w = c_s.reshape(T + 1, size), w_q.reshape(T, size)
-    flat_c[0] = 0.0
+    flat_i, flat_w = i_norm.reshape(size), w_q.reshape(T, size)
     width = min(size, BLOCK)
-    # gate = 1 - |w_prev| / n lies in [0, 1], so |c| <= |i_norm| at every step and
-    # the finite i_norm keeps c finite; gate is also the multi-bit emitter's scratch
-    for blk, (drive, gate, mask) in blocks(size, np.empty(width), np.empty(width),
-                                           np.empty(width, dtype=bool)):
+    if cfg.n_level > 1 or not cfg.temporal:
+        bufs = [np.empty(width) for _ in range(3)] + [np.empty(width, dtype=bool)]
+        for blk, slab in blocks(size, *bufs):
+            _recur_into(flat_w[:, blk], flat_i[blk], cfg, *slab)
+        return QuantizerState(i_norm=i_norm, w_q=w_q, cfg=cfg)
+    bounds = breakpoints(cfg.lam, cfg.c_th, T)
+    # table[t, m]: the weight at step t + 1 of code m, i >= 0 first firing at step
+    # T + 1 - m (m = 0: never) and, code T + 1 + m, the same with i < 0; zeros +0.0
+    fires = np.arange(1.0, T + 1)[:, None] % np.arange(T + 1.0, 0.0, -1.0) == 0
+    table = np.concatenate([fires, 0.0 - fires], axis=1)
+    for blk, (mag, code, mask) in blocks(size, np.empty(width), np.empty(width, dtype=np.intp),
+                                         np.empty(width, dtype=bool)):
         i_b = flat_i[blk]
-        np.multiply(i_b, 1.0 - cfg.lam, out=drive)
-        gate.fill(0.0)
+        # code = #{j : |i| > b_j}, plus T + 1 where i < 0
+        np.less(i_b, 0.0, out=mask)
+        np.multiply(mask, T + 1, out=code)
+        np.abs(i_b, out=mag)
+        for b in bounds:
+            np.greater(mag, b, out=mask)
+            code += mask
         for t in range(T):
-            c, w = flat_c[t + 1, blk], flat_w[t, blk]
-            if cfg.temporal:
-                # lam * c_s[t] * (1 - |w_prev| / n) + (1 - lam) * i_norm
-                np.multiply(flat_c[t, blk], cfg.lam, out=c)
-                if t:
-                    np.abs(flat_w[t - 1, blk], out=gate)
-                    if n > 1:
-                        gate /= n
-                np.subtract(1.0, gate, out=gate)
-                c *= gate
-                c += drive
-            else:
-                np.copyto(c, i_b)
-            if n == 1:
-                _ternary_into(w, c, cfg.c_th, mask)
-            else:
-                _multibit_into(w, c, n, gate)
-    return QuantizerState(i_norm=i_norm, c_s=c_s, w_q=w_q, cfg=cfg)
+            np.take(table[t], code, out=flat_w[t, blk], mode="clip")
+    return QuantizerState(i_norm=i_norm, w_q=w_q, cfg=cfg)
 
 
 def surrogate_grad(c_s: np.ndarray, cfg: QuantConfig) -> np.ndarray:
@@ -322,8 +409,10 @@ def tawq_backward(upstream: np.ndarray, state: QuantizerState) -> np.ndarray:
         d c[t+1] / d w[t]    = -lam * c[t] * sign(w) / n
         d w[t]   / d c[t]    = surrogate_grad(c[t])
 
-    In the memoryless ablation the carry terms vanish and every step
-    contributes ``upstream[t] * surrogate_grad(i_norm)`` directly.
+    The state c_s is recomputed per slab from ``i_norm`` and ``w_q`` by the
+    forward's own steps.  In the memoryless ablation the carry terms vanish
+    and every step contributes ``upstream[t] * surrogate_grad(i_norm)``
+    directly.
     """
     cfg = state.cfg
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -337,16 +426,20 @@ def tawq_backward(upstream: np.ndarray, state: QuantizerState) -> np.ndarray:
 
     T, lam, n = cfg.timesteps, cfg.lam, cfg.n_level
     size = state.i_norm.size
-    flat_up = upstream.reshape(T, size)
-    flat_c, flat_w = state.c_s.reshape(T + 1, size), state.w_q.reshape(T, size)
+    flat_i, flat_up = state.i_norm.reshape(size), upstream.reshape(T, size)
+    flat_w = state.w_q.reshape(T, size)
     grad_i = np.zeros(state.i_norm.shape)
     flat_g = grad_i.reshape(size)
     width = min(size, BLOCK)
-    # sg[t - 1] is taken at c_s[t]; carry: dL/dc_s[t+1] reaching step t from the future
-    bufs = [np.empty((T, width)) for _ in range(3)] + [np.empty(width) for _ in range(3)]
-    for blk, (sg, lower, sg_scratch, carry, g_c, scratch) in blocks(size, *bufs):
+    # gate[t], lam_c[t]: as the recompute's step t left them; sg[t - 1] is taken
+    # at c_s[t]; carry: dL/dc_s[t+1] reaching step t from the future.  Until the
+    # reverse pass, carry holds the recompute's drive and g_c, scratch the
+    # surrogate's scratch: fewer buffers measured faster
+    bufs = [np.empty((T, width)) for _ in range(3)] + [np.empty(width) for _ in range(4)]
+    for blk, (gate, lam_c, sg, c, carry, g_c, scratch) in blocks(size, *bufs):
         grad_b = flat_g[blk]
-        _surrogate_into(sg, flat_c[1:, blk], cfg, lower, sg_scratch)
+        for t in _steps(c, flat_i[blk], flat_w[:, blk], cfg, gate, carry, lam_c):
+            _surrogate_into(sg[t], c, cfg, g_c, scratch)
         carry.fill(0.0)
         for t in range(T, 0, -1):
             np.multiply(flat_up[t - 1, blk], sg[t - 1], out=g_c)
@@ -354,23 +447,17 @@ def tawq_backward(upstream: np.ndarray, state: QuantizerState) -> np.ndarray:
             np.multiply(g_c, 1.0 - lam, out=scratch)
             grad_b += scratch
             if t > 1:
-                c_prev = flat_c[t - 1, blk]
                 w_prev = flat_w[t - 2, blk]
                 # carry = g_c * (lam * (1 - |w|/n) - lam * c_prev * sign(w) / n * sg);
                 # for ternary w, sign(w) == w and the divisions by n = 1 are no-ops
-                np.multiply(c_prev, lam, out=carry)
                 if n == 1:
-                    carry *= w_prev
+                    np.multiply(lam_c[t - 1], w_prev, out=carry)
                 else:
                     np.sign(w_prev, out=scratch)
-                    carry *= scratch
+                    np.multiply(lam_c[t - 1], scratch, out=carry)
                     carry /= n
                 carry *= sg[t - 2]
-                np.abs(w_prev, out=scratch)
-                if n > 1:
-                    scratch /= n
-                np.subtract(1.0, scratch, out=scratch)
-                scratch *= lam
+                np.multiply(gate[t - 1], lam, out=scratch)
                 scratch -= carry
                 np.multiply(g_c, scratch, out=carry)
     return grad_i

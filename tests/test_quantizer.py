@@ -6,15 +6,25 @@ the vectorized code, so comparisons can demand bitwise equality.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from conftest import run_document, three_layer_document
+from tawq.checkpoint import (
+    checkpoint_from_network,
+    load_checkpoint,
+    network_from_checkpoint,
+    save_checkpoint,
+)
 from tawq.errors import ConfigError, NumericError, ShapeError
+from tawq.layers import Network, QuantizedLayer
 from tawq.quantizer import (
     BLOCK,
     QuantConfig,
+    breakpoints,
     compute_scaling,
     compute_scaling_all,
     normalize_stimulus,
@@ -22,6 +32,8 @@ from tawq.quantizer import (
     tawq_backward,
     tawq_forward,
 )
+from tawq.runconfig import parse_runconfig
+from tawq.runtime import fold_network
 
 
 def scalar_recurrence(i: float, cfg: QuantConfig):
@@ -429,3 +441,98 @@ class TestInPlaceKernelsExact:
         assert np.array_equal(emit(c, n_level=3),
                               np.sign(clipped) * np.floor(np.abs(clipped) + 0.5))
         assert np.array_equal(c, c0)
+
+
+# Ternary temporal weights are emitted by their period code, and no state
+# keeps the carry: both must change no bit of what the recurrence gives.
+
+# the bound on |b_j - c_th / (1 - lam^j)| in ulps, the exact quotient rounded
+# once: the float recurrence rounds twice per step, each time by at most half
+# an ulp, so c_j, and the stimulus at which it crosses c_th, are off by at
+# most about j ulps; 1,500 random configs gave at most j / 4 + 1
+def breakpoint_ulps(j):
+    return 2 * j + 2
+
+
+class TestPeriodEmission:
+    def test_default_breakpoints(self):
+        # each b_j is the largest stimulus that stays quiet for j steps, so the
+        # float above it is TestPeriodLaw's least stimulus of period k = j
+        b = np.array(breakpoints(0.5, 0.25, 4))
+        assert b.tolist() == [0.5, 0.33333333333333337, 0.28571428571428575,
+                              0.26666666666666666]
+        assert np.nextafter(b, np.inf)[::-1].tolist() == [
+            0.2666666666666667, 0.2857142857142858, 0.3333333333333334, 0.5000000000000001]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lam=strategies.floats(1e-6, 1 - 1e-6), c_th=strategies.floats(1e-3, 10.0),
+           timesteps=strategies.integers(1, 16))
+    def test_breakpoints_lie_near_the_closed_form(self, lam, c_th, timesteps):
+        b = np.array(breakpoints(lam, c_th, timesteps))
+        j = range(1, timesteps + 1)
+        exact = np.array([float(Fraction(c_th) / (1 - Fraction(lam) ** k)) for k in j])
+        ulps = np.abs(b.view(np.int64) - exact.view(np.int64))
+        assert np.all(ulps <= breakpoint_ulps(np.array(j)))
+        assert np.all(np.diff(b) <= 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lam=strategies.floats(1e-6, 1 - 1e-6), c_th=strategies.floats(1e-3, 10.0),
+           timesteps=strategies.integers(1, 16), seed=strategies.integers(0, 2**32 - 1),
+           shape=strategies.sampled_from([(), (5,), (2 * BLOCK + 3,), (3, BLOCK // 2 + 1)]))
+    def test_emission_equals_the_recurrence_bitwise(self, lam, c_th, timesteps, seed, shape):
+        # every breakpoint and the floats on either side of it, of both signs, and
+        # +-0.0, first; then a spread over the periods; one block, a 0-d stimulus
+        # and several blocks with a ragged last one; compared as bytes, so the
+        # sign of every zero counts
+        cfg = QuantConfig(lam=lam, c_th=c_th, timesteps=timesteps)
+        b = np.array(breakpoints(lam, c_th, timesteps))
+        near = np.concatenate([np.nextafter(b, 0), b, np.nextafter(b, np.inf)])
+        special = np.concatenate([near, -near, [0.0, -0.0]])
+        rng = np.random.default_rng(seed)
+        if shape == ():
+            i = np.array(special[seed % special.size])
+        else:
+            i = rng.standard_normal(shape) * 1.5 * b[0]
+            n = min(i.size, special.size)
+            i.reshape(-1)[:n] = rng.permutation(special)[:n]
+        w_q = tawq_forward(i, cfg).w_q
+        want = ref_forward(i, cfg)[1]
+        assert w_q.shape == want.shape and w_q.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["ternary", "ternary_lam_0.3", "n_level_3", "memoryless"])
+    def test_recomputed_carry_equals_the_stored_carry_formula(self, name):
+        # tawq_backward recomputes c_s per slab; the formula that reads a stored
+        # c_s gives the same bytes, and the state is left without one
+        cfg = EXACT_CONFIGS[name]
+        rng = np.random.default_rng(43)
+        i = normalize_stimulus(rng.standard_normal(2 * BLOCK + 7), 1e-5) * 2.0 * cfg.n_level
+        upstream = rng.standard_normal((cfg.timesteps,) + i.shape)
+        st = tawq_forward(i, cfg)
+        got = tawq_backward(upstream, st)
+        assert "c_s" not in vars(st)
+        c_s, w_q = ref_forward(i, cfg)
+        assert got.tobytes() == ref_backward(upstream, i, c_s, w_q, cfg).tobytes()
+        assert np.array_equal(st.c_s, c_s) and vars(st)["c_s"] is st.c_s
+
+
+class TestCarryNotKept:
+    """The carried state is for inspection: a state made by training, by a
+    reload, a fold or inference never holds one, so a hot path that comes to
+    read `QuantizerState.c_s` fails here."""
+
+    @staticmethod
+    def _states(layers):
+        states = [layer.state for layer in layers if isinstance(layer, QuantizedLayer)]
+        assert states and all(state is not None for state in states)
+        return states
+
+    def test_train_reload_fold_and_infer_leave_no_carry(self, tmp_path):
+        doc = three_layer_document(seed=0, epochs=2)
+        net, ds, _ = run_document(doc)
+        assert all("c_s" not in vars(st) for st in self._states(net.layers))
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(path, checkpoint_from_network(net, parse_runconfig(doc)))
+        loaded, _ = network_from_checkpoint(load_checkpoint(path))
+        Network(fold_network(loaded)).infer(ds.test_x)
+        Network(loaded.layers).infer(ds.test_x)
+        assert all("c_s" not in vars(st) for st in self._states(loaded.layers))
