@@ -316,18 +316,22 @@ def tawq_forward(i_norm: np.ndarray, cfg: QuantConfig) -> QuantizerState:
     # T + 1 - m (m = 0: never) and, code T + 1 + m, the same with i < 0; zeros +0.0
     fires = np.arange(1.0, T + 1)[:, None] % np.arange(T + 1.0, 0.0, -1.0) == 0
     table = np.concatenate([fires, 0.0 - fires], axis=1)
-    for blk, (mag, code, mask) in blocks(size, np.empty(width), np.empty(width, dtype=np.intp),
-                                         np.empty(width, dtype=bool)):
-        i_b = flat_i[blk]
-        # code = #{j : |i| > b_j}, plus T + 1 where i < 0
+    # code = #{j : |i| > b_j}, plus T + 1 where i < 0, counted in the least
+    # unsigned type that holds 2T + 1 and widened once for the lookups: measured
+    # faster than counting in intp
+    bufs = [np.empty(width), np.empty(width, dtype=bool),
+            np.empty(width, dtype=np.min_scalar_type(2 * T + 1)), np.empty(width, dtype=np.intp)]
+    for blk, (mag, mask, count, code) in blocks(size, *bufs):
+        i_b, flags = flat_i[blk], mask.view(np.uint8)
         np.less(i_b, 0.0, out=mask)
-        np.multiply(mask, T + 1, out=code)
+        np.multiply(flags, count.dtype.type(T + 1), out=count)
         np.abs(i_b, out=mag)
         for b in bounds:
             np.greater(mag, b, out=mask)
-            code += mask
+            count += flags
+        np.copyto(code, count)
         for t in range(T):
-            np.take(table[t], code, out=flat_w[t, blk], mode="clip")
+            np.take(table[t], code, out=flat_w[t, blk], mode="wrap")
     return QuantizerState(i_norm=i_norm, w_q=w_q, cfg=cfg)
 
 

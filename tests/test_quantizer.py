@@ -499,6 +499,15 @@ class TestPeriodEmission:
         want = ref_forward(i, cfg)[1]
         assert w_q.shape == want.shape and w_q.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("timesteps", [127, 128])
+    def test_codes_past_one_byte(self, timesteps):
+        # 2T + 1 codes fit a uint8 count up to T = 127, and a uint16 from T = 128
+        cfg = QuantConfig(lam=0.99, c_th=0.01, timesteps=timesteps)
+        b = np.array(breakpoints(cfg.lam, cfg.c_th, timesteps))
+        near = np.concatenate([np.nextafter(b, 0), b, np.nextafter(b, np.inf)])
+        i = np.concatenate([near, -near, np.random.default_rng(44).standard_normal(500)])
+        assert tawq_forward(i, cfg).w_q.tobytes() == ref_forward(i, cfg)[1].tobytes()
+
     @pytest.mark.parametrize("name", ["ternary", "ternary_lam_0.3", "n_level_3", "memoryless"])
     def test_recomputed_carry_equals_the_stored_carry_formula(self, name):
         # tawq_backward recomputes c_s per slab; the formula that reads a stored

@@ -39,7 +39,7 @@ def parse_run(stdout: str) -> dict:
     lines = stdout.strip().splitlines()
     machine = [json.loads(line[len("machine "):]) for line in lines
                if line.startswith("machine ")]
-    if not machine or not lines:
+    if not machine:
         raise ValueError("run printed no machine line")
     result = json.loads(lines[-1])
     return {"machine": machine[-1], "correct": result["correct"],
@@ -129,14 +129,15 @@ def record(runs: list[dict], spec: dict) -> tuple[dict, dict]:
 
 
 def revision(directory: Path) -> dict:
-    """The git commit of a checkout if it is a repository, and a digest of
-    the files the benchmark builds from, which a plain copy also has."""
+    """The git commit of a checkout if it is a repository's root, and a
+    digest of the files the benchmark builds from, which a plain copy, such
+    as a `git archive` of a commit, also has."""
     git = subprocess.run(["git", "-C", str(directory), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True) if (directory / ".git").exists() else None
     digest = hashlib.sha256()
     for path in sorted(directory.glob("src/**/*.py")) + sorted(directory.glob("bench/*.py")):
         digest.update(str(path.relative_to(directory)).encode() + b"\0" + path.read_bytes())
-    return {"dir": str(directory), "git": git.stdout.strip() if git.returncode == 0 else None,
+    return {"git": git.stdout.strip() if git and git.returncode == 0 else None,
             "sources_sha256": digest.hexdigest()}
 
 
